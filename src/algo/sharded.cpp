@@ -195,7 +195,7 @@ ShardSweep sweep_shard(const jtora::IncrementalEvaluator& master,
                        double deadline) {
   ShardSweep out;
   jtora::IncrementalEvaluator eval = master;  // flat arrays, shared problem
-  std::vector<double> preview(eval.problem().scenario().num_servers());
+  std::vector<double> preview(halo.size());  // preview[i] scores halo[i]
   std::size_t scanned = 0;
   for (const std::size_t u : boundary_users) {
     // Honor the anytime deadline inside the sweep, not just between
@@ -210,20 +210,21 @@ ShardSweep sweep_shard(const jtora::IncrementalEvaluator& master,
     if (eval.is_forwarded(u)) continue;
     const std::optional<jtora::Slot> orig = eval.slot_of(u);
     // Lift the user out so the batch previews (which require a local
-    // mover) can scan whole sub-channel rows; the user's own slot becomes
-    // free and is re-scored on equal terms with every alternative.
+    // mover) can score the halo's slots of each sub-channel; the user's own
+    // slot becomes free and is re-scored on equal terms with every
+    // alternative.
     if (orig.has_value()) eval.apply_make_local(u);
     double best_utility = eval.utility();  // staying local
     std::optional<jtora::Slot> best;
     ++out.evaluations;
     for (std::size_t j = 0; j < num_subchannels; ++j) {
-      eval.preview_offload_subchannel(u, j, preview.data());
-      for (const std::size_t s : halo) {
-        if (std::isnan(preview[s])) continue;
+      eval.preview_offload_subchannel(u, j, halo, preview.data());
+      for (std::size_t i = 0; i < halo.size(); ++i) {
+        if (std::isnan(preview[i])) continue;
         ++out.evaluations;
-        if (preview[s] > best_utility) {
-          best_utility = preview[s];
-          best = jtora::Slot{s, j};
+        if (preview[i] > best_utility) {
+          best_utility = preview[i];
+          best = jtora::Slot{halo[i], j};
         }
       }
     }

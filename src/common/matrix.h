@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -90,6 +91,11 @@ class Matrix3 {
   }
 
   [[nodiscard]] const std::vector<T>& data() const noexcept { return data_; }
+
+  /// Mutable view of the row-major storage (element (i, j, k) at
+  /// (i * dim1 + j) * dim2 + k), for writers that fill the tensor in layout
+  /// order instead of one bounds-checked element at a time.
+  [[nodiscard]] std::span<T> flat() noexcept { return data_; }
 
   friend bool operator==(const Matrix3&, const Matrix3&) = default;
 

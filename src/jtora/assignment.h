@@ -114,6 +114,14 @@ class Assignment {
     return blocked_.empty() || blocked_[slot_index(s, j)] == 0;
   }
 
+  /// Read-only masked-slot map (index = s * num_subchannels + j, 1 =
+  /// masked); empty when every slot is available. Flat view for the batch
+  /// kernels; prefer slot_available() elsewhere.
+  [[nodiscard]] const std::vector<std::uint8_t>& blocked_slots()
+      const noexcept {
+    return blocked_;
+  }
+
   // --- cloud forwarding (three-way placement) -----------------------------
 
   /// True when the scenario behind this assignment has a cloud tier (the

@@ -124,13 +124,18 @@ void CompiledProblem::compile_tables(const mec::Scenario& scenario) {
   // Flattened per-(user, sub-channel, server) caches: the received signal
   // power p_u * h_us^j behind every SINR read, and the constant downlink
   // return times. Server-contiguous so co-channel sweeps are linear scans.
+  // The scenario's gain tensor is (user, server, sub-channel) row-major:
+  // each user's block holds h_us^j at s * num_subchannels + j.
+  const double* gains = scenario.gains().data().data();
+  const std::size_t user_stride = num_servers_ * num_subchannels_;
   signal_.resize(num_users_ * num_subchannels_ * num_servers_);
   for (std::size_t u = 0; u < num_users_; ++u) {
     const double p = scenario.user(u).tx_power_w;
+    const double* user_gains = gains + u * user_stride;
     for (std::size_t j = 0; j < num_subchannels_; ++j) {
       double* row = signal_.data() + (u * num_subchannels_ + j) * num_servers_;
       for (std::size_t s = 0; s < num_servers_; ++s) {
-        row[s] = p * scenario.gain(u, s, j);
+        row[s] = p * user_gains[s * num_subchannels_ + j];
       }
     }
   }
@@ -141,6 +146,7 @@ void CompiledProblem::compile_tables(const mec::Scenario& scenario) {
   downlink_.resize(num_users_ * num_subchannels_ * num_servers_);
   for (std::size_t u = 0; u < num_users_; ++u) {
     const mec::UserEquipment& ue = scenario.user(u);
+    const double* user_gains = gains + u * user_stride;
     for (std::size_t j = 0; j < num_subchannels_; ++j) {
       double* row =
           downlink_.data() + (u * num_subchannels_ + j) * num_servers_;
@@ -151,8 +157,9 @@ void CompiledProblem::compile_tables(const mec::Scenario& scenario) {
         }
         // Noise-limited downlink (coordinated base stations, Sec. I):
         // output_bits / (W log2(1 + p_s h / sigma^2)).
-        const double snr = scenario.server(s).tx_power_w *
-                           scenario.gain(u, s, j) / scenario.noise_w();
+        const double snr = scenario.servers()[s].tx_power_w *
+                           user_gains[s * num_subchannels_ + j] /
+                           scenario.noise_w();
         const double rate =
             scenario.subchannel_bandwidth_hz() * std::log2(1.0 + snr);
         row[s] = rate <= 0.0 ? std::numeric_limits<double>::infinity()

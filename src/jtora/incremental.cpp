@@ -112,19 +112,8 @@ void IncrementalEvaluator::add_channel_power(std::size_t u, std::size_t j,
 double IncrementalEvaluator::gain_of(std::size_t u, std::size_t s,
                                      std::size_t j,
                                      double channel_power_total) const {
-  // O(1) SINR via the received-power cache (Eq. 3): everything arriving at
-  // this server on this sub-channel, minus the user's own signal, is
-  // interference. Intra-cell users are orthogonal by (12d), so the only
-  // same-channel co-users are in other cells — exactly Eq. 3's sum.
-  const double signal = signal_at(u, j, s);
-  const double interference = std::max(channel_power_total - signal, 0.0);
-  const double sinr = signal / (interference + noise_w_);
-  const double log_term = std::log2(1.0 + sinr);
-  double gain = problem_->gain_const(u) - problem_->gamma_coef(u) / log_term;
-  if (has_downlink_) {
-    gain -= problem_->time_cost_scale(u) * problem_->downlink_time_s(u, s, j);
-  }
-  return gain;
+  return gain_from_log(u, s, j,
+                       std::log2(rate_arg(u, s, j, channel_power_total)));
 }
 
 void IncrementalEvaluator::refresh_user_cost(std::size_t u) {
@@ -444,11 +433,12 @@ double IncrementalEvaluator::preview_swap(std::size_t u1,
   return preview_changes(changes, 2);
 }
 
-void IncrementalEvaluator::preview_offload_subchannel(std::size_t u,
-                                                      std::size_t j,
-                                                      double* out) const {
+void IncrementalEvaluator::preview_offload_subchannel(
+    std::size_t u, std::size_t j, std::span<const std::size_t> candidates,
+    double* out) const {
   TSAJS_REQUIRE(!x_.is_offloaded(u),
                 "preview_offload_subchannel previews a local user");
+  TSAJS_REQUIRE(j < num_subchannels_, "sub-channel index out of range");
   // Per-candidate, preview_changes computes
   //   utility + ((mover_gain + delta_occ_1) + delta_occ_2 + ...) - lambda
   // where each co-channel occupant's delta_occ = gain_of(occ, r, j, power +
@@ -456,38 +446,55 @@ void IncrementalEvaluator::preview_offload_subchannel(std::size_t u,
   // server s (u cannot land on an occupied server, so r != s always, and
   // u's received power at server r is signal(u, j, r) either way). Hoist
   // those deltas out of the per-candidate loop; the per-candidate chain
-  // then replays the scalar addition order exactly.
-  thread_local std::vector<double> occ_delta;
-  thread_local std::vector<std::uint8_t> occupied;
-  occ_delta.clear();
-  occupied.assign(num_servers_, 0);
+  // then replays the scalar addition order exactly. Occupancy and the mask
+  // are read through the assignment's flat slot maps.
+  const std::vector<std::optional<std::size_t>>& slot_users = x_.slot_users();
+  const std::vector<std::uint8_t>& blocked = x_.blocked_slots();
+  const double* power_row = channel_power_.data() + j * num_servers_;
   const double* urow = problem_->signal_row(u, j);
+  thread_local std::vector<double> occ_delta;
+  occ_delta.clear();
   for (std::size_t r = 0; r < num_servers_; ++r) {
-    const auto occ = x_.occupant(r, j);
+    const std::optional<std::size_t>& occ =
+        slot_users[r * num_subchannels_ + j];
     if (!occ.has_value()) continue;
-    occupied[r] = 1;
-    const double power = channel_power_[j * num_servers_ + r] + urow[r];
-    double occ_gain = gain_of(*occ, r, j, power);
+    double occ_gain = gain_of(*occ, r, j, power_row[r] + urow[r]);
     if (x_.is_forwarded(*occ)) occ_gain -= forward_cost(*occ, r);
     occ_delta.push_back(occ_gain - user_gain_[*occ]);
   }
-  const double sqrt_eta_u = problem_->sqrt_eta(u);
+  // Free, available candidates stage the mover's log2 argument (u's own
+  // signal joins the cached power) into contiguous scratch, so the log2
+  // calls run back to back; `open` maps each entry to its candidate.
+  thread_local std::vector<double> log_term;
+  thread_local std::vector<std::size_t> open;
+  log_term.clear();
+  open.clear();
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (std::size_t s = 0; s < num_servers_; ++s) {
-    if (occupied[s] != 0 || !x_.slot_available(s, j)) {
-      out[s] = nan;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const std::size_t s = candidates[i];
+    TSAJS_REQUIRE(s < num_servers_, "candidate server index out of range");
+    const std::size_t slot = s * num_subchannels_ + j;
+    if (slot_users[slot].has_value() ||
+        (!blocked.empty() && blocked[slot] != 0)) {
+      out[i] = nan;
       continue;
     }
+    log_term.push_back(rate_arg(u, s, j, power_row[s] + urow[s]));
+    open.push_back(i);
+  }
+  for (double& term : log_term) term = std::log2(term);
+  const double sqrt_eta_u = problem_->sqrt_eta(u);
+  for (std::size_t k = 0; k < open.size(); ++k) {
+    const std::size_t i = open[k];
+    const std::size_t s = candidates[i];
     // Lambda delta (count goes 0/k -> k+1, never zero: no snap branch).
     const double before = server_sqrt_eta_[s];
     const double after = before + sqrt_eta_u;
     const double lambda_delta =
         (after * after - before * before) / problem_->server_cpu_hz(s);
-    // Mover gain at (s, j): u's own signal joins the cached power.
-    const double power = channel_power_[j * num_servers_ + s] + urow[s];
-    double gain_delta = gain_of(u, s, j, power) - user_gain_[u];
+    double gain_delta = gain_from_log(u, s, j, log_term[k]) - user_gain_[u];
     for (const double delta : occ_delta) gain_delta += delta;
-    out[s] = utility_ + gain_delta - lambda_delta;
+    out[i] = utility_ + gain_delta - lambda_delta;
   }
 }
 

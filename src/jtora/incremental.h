@@ -40,10 +40,12 @@
 // class when `TsajsConfig::use_incremental_evaluator` is set (the default).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/matrix.h"
@@ -113,14 +115,17 @@ class IncrementalEvaluator {
                                              bool forwarded) const;
 
   /// Batch preview row (jtora::batch): candidate utilities of offloading
-  /// *local* user `u` onto sub-channel `j` for every server at once.
-  /// out[s] == preview_offload(u, s, j) bit for bit where slot (s, j) is
-  /// free and available; NaN elsewhere. The co-channel occupants' gain
-  /// deltas are independent of the candidate server (u's interference
+  /// *local* user `u` onto sub-channel `j` at each server of `candidates`.
+  /// out[i] == preview_offload(u, candidates[i], j) bit for bit where that
+  /// slot is free and available; NaN elsewhere. The co-channel occupants'
+  /// gain deltas are independent of the candidate server (u's interference
   /// reaches each occupant's server regardless of where u lands), so they
-  /// are derived once — O(S + K_j) log2 evaluations instead of the
-  /// O(S * K_j) of S scalar previews. `out` must hold num_servers() slots.
+  /// are derived once — O(C + K_j) log2 evaluations instead of the
+  /// O(C * K_j) of C scalar previews. Only the listed servers are scored
+  /// (a caller wanting the whole row passes every server); `out` must hold
+  /// candidates.size() slots.
   void preview_offload_subchannel(std::size_t u, std::size_t j,
+                                  std::span<const std::size_t> candidates,
                                   double* out) const;
 
   // --- proposal protocol --------------------------------------------------
@@ -244,6 +249,28 @@ class IncrementalEvaluator {
   /// both paths derive identical values from identical inputs.
   [[nodiscard]] double gain_of(std::size_t u, std::size_t s, std::size_t j,
                                double channel_power_total) const;
+  /// 1 + SINR of user `u` on slot (s, j): the argument of gain_of's log2.
+  /// O(1) via the received-power cache (Eq. 3): everything arriving at this
+  /// server on this sub-channel, minus the user's own signal, is
+  /// interference. Intra-cell users are orthogonal by (12d), so the only
+  /// same-channel co-users are in other cells — exactly Eq. 3's sum.
+  [[nodiscard]] double rate_arg(std::size_t u, std::size_t s, std::size_t j,
+                                double channel_power_total) const {
+    const double signal = signal_at(u, j, s);
+    const double interference = std::max(channel_power_total - signal, 0.0);
+    const double sinr = signal / (interference + noise_w_);
+    return 1.0 + sinr;
+  }
+  /// The rest of gain_of, from its log2 term on.
+  [[nodiscard]] double gain_from_log(std::size_t u, std::size_t s,
+                                     std::size_t j, double log_term) const {
+    double gain = problem_->gain_const(u) - problem_->gamma_coef(u) / log_term;
+    if (has_downlink_) {
+      gain -=
+          problem_->time_cost_scale(u) * problem_->downlink_time_s(u, s, j);
+    }
+    return gain;
+  }
 
   /// Recomputes the cached cost of one offloaded user (Gamma contribution)
   /// and updates the running total. O(1) thanks to the received-power cache.

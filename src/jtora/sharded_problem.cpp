@@ -193,14 +193,18 @@ void ShardedProblem::compile(const CompiledProblem& problem,
     for (const std::size_t gu : shard.users) {
       ws.users().push_back(scenario.user(gu));
     }
+    // Slice the gain tensor row by row: every (user, server) pair is a
+    // contiguous run of num_subchannels gains in both tensors.
     Matrix3<double>& gains = ws.gains();
     gains.reshape(shard.users.size(), shard.servers.size(), num_subchannels);
-    for (std::size_t lu = 0; lu < shard.users.size(); ++lu) {
-      for (std::size_t ls = 0; ls < shard.servers.size(); ++ls) {
-        for (std::size_t j = 0; j < num_subchannels; ++j) {
-          gains(lu, ls, j) =
-              scenario.gain(shard.users[lu], shard.servers[ls], j);
-        }
+    const double* global_gains = scenario.gains().data().data();
+    double* slice = gains.flat().data();
+    for (const std::size_t gu : shard.users) {
+      const double* user_gains =
+          global_gains + gu * num_servers * num_subchannels;
+      for (const std::size_t gs : shard.servers) {
+        const double* run = user_gains + gs * num_subchannels;
+        slice = std::copy(run, run + num_subchannels, slice);
       }
     }
     // Backhaul-only faults do not show in fully_available() (the slot fast

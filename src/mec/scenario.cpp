@@ -47,13 +47,9 @@ Scenario::Scenario(std::vector<UserEquipment> users,
   cloud_.validate(servers_.size());
   for (const auto& user : users_) user.validate();
   for (const auto& server : servers_) server.validate();
-  for (std::size_t u = 0; u < users_.size(); ++u) {
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      for (std::size_t j = 0; j < spectrum_.num_subchannels(); ++j) {
-        TSAJS_REQUIRE(gains_(u, s, j) > 0.0 && std::isfinite(gains_(u, s, j)),
-                      "channel gains must be positive and finite");
-      }
-    }
+  for (const double gain : gains_.data()) {
+    TSAJS_REQUIRE(gain > 0.0 && std::isfinite(gain),
+                  "channel gains must be positive and finite");
   }
 }
 

@@ -55,16 +55,17 @@ void ChannelModel::regenerate_into(
     if (cache != nullptr && num_bs > 0) {
       const std::size_t id = user_ids != nullptr ? (*user_ids)[u] : u;
       TSAJS_REQUIRE(id < cache->num_ids(), "stable user id out of range");
+      double* row = cache->row(id);
       if (cache->valid_[id] == 0 ||
           !(cache->position_[id] == user_positions[u])) {
         for (std::size_t s = 0; s < num_bs; ++s) {
-          cache->loss_db_(id, s) = pathloss_->loss_db(
+          row[s] = pathloss_->loss_db(
               geo::distance(user_positions[u], bs_positions[s]));
         }
         cache->position_[id] = user_positions[u];
         cache->valid_[id] = 1;
       }
-      loss_row = &cache->loss_db_(id, 0);
+      loss_row = row;
     }
     for (std::size_t s = 0; s < num_bs; ++s) {
       const double pl_db =

@@ -37,7 +37,10 @@ struct ChannelConfig {
 /// consults it so that per-epoch channel redraws only re-evaluate the
 /// path-loss model for users whose position actually changed — under
 /// random-walk mobility a user that rejected every step keeps its exact
-/// position and therefore its cached row.
+/// position and therefore its cached row. A row is reused only while its id
+/// presents the exact position it was computed at, so an id may be handed
+/// to a different user (sim::StreamDriver recycles a departed session's
+/// id): the new position simply recomputes the row.
 class PathLossCache {
  public:
   PathLossCache() = default;
@@ -46,19 +49,49 @@ class PathLossCache {
   /// and invalidates every row. Base-station geometry is assumed fixed for
   /// the cache's lifetime.
   void reset(std::size_t num_ids, std::size_t num_bs) {
-    loss_db_ = Matrix2<double>(num_ids, num_bs, 0.0);
-    position_.assign(num_ids, geo::Point{});
-    valid_.assign(num_ids, 0);
+    num_bs_ = num_bs;
+    blocks_.clear();
+    position_.clear();
+    valid_.clear();
+    resize(num_ids);
+  }
+
+  /// Re-sizes the cache to `num_ids` ids, keeping the rows of the ids that
+  /// survive; new ids start invalid. Rows live in fixed blocks of
+  /// kBlockIds ids, so growing never moves or copies a row. Blocks are left
+  /// uninitialised (a row is always written before it is read), so the
+  /// pages of ids never used are never touched.
+  void resize(std::size_t num_ids) {
+    blocks_.resize((num_ids + kBlockIds - 1) / kBlockIds);
+    for (std::unique_ptr<double[]>& block : blocks_) {
+      if (!block) {
+        block = std::make_unique_for_overwrite<double[]>(kBlockIds * num_bs_);
+      }
+    }
+    position_.resize(num_ids);
+    valid_.resize(num_ids, 0);
   }
 
   [[nodiscard]] std::size_t num_ids() const noexcept {
     return position_.size();
   }
-  [[nodiscard]] std::size_t num_bs() const noexcept { return loss_db_.cols(); }
+  [[nodiscard]] std::size_t num_bs() const noexcept { return num_bs_; }
 
  private:
   friend class ChannelModel;
-  Matrix2<double> loss_db_;          ///< (id, bs) path loss [dB]
+  /// Ids per block. Large enough that a stream's whole population usually
+  /// shares one block: many small long-lived blocks fragment the heap
+  /// around the decision's growing buffers and can raise the peak resident
+  /// set by far more than the rows they hold.
+  static constexpr std::size_t kBlockIds = 1024;
+
+  /// Path loss row of `id` [dB], one entry per base station.
+  [[nodiscard]] double* row(std::size_t id) noexcept {
+    return blocks_[id / kBlockIds].get() + (id % kBlockIds) * num_bs_;
+  }
+
+  std::size_t num_bs_ = 0;
+  std::vector<std::unique_ptr<double[]>> blocks_;  ///< kBlockIds rows each
   std::vector<geo::Point> position_;  ///< position the row was computed at
   std::vector<char> valid_;
 };

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
@@ -282,6 +283,18 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
     bs_positions[s] = servers_[s].position;
   }
   std::vector<geo::Point> positions;
+  // Path loss per live session. Sessions never move, so a session's row is
+  // computed at its first staging and read back until it departs; its cache
+  // id then returns to the free list for a later session, and the cache
+  // holds only as many ids as sessions were ever live at once. A resumed or
+  // recovered run starts empty and refills it: a row only ever holds the
+  // value the redraw would recompute, and the shadowing draws take the
+  // decision's channel stream in the same order either way.
+  radio::PathLossCache pathloss;
+  pathloss.reset(0, servers_.size());
+  std::unordered_map<std::uint64_t, std::size_t> pathloss_id;  // session->id
+  std::vector<std::size_t> free_pathloss_ids;
+  std::vector<std::size_t> staged_pathloss_ids;
 
   const auto capacity = [&]() -> std::size_t {
     if (config_.admission.max_active > 0) return config_.admission.max_active;
@@ -307,16 +320,27 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
     if (injector.has_value()) workspace.set_availability(mask);
     std::vector<mec::UserEquipment>& users = workspace.users();
     positions.clear();
+    staged_pathloss_ids.clear();
     for (const auto& [id, s] : sessions) {
       mec::UserEquipment ue = prototype_;
       ue.task = mec::Task(s.input_bits, s.cycles);
       ue.position = {s.x, s.y};
       positions.push_back(ue.position);
       users.push_back(std::move(ue));
+      const auto [held, fresh] = pathloss_id.try_emplace(id, 0);
+      if (fresh && free_pathloss_ids.empty()) {
+        held->second = pathloss.num_ids();  // a new peak of live sessions
+        pathloss.resize(held->second + 1);
+      } else if (fresh) {
+        held->second = free_pathloss_ids.back();
+        free_pathloss_ids.pop_back();
+      }
+      staged_pathloss_ids.push_back(held->second);
     }
     Rng channel_rng(stream_seed(state.seed, kChannelStream, d));
     channel_.regenerate_into(positions, bs_positions, num_subchannels_,
-                             channel_rng, workspace.gains());
+                             channel_rng, workspace.gains(), &pathloss,
+                             &staged_pathloss_ids);
     const mec::Scenario& scenario = workspace.commit();
     compiled.compile(scenario);
 
@@ -484,6 +508,10 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
       const std::uint64_t id = departures.begin()->second;
       departures.erase(departures.begin());
       sessions.erase(id);
+      if (const auto held = pathloss_id.find(id); held != pathloss_id.end()) {
+        free_pathloss_ids.push_back(held->second);
+        pathloss_id.erase(held);
+      }
       ++state.departed;
       ++report.departed;
       StreamEvent event;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "algo/scheduler.h"
@@ -14,6 +15,7 @@
 #include "jtora/compiled_problem.h"
 #include "jtora/incremental.h"
 #include "jtora/utility.h"
+#include "mec/availability.h"
 #include "mec/scenario_builder.h"
 
 namespace tsajs::jtora {
@@ -196,9 +198,11 @@ TEST(BatchPreviewTest, SubchannelRowMatchesScalarPreviews) {
   // Make sure at least one user is local so the batch preview has a mover.
   if (x.is_offloaded(0)) x.make_local(0);
   const IncrementalEvaluator eval(problem, x);
+  std::vector<std::size_t> servers(scenario.num_servers());
+  std::iota(servers.begin(), servers.end(), std::size_t{0});
   std::vector<double> row(scenario.num_servers());
   for (std::size_t j = 0; j < scenario.num_subchannels(); ++j) {
-    eval.preview_offload_subchannel(0, j, row.data());
+    eval.preview_offload_subchannel(0, j, servers, row.data());
     for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
       if (x.occupant(s, j).has_value() || !scenario.slot_available(s, j)) {
         EXPECT_TRUE(std::isnan(row[s])) << "s=" << s << " j=" << j;
@@ -209,14 +213,70 @@ TEST(BatchPreviewTest, SubchannelRowMatchesScalarPreviews) {
   }
 }
 
+TEST(BatchPreviewTest, CandidateSubsetMatchesScalarPreviews) {
+  // A non-contiguous, unsorted candidate list over a masked grid whose
+  // sub-channel 1 carries a cloud-forwarded occupant: every free candidate
+  // must equal the scalar preview bit for bit, and every occupied or masked
+  // one must come back NaN.
+  Rng build_rng(41);
+  const mec::Scenario base = mec::ScenarioBuilder()
+                                 .num_users(24)
+                                 .num_servers(9)
+                                 .num_subchannels(3)
+                                 .cloud(20e9, 100e6, 0.02)
+                                 .build(build_rng);
+  mec::Availability mask(9, 3);
+  mask.block_slot(4, 1);
+  mask.fail_server(6);
+  const mec::Scenario scenario = base.with_availability(mask);
+  const CompiledProblem problem(scenario);
+  Assignment x(scenario);
+  x.offload(3, 2, 1);
+  x.set_forwarded(3, true);
+  x.offload(5, 7, 1);
+  x.offload(9, 0, 0);
+  x.offload(12, 5, 2);
+  const IncrementalEvaluator eval(problem, x);
+  ASSERT_TRUE(eval.is_forwarded(3));
+
+  const std::vector<std::size_t> candidates = {8, 2, 4, 0, 6, 5, 7};
+  std::vector<double> row(candidates.size());
+  std::size_t scored = 0;
+  for (std::size_t j = 0; j < scenario.num_subchannels(); ++j) {
+    eval.preview_offload_subchannel(11, j, candidates, row.data());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const std::size_t s = candidates[i];
+      if (x.occupant(s, j).has_value() || !scenario.slot_available(s, j)) {
+        EXPECT_TRUE(std::isnan(row[i])) << "s=" << s << " j=" << j;
+      } else {
+        expect_equivalent(row[i], eval.preview_offload(11, s, j));
+        ++scored;
+      }
+    }
+  }
+  // Sub-channel 1 alone leaves 8, 0 and 5 free.
+  EXPECT_GE(scored, 3u);
+}
+
+TEST(BatchPreviewTest, RejectsOutOfRangeCandidate) {
+  const mec::Scenario scenario = make_scenario(9, 6, 3, 2);
+  const CompiledProblem problem(scenario);
+  const IncrementalEvaluator eval(problem, Assignment(scenario));
+  const std::vector<std::size_t> candidates = {1, scenario.num_servers()};
+  std::vector<double> row(candidates.size());
+  EXPECT_THROW(eval.preview_offload_subchannel(2, 0, candidates, row.data()),
+               InvalidArgumentError);
+}
+
 TEST(BatchPreviewTest, RequiresLocalMover) {
   const mec::Scenario scenario = make_scenario(9, 6, 3, 2);
   const CompiledProblem problem(scenario);
   Assignment x(scenario);
   x.offload(2, 1, 0);
   const IncrementalEvaluator eval(problem, x);
-  std::vector<double> row(scenario.num_servers());
-  EXPECT_THROW(eval.preview_offload_subchannel(2, 0, row.data()),
+  const std::vector<std::size_t> candidates = {0, 2};
+  std::vector<double> row(candidates.size());
+  EXPECT_THROW(eval.preview_offload_subchannel(2, 0, candidates, row.data()),
                InvalidArgumentError);
 }
 

@@ -208,5 +208,37 @@ TEST(RegenerateIntoTest, CacheKeyedByStableIdsAcrossActiveSubsets) {
   EXPECT_EQ(cached.data(), plain.data());
 }
 
+TEST(RegenerateIntoTest, CacheGrowsAndRecyclesIdsWithoutChangingResults) {
+  // Growing past a block boundary keeps the rows already cached, and an id
+  // handed to a user at a new position recomputes its row.
+  ChannelModel model = make_paper_channel();
+  const auto sites = grid_points(3, 1000.0);
+  const auto population = grid_points(8, 230.0);
+  PathLossCache cache;
+  cache.reset(0, sites.size());
+  EXPECT_EQ(cache.num_ids(), 0u);
+
+  Rng rng_cached(23);
+  Rng rng_plain(23);
+  Matrix3<double> cached;
+  Matrix3<double> plain;
+  const auto draw = [&](const std::vector<std::size_t>& users,
+                        const std::vector<std::size_t>& ids) {
+    std::vector<geo::Point> positions;
+    for (const std::size_t u : users) positions.push_back(population[u]);
+    model.regenerate_into(positions, sites, 2, rng_cached, cached, &cache,
+                          &ids);
+    model.regenerate_into(positions, sites, 2, rng_plain, plain);
+    EXPECT_EQ(cached.data(), plain.data());
+  };
+  cache.resize(3);
+  draw({0, 1, 2}, {0, 1, 2});
+  cache.resize(2100);  // past two block boundaries
+  EXPECT_EQ(cache.num_ids(), 2100u);
+  draw({0, 3, 4}, {0, 2099, 1024});  // id 0 cached, 2099 and 1024 fresh
+  draw({4, 0, 3}, {1024, 0, 2099});  // every row read back from its block
+  draw({5, 1, 6}, {2099, 1, 0});     // ids 2099 and 0 now hold other users
+}
+
 }  // namespace
 }  // namespace tsajs::radio

@@ -14,8 +14,10 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <sys/wait.h>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "algo/registry.h"
@@ -56,10 +58,17 @@ void write_file(const std::string& path, const std::string& body) {
   out << body;
 }
 
-/// Fresh directory under the gtest temp root; wiped if a previous run of
-/// the same test left one behind.
+/// This process's scratch root under the gtest temp root. The pid keeps
+/// concurrent test processes (ctest -j runs one per test) out of each
+/// other's bundles.
+std::string process_root() {
+  return testing::TempDir() + "tsajs-crash-" + std::to_string(::getpid());
+}
+
+/// Fresh directory under the process root; wiped if an earlier test of
+/// this process left one behind.
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "tsajs-crash-" + name;
+  const std::string dir = process_root() + "/" + name;
   fs::remove_all(dir);
   return dir;
 }
@@ -72,16 +81,19 @@ class CrashRecoveryTest : public testing::Test {
   static void SetUpTestSuite() {
     driver_ = new StreamDriver(4, 3, drill_config());
     scheduler_ = algo::make_scheduler(kScheme).release();
-    reference_dir_ = new std::string(fresh_dir("reference"));
-    EvidenceWriter evidence(*reference_dir_);
+    const std::string dir = fresh_dir("reference");
+    EvidenceWriter evidence(dir);
     evidence.write_run_json(driver_->config(), driver_->num_servers(),
                             driver_->num_subchannels(), kSeed, kScheme);
     const StreamReport report =
         driver_->run(*scheduler_, kSeed, &evidence);
     evidence.finish(report, kScheme);
-    reference_events_ = new std::string(
-        read_file(*reference_dir_ + "/events.jsonl"));
-    ASSERT_FALSE(reference_events_->empty());
+    std::string events = read_file(dir + "/events.jsonl");
+    ASSERT_FALSE(events.empty());
+    // Published last: a set-up that failed above leaves both null, and
+    // SetUp() turns that into a failure of every test.
+    reference_dir_ = new std::string(dir);
+    reference_events_ = new std::string(std::move(events));
   }
 
   static void TearDownTestSuite() {
@@ -89,6 +101,17 @@ class CrashRecoveryTest : public testing::Test {
     delete reference_dir_;
     delete scheduler_;
     delete driver_;
+    reference_events_ = nullptr;
+    reference_dir_ = nullptr;
+    scheduler_ = nullptr;
+    driver_ = nullptr;
+    std::error_code ignored;
+    fs::remove_all(process_root(), ignored);
+  }
+
+  void SetUp() override {
+    ASSERT_NE(reference_events_, nullptr)
+        << "SetUpTestSuite failed to build the reference bundle";
   }
 
   /// Copies the clean reference bundle into a scratch directory the test

@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "algo/registry.h"
+#include "algo/scheduler.h"
 #include "common/error.h"
+#include "common/matrix.h"
+#include "common/rng.h"
+#include "radio/channel.h"
 #include "sim/evidence.h"
 
 namespace tsajs::sim {
@@ -352,6 +358,97 @@ TEST(EvidenceTest, EventLinesAreCanonical) {
   const std::string admit_line = event_to_jsonl(admit);
   EXPECT_NE(admit_line.find("\"id\":9"), std::string::npos);
   EXPECT_EQ(admit_line.find("utility"), std::string::npos);
+}
+
+/// Decorator that checks, before each solve, that the decision's staged
+/// gains equal an uncached redraw from (seed, kChannelStream, d), bit for
+/// bit — the contract the driver's per-session path-loss cache must keep.
+class StagingCheck : public algo::Scheduler {
+ public:
+  StagingCheck(std::unique_ptr<algo::Scheduler> inner, std::uint64_t seed,
+               std::uint64_t first_decision)
+      : inner_(std::move(inner)), seed_(seed), decision_(first_decision) {}
+
+  std::string name() const override { return inner_->name(); }
+  std::uint32_t capabilities() const noexcept override {
+    return inner_->capabilities();
+  }
+
+  algo::ScheduleResult solve(const algo::SolveRequest& request) const override {
+    const mec::Scenario& scenario = request.problem->scenario();
+    std::vector<geo::Point> users;
+    for (const mec::UserEquipment& ue : scenario.users()) {
+      users.push_back(ue.position);
+    }
+    std::vector<geo::Point> sites;
+    for (const mec::EdgeServer& server : scenario.servers()) {
+      sites.push_back(server.position);
+    }
+    Rng rng(stream_seed(seed_, kChannelStream, decision_++));
+    Matrix3<double> redrawn;
+    radio::make_paper_channel().regenerate_into(
+        users, sites, scenario.num_subchannels(), rng, redrawn);
+    const std::vector<double>& staged = scenario.gains().data();
+    ++checked;
+    if (redrawn.data().size() != staged.size() ||
+        std::memcmp(redrawn.data().data(), staged.data(),
+                    staged.size() * sizeof(double)) != 0) {
+      ++mismatches;
+    }
+    return inner_->solve(request);
+  }
+
+  mutable std::size_t checked = 0;
+  mutable std::size_t mismatches = 0;
+
+ private:
+  std::unique_ptr<algo::Scheduler> inner_;
+  std::uint64_t seed_;
+  mutable std::uint64_t decision_;
+};
+
+TEST(StreamDriver, StagedGainsMatchAnUncachedRedraw) {
+  // Departures recycle path-loss cache ids, fault ticks re-stage without
+  // an arrival, and the resume below starts from an empty cache.
+  StreamConfig config = small_config();
+  config.duration_s = 16.0;
+  config.arrival_rate_hz = 2.5;
+  config.fault.server_mtbf_epochs = 3.0;
+  config.fault.server_mttr_epochs = 2.0;
+  config.fault.subchannel_blackout_prob = 0.1;
+  config.fault.backhaul_mtbf_epochs = 4.0;
+  config.cloud_cpu_hz = 10e9;
+  config.cloud_max_forwarded = 2;
+  const StreamDriver driver(4, 3, config);
+  constexpr std::uint64_t kSeed = 61;
+
+  const StagingCheck full_check(algo::make_scheduler("tsajs"), kSeed, 0);
+  VectorSink full;
+  const StreamReport report = driver.run(full_check, kSeed, &full);
+  // More sessions were admitted than were ever live at once, so cache ids
+  // were handed on.
+  EXPECT_GT(static_cast<double>(report.admitted + report.promoted),
+            report.active_sessions.max());
+  EXPECT_GT(report.fault_steps, 0u);
+  EXPECT_EQ(full_check.checked, report.decisions);
+  EXPECT_EQ(full_check.mismatches, 0u);
+
+  ASSERT_GE(full.checkpoints.size(), 2u);
+  const auto& [checkpoint, index] =
+      full.checkpoints[full.checkpoints.size() / 2];
+  ASSERT_GT(checkpoint.decisions, 0u);
+  const StagingCheck resumed_check(algo::make_scheduler("tsajs"), kSeed,
+                                   checkpoint.decisions);
+  VectorSink resumed;
+  const StreamReport tail_report =
+      driver.resume(resumed_check, checkpoint, &resumed);
+  EXPECT_GT(tail_report.decisions, 0u);
+  EXPECT_EQ(resumed_check.checked, tail_report.decisions);
+  EXPECT_EQ(resumed_check.mismatches, 0u);
+  const std::vector<std::string> tail(
+      full.lines.begin() + static_cast<std::ptrdiff_t>(index),
+      full.lines.end());
+  EXPECT_EQ(resumed.lines, tail);
 }
 
 }  // namespace
