@@ -89,9 +89,11 @@ int main(int argc, char** argv) {
                                            .build(scenario_rng);
         Rng rng(seeder.next());
         const auto scheduler = algo::make_scheduler("tsajs");
-        const auto result = scheduler->schedule(scenario, rng);
+        const jtora::CompiledProblem problem(scenario);
+        const auto result =
+            scheduler->solve({.problem = &problem, .rng = &rng});
         full_utility.add(result.system_utility);
-        const jtora::PartialOffloadEvaluator partial(scenario);
+        const jtora::PartialOffloadEvaluator partial(problem);
         const jtora::PartialEvaluation eval =
             partial.evaluate(result.assignment);
         partial_utility.add(eval.system_utility);

@@ -64,9 +64,8 @@ void BM_CompileProblemReuse(benchmark::State& state) {
 }
 BENCHMARK(BM_CompileProblemReuse)->Arg(10)->Arg(50)->Arg(90);
 
-// Evaluator construction on top of an already-compiled problem (the shared
-// path schedulers take per solve) vs. from a raw scenario (the legacy path,
-// which compiles its own problem first).
+// Evaluator construction on top of an already-compiled problem (the path
+// schedulers take per solve).
 void BM_EvaluatorConstruction_Shared(benchmark::State& state) {
   const mec::Scenario scenario =
       default_scenario(static_cast<std::size_t>(state.range(0)));
@@ -78,20 +77,11 @@ void BM_EvaluatorConstruction_Shared(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluatorConstruction_Shared)->Arg(50);
 
-void BM_EvaluatorConstruction_Fresh(benchmark::State& state) {
-  const mec::Scenario scenario =
-      default_scenario(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    const jtora::UtilityEvaluator evaluator(scenario);
-    benchmark::DoNotOptimize(&evaluator);
-  }
-}
-BENCHMARK(BM_EvaluatorConstruction_Fresh)->Arg(50);
-
 void BM_SystemUtility(benchmark::State& state) {
   const mec::Scenario scenario =
       default_scenario(static_cast<std::size_t>(state.range(0)));
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::CompiledProblem problem(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   Rng rng(1);
   const jtora::Assignment x =
       algo::random_feasible_assignment(scenario, rng, 0.7);
@@ -104,7 +94,8 @@ BENCHMARK(BM_SystemUtility)->Arg(10)->Arg(50)->Arg(90);
 void BM_FullEvaluate(benchmark::State& state) {
   const mec::Scenario scenario =
       default_scenario(static_cast<std::size_t>(state.range(0)));
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::CompiledProblem problem(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   Rng rng(2);
   const jtora::Assignment x =
       algo::random_feasible_assignment(scenario, rng, 0.7);
@@ -117,7 +108,8 @@ BENCHMARK(BM_FullEvaluate)->Arg(50);
 
 void BM_CraClosedForm(benchmark::State& state) {
   const mec::Scenario scenario = default_scenario(50);
-  const jtora::CraSolver solver(scenario);
+  const jtora::CompiledProblem problem(scenario);
+  const jtora::CraSolver solver(problem);
   Rng rng(3);
   const jtora::Assignment x =
       algo::random_feasible_assignment(scenario, rng, 0.9);
@@ -148,7 +140,8 @@ void BM_IncrementalPreviewReject(benchmark::State& state) {
   Rng rng(8);
   const jtora::Assignment x =
       algo::random_feasible_assignment(scenario, rng, 0.5);
-  jtora::IncrementalEvaluator inc(scenario, x);
+  const jtora::CompiledProblem problem(scenario);
+  jtora::IncrementalEvaluator inc(problem, x);
   inc.set_undo_logging(false);
   algo::Neighborhood::Move move;
   for (auto _ : state) {
@@ -168,7 +161,8 @@ void BM_IncrementalApplyRollback(benchmark::State& state) {
   Rng rng(8);
   const jtora::Assignment x =
       algo::random_feasible_assignment(scenario, rng, 0.5);
-  jtora::IncrementalEvaluator inc(scenario, x);
+  const jtora::CompiledProblem problem(scenario);
+  jtora::IncrementalEvaluator inc(problem, x);
   for (auto _ : state) {
     const std::size_t mark = inc.checkpoint();
     neighborhood.step(inc, rng);
@@ -190,13 +184,17 @@ void BM_AssignmentCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_AssignmentCopy);
 
+// Times compile + solve: the problem is compiled inside the loop, as a
+// one-shot caller pays it.
 void BM_SchedulerSolve(benchmark::State& state, const char* scheme,
                        std::size_t users) {
   const mec::Scenario scenario = default_scenario(users);
   const auto scheduler = algo::make_scheduler(scheme);
   Rng rng(6);
   for (auto _ : state) {
-    const algo::ScheduleResult result = scheduler->schedule(scenario, rng);
+    const jtora::CompiledProblem problem(scenario);
+    const algo::ScheduleResult result =
+        scheduler->solve({.problem = &problem, .rng = &rng});
     benchmark::DoNotOptimize(result.system_utility);
   }
 }

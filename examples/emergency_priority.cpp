@@ -60,8 +60,10 @@ int main(int argc, char** argv) {
     const mec::Scenario scenario = builder.build(scenario_rng);
     Rng rng(seeder.next());
     const algo::TsajsScheduler scheduler;
-    const auto result = algo::run_and_validate(scheduler, scenario, rng);
-    const jtora::UtilityEvaluator evaluator(scenario);
+    const jtora::CompiledProblem problem(scenario);
+    const auto result = algo::run_and_validate(
+        scheduler, {.problem = &problem, .rng = &rng});
+    const jtora::UtilityEvaluator evaluator(problem);
     const jtora::Evaluation eval = evaluator.evaluate(result.assignment);
 
     for (std::size_t u = 0; u < users; ++u) {

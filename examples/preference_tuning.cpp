@@ -48,8 +48,10 @@ int main(int argc, char** argv) {
                                          .build(scenario_rng);
       Rng rng(seeder.next());
       const algo::TsajsScheduler scheduler;
-      const auto result = algo::run_and_validate(scheduler, scenario, rng);
-      const jtora::UtilityEvaluator evaluator(scenario);
+      const jtora::CompiledProblem problem(scenario);
+      const auto result = algo::run_and_validate(
+          scheduler, {.problem = &problem, .rng = &rng});
+      const jtora::UtilityEvaluator evaluator(problem);
       const jtora::Evaluation eval = evaluator.evaluate(result.assignment);
       Accumulator trial_delay;
       Accumulator trial_energy;

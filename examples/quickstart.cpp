@@ -44,8 +44,9 @@ int main(int argc, char** argv) {
   //    offloading decision, with the KKT closed form for CPU allocation
   //    folded into every objective evaluation.
   const algo::TsajsScheduler scheduler;
-  const algo::ScheduleResult result =
-      algo::run_and_validate(scheduler, scenario, rng);
+  const jtora::CompiledProblem problem(scenario);
+  const algo::ScheduleResult result = algo::run_and_validate(
+      scheduler, {.problem = &problem, .rng = &rng});
 
   std::cout << "network : " << scenario.num_users() << " users, "
             << scenario.num_servers() << " cells, "
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
             << " (" << result.evaluations << " objective evaluations)\n";
 
   // 3. Inspect per-user outcomes under the optimal resource allocation.
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   const jtora::Evaluation eval = evaluator.evaluate(result.assignment);
 
   Table table({"user", "decision", "rate", "delay", "local delay", "energy",

@@ -81,12 +81,14 @@ int main(int argc, char** argv) {
     SplitMix64 seeder(base_seed + trial);
     Rng scenario_rng(seeder.next());
     const mec::Scenario scenario = builder.build(scenario_rng);
-    const jtora::UtilityEvaluator evaluator(scenario);
+    const jtora::CompiledProblem problem(scenario);
+    const jtora::UtilityEvaluator evaluator(problem);
 
     for (std::size_t i = 0; i < schemes.size(); ++i) {
       Rng rng(seeder.next());
       const auto scheduler = algo::make_scheduler(schemes[i]);
-      const auto result = algo::run_and_validate(*scheduler, scenario, rng);
+      const auto result = algo::run_and_validate(
+          *scheduler, {.problem = &problem, .rng = &rng});
       utility[i].add(result.system_utility);
 
       if (schemes[i] != "tsajs") continue;

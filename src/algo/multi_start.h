@@ -1,9 +1,10 @@
-// Multi-start wrapper — an extension around any stochastic scheduler.
+// Multi-start wrapper around any stochastic scheduler; the registry's
+// "tsajs-x4" is four TSAJS restarts.
 //
 // Simulated annealing's outcome depends on its start and proposal stream;
 // the cheapest variance reduction is to run R independent restarts and keep
-// the best decision. This wrapper does that generically (TSAJS by default),
-// deriving a child RNG per restart so results stay reproducible.
+// the best decision. This wrapper does that generically, deriving a child
+// RNG per restart so results stay reproducible.
 //
 // Restarts are embarrassingly parallel: with `num_threads != 1` they run on
 // a ThreadPool. The per-restart seeds are derived up front in restart order
@@ -37,9 +38,8 @@ class MultiStartScheduler final : public Scheduler {
   /// hint, the remaining restarts stay cold for diversity. Budget: every
   /// restart runs under the request budget (each restart gets the full cap,
   /// mirroring how a configured budget applies per restart). Either field
-  /// is silently ignored when the inner scheme lacks the capability — the
-  /// historical dynamic_cast fallbacks, now the inner solve()'s own
-  /// contract.
+  /// is silently ignored when the inner scheme lacks the capability (the
+  /// inner solve()'s own contract).
   [[nodiscard]] ScheduleResult solve(
       const SolveRequest& request) const override;
 

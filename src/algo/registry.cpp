@@ -3,15 +3,11 @@
 #include <sstream>
 
 #include "algo/exhaustive.h"
-#include "algo/genetic.h"
 #include "algo/greedy.h"
 #include "algo/hjtora.h"
 #include "algo/local_search.h"
 #include "algo/multi_start.h"
-#include "algo/pso.h"
-#include "algo/random_scheduler.h"
 #include "algo/sharded.h"
-#include "algo/tabu.h"
 #include "common/error.h"
 
 namespace tsajs::algo {
@@ -41,10 +37,6 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
     return std::make_unique<LocalSearchScheduler>(config);
   }
   if (name == "exhaustive") return std::make_unique<ExhaustiveScheduler>();
-  if (name == "random") return std::make_unique<RandomScheduler>();
-  if (name == "genetic") return std::make_unique<GeneticScheduler>();
-  if (name == "pso") return std::make_unique<PsoScheduler>();
-  if (name == "tabu") return std::make_unique<TabuScheduler>();
   if (name == "tsajs-x4") {
     TsajsConfig config;
     config.chain_length = options.chain_length;
@@ -80,7 +72,7 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
 
 std::vector<std::string> scheduler_names() {
   return {"exhaustive", "tsajs",  "tsajs-geo", "tsajs-x4", "hjtora",
-          "local-search", "greedy", "genetic", "pso", "tabu", "random"};
+          "local-search", "greedy"};
 }
 
 std::vector<std::string> parse_scheme_list(const std::string& csv) {

@@ -26,8 +26,8 @@ struct RegistryOptions {
   /// (default), 0 = hardware concurrency. Restart results are bit-identical
   /// for every setting; only the wall clock changes.
   std::size_t threads = 1;
-  /// Reheat temperature for TSAJS warm starts (schedule_from); unset keeps
-  /// TsajsConfig's default. Only consulted when the caller drives the
+  /// Reheat temperature for TSAJS warm starts (a SolveRequest hint); unset
+  /// keeps TsajsConfig's default. Only consulted when the caller drives the
   /// scheduler through the warm-start path.
   std::optional<double> warm_reheat;
   /// Anytime solve budget for the TSAJS variants (tsajs, tsajs-geo,
@@ -54,10 +54,11 @@ struct RegistryOptions {
 };
 
 /// Creates a scheduler by name: "tsajs", "tsajs-geo" (geometric-cooling
-/// ablation), "hjtora", "greedy", "local-search", "exhaustive", "random";
-/// any name may be prefixed "sharded:" (e.g. "sharded:tsajs") to wrap the
-/// scheme in the interference-locality ShardedScheduler. Throws
-/// NotFoundError for unknown names.
+/// ablation), "tsajs-x4" (four-restart TSAJS), "hjtora", "greedy",
+/// "local-search", "exhaustive"; any name may be prefixed "sharded:" (e.g.
+/// "sharded:tsajs") to wrap the scheme in the interference-locality
+/// ShardedScheduler. Every returned scheduler's name() is the name it was
+/// made from. Throws NotFoundError for unknown names.
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
     const std::string& name, const RegistryOptions& options = {});
 

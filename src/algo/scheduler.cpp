@@ -185,58 +185,6 @@ void validate_result(const Scheduler& scheduler,
 
 }  // namespace
 
-ScheduleResult Scheduler::schedule(const jtora::CompiledProblem& problem,
-                                   Rng& rng) const {
-  SolveRequest request;
-  request.problem = &problem;
-  request.rng = &rng;
-  return solve(request);
-}
-
-ScheduleResult Scheduler::schedule(const mec::Scenario& scenario,
-                                   Rng& rng) const {
-  const jtora::CompiledProblem problem(scenario);
-  return schedule(problem, rng);
-}
-
-ScheduleResult Scheduler::schedule_from(const jtora::CompiledProblem& problem,
-                                        const jtora::Assignment& hint,
-                                        Rng& rng) const {
-  SolveRequest request;
-  request.problem = &problem;
-  request.hint = &hint;
-  request.rng = &rng;
-  return solve(request);
-}
-
-ScheduleResult Scheduler::schedule_from(const mec::Scenario& scenario,
-                                        const jtora::Assignment& hint,
-                                        Rng& rng) const {
-  const jtora::CompiledProblem problem(scenario);
-  return schedule_from(problem, hint, rng);
-}
-
-ScheduleResult Scheduler::schedule_within(const jtora::CompiledProblem& problem,
-                                          const SolveBudget& budget,
-                                          Rng& rng) const {
-  SolveRequest request;
-  request.problem = &problem;
-  request.budget = &budget;
-  request.rng = &rng;
-  return solve(request);
-}
-
-ScheduleResult Scheduler::schedule_from_within(
-    const jtora::CompiledProblem& problem, const jtora::Assignment& hint,
-    const SolveBudget& budget, Rng& rng) const {
-  SolveRequest request;
-  request.problem = &problem;
-  request.hint = &hint;
-  request.budget = &budget;
-  request.rng = &rng;
-  return solve(request);
-}
-
 ScheduleResult run_and_validate(const Scheduler& scheduler,
                                 const SolveRequest& request) {
   request.validate();
@@ -244,55 +192,6 @@ ScheduleResult run_and_validate(const Scheduler& scheduler,
   ScheduleResult result = scheduler.solve(request);
   result.solve_seconds = timer.elapsed_seconds();
   validate_result(scheduler, *request.problem, result);
-  return result;
-}
-
-ScheduleResult run_and_validate(const Scheduler& scheduler,
-                                const jtora::CompiledProblem& problem,
-                                Rng& rng) {
-  SolveRequest request;
-  request.problem = &problem;
-  request.rng = &rng;
-  return run_and_validate(scheduler, request);
-}
-
-ScheduleResult run_and_validate(const Scheduler& scheduler,
-                                const jtora::CompiledProblem& problem,
-                                const jtora::Assignment& hint, Rng& rng) {
-  SolveRequest request;
-  request.problem = &problem;
-  request.hint = &hint;
-  request.rng = &rng;
-  return run_and_validate(scheduler, request);
-}
-
-ScheduleResult run_and_validate(const Scheduler& scheduler,
-                                const mec::Scenario& scenario, Rng& rng) {
-  // Compiled inside the timed region so one-shot callers keep the historic
-  // "solve time includes setup" accounting.
-  Stopwatch timer;
-  const jtora::CompiledProblem problem(scenario);
-  SolveRequest request;
-  request.problem = &problem;
-  request.rng = &rng;
-  ScheduleResult result = scheduler.solve(request);
-  result.solve_seconds = timer.elapsed_seconds();
-  validate_result(scheduler, problem, result);
-  return result;
-}
-
-ScheduleResult run_and_validate(const Scheduler& scheduler,
-                                const mec::Scenario& scenario,
-                                const jtora::Assignment& hint, Rng& rng) {
-  Stopwatch timer;
-  const jtora::CompiledProblem problem(scenario);
-  SolveRequest request;
-  request.problem = &problem;
-  request.hint = &hint;
-  request.rng = &rng;
-  ScheduleResult result = scheduler.solve(request);
-  result.solve_seconds = timer.elapsed_seconds();
-  validate_result(scheduler, problem, result);
   return result;
 }
 

@@ -9,9 +9,9 @@
 // The single entry point is `solve(const SolveRequest&)`. A SolveRequest
 // bundles everything one decision needs — the compiled problem, an optional
 // warm-start hint, an optional per-call budget, and the RNG — so a
-// long-running service loop builds one request per decision instead of
-// choosing among a matrix of overloads. What a scheduler *does* with the
-// optional fields is advertised by `capabilities()`:
+// long-running service loop builds one request per decision. What a
+// scheduler *does* with the optional fields is advertised by
+// `capabilities()`:
 //
 //   * kWarmStart   — the search is seeded from `hint` (repaired first; see
 //                    repair_hint). Schedulers without the capability ignore
@@ -20,14 +20,6 @@
 //   * kBudgetAware — `budget` caps this call's search effort, overriding
 //                    the configured budget. Schedulers without it ignore
 //                    the field and run to completion.
-//
-// The historical overload matrix (`schedule` / `schedule_from` /
-// `schedule_within` / `schedule_from_within`, each × Scenario /
-// CompiledProblem) survives as thin non-virtual shims on the base class
-// that pack a SolveRequest and forward to solve(); they are deprecated but
-// keep every existing call site compiling, and because incapable schedulers
-// ignore the optional fields the shims reproduce the old dynamic_cast
-// fallbacks bit-identically.
 #pragma once
 
 #include <cstddef>
@@ -143,40 +135,6 @@ class Scheduler {
   [[nodiscard]] bool supports(Capability capability) const noexcept {
     return (capabilities() & capability) != 0;
   }
-
-  // -- Deprecated shims -----------------------------------------------------
-  // The pre-SolveRequest overload matrix. Each packs a SolveRequest and
-  // forwards to solve(); behavior (including RNG streams) is bit-identical
-  // to the historical entry points. New code should build a SolveRequest.
-
-  /// Deprecated: use solve(). Cold solve of a compiled problem.
-  [[nodiscard]] ScheduleResult schedule(const jtora::CompiledProblem& problem,
-                                        Rng& rng) const;
-
-  /// Deprecated: use solve(). Compiles `scenario` and solves — one-shot
-  /// only; repeated callers should compile once.
-  [[nodiscard]] ScheduleResult schedule(const mec::Scenario& scenario,
-                                        Rng& rng) const;
-
-  /// Deprecated: use solve() with a hint. Schedulers without kWarmStart
-  /// ignore the hint and solve cold (the historical fallback).
-  [[nodiscard]] ScheduleResult schedule_from(
-      const jtora::CompiledProblem& problem, const jtora::Assignment& hint,
-      Rng& rng) const;
-  [[nodiscard]] ScheduleResult schedule_from(const mec::Scenario& scenario,
-                                             const jtora::Assignment& hint,
-                                             Rng& rng) const;
-
-  /// Deprecated: use solve() with a budget. Schedulers without kBudgetAware
-  /// ignore the budget and run to completion (the historical fallback).
-  [[nodiscard]] ScheduleResult schedule_within(
-      const jtora::CompiledProblem& problem, const SolveBudget& budget,
-      Rng& rng) const;
-
-  /// Deprecated: use solve() with hint + budget.
-  [[nodiscard]] ScheduleResult schedule_from_within(
-      const jtora::CompiledProblem& problem, const jtora::Assignment& hint,
-      const SolveBudget& budget, Rng& rng) const;
 };
 
 /// Clamps `hint` to a feasible assignment for `scenario`: users beyond the
@@ -198,29 +156,9 @@ class Scheduler {
 /// independent evaluation. On any violation it throws tsajs::ValidationError
 /// carrying one diagnostic per violated constraint. The audit evaluator
 /// shares the request's problem, so the guard costs no recompilation. This
-/// is the single definition of solve timing + audit + warm-start semantics;
-/// every other run_and_validate overload packs a request and lands here.
+/// is the single definition of solve timing + audit + warm-start semantics.
 [[nodiscard]] ScheduleResult run_and_validate(const Scheduler& scheduler,
                                               const SolveRequest& request);
-
-/// Deprecated conveniences over the SolveRequest form.
-[[nodiscard]] ScheduleResult run_and_validate(
-    const Scheduler& scheduler, const jtora::CompiledProblem& problem,
-    Rng& rng);
-[[nodiscard]] ScheduleResult run_and_validate(
-    const Scheduler& scheduler, const jtora::CompiledProblem& problem,
-    const jtora::Assignment& hint, Rng& rng);
-
-/// One-shot conveniences: compile `scenario` *inside* the timed region (so
-/// solve_seconds keeps the historic "includes setup" accounting) and run as
-/// above.
-[[nodiscard]] ScheduleResult run_and_validate(const Scheduler& scheduler,
-                                              const mec::Scenario& scenario,
-                                              Rng& rng);
-[[nodiscard]] ScheduleResult run_and_validate(const Scheduler& scheduler,
-                                              const mec::Scenario& scenario,
-                                              const jtora::Assignment& hint,
-                                              Rng& rng);
 
 /// Draws the random feasible initial solution used by TSAJS and LocalSearch
 /// (Algorithm 1 line 5): each user independently offloads with probability

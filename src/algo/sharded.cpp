@@ -321,7 +321,7 @@ ScheduleResult ShardedScheduler::sharded_solve(
   // wrapped scheme verbatim — same Rng, same result, bit for bit.
   if (reach <= 0.0) return passthrough(problem, hint, budget, cancel, rng);
 
-  // The mutex is held for the whole solve: concurrent schedule() calls on
+  // The mutex is held for the whole solve: concurrent solve() calls on
   // one instance serialize (each still deterministic), and the cache below
   // is only touched under it.
   const std::lock_guard<std::mutex> lock(cache_mutex_);

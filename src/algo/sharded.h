@@ -46,7 +46,7 @@
 // rebuild, the rest recompile in place). Caching is bitwise-invisible.
 //
 // Degenerate decompositions pass straight through: with a single shard (or
-// a single cell site, where no finite reach separates anything) schedule()
+// a single cell site, where no finite reach separates anything) solve()
 // delegates to the inner scheduler with the caller's own Rng — budget and
 // hint still applied — so the result is bit-identical to the unsharded
 // solve.
@@ -139,7 +139,7 @@ class ShardedScheduler : public Scheduler {
   ShardedConfig config_;
   /// Epoch cache (partition, coloring, per-shard compilations), reused
   /// while the site layout and reach stay put. The mutex is held for the
-  /// whole solve, serializing concurrent schedule() calls on one instance.
+  /// whole solve, serializing concurrent solve() calls on one instance.
   mutable std::mutex cache_mutex_;
   mutable std::unique_ptr<Cache> cache_;
 };

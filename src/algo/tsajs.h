@@ -39,8 +39,8 @@ struct TsajsConfig {
   /// Initial temperature; defaults to the number of sub-channels N
   /// (Algorithm 1 line 3, "T <- N").
   std::optional<double> initial_temperature;
-  /// Initial temperature of *warm* (hint-started) solves via
-  /// schedule_from(). A warm start is already near-optimal, so instead of
+  /// Initial temperature of *warm* solves (a SolveRequest carrying a
+  /// hint). A warm start is already near-optimal, so instead of
   /// reheating to T = N and re-melting the solution, the annealer restarts
   /// the cooling schedule far down the curve and spends its whole budget
   /// polishing. Well below N by design; at the default the warm chain is

@@ -22,10 +22,8 @@ struct TrialOutcome {
 
 TrialOutcome run_one(const jtora::CompiledProblem& problem,
                      const algo::Scheduler& scheduler, Rng& rng) {
-  algo::SolveRequest request;
-  request.problem = &problem;
-  request.rng = &rng;
-  algo::ScheduleResult result = algo::run_and_validate(scheduler, request);
+  const algo::ScheduleResult result =
+      algo::run_and_validate(scheduler, {.problem = &problem, .rng = &rng});
 
   const jtora::UtilityEvaluator evaluator(problem);
   const jtora::Evaluation eval = evaluator.evaluate(result.assignment);
@@ -51,7 +49,7 @@ std::vector<SchemeStats> TrialRunner::run(const TrialSpec& spec) const {
   TSAJS_REQUIRE(spec.trials >= 1, "need at least one trial");
   TSAJS_REQUIRE(!spec.schemes.empty(), "need at least one scheme");
 
-  // Instantiate schedulers once; schedule() is const and stateless.
+  // Instantiate schedulers once; solve() is const and stateless.
   std::vector<std::unique_ptr<algo::Scheduler>> schedulers;
   schedulers.reserve(spec.schemes.size());
   for (const auto& name : spec.schemes) {

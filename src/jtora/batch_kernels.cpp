@@ -1,27 +1,10 @@
 #include "jtora/batch_kernels.h"
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
-
-#include "common/error.h"
 
 namespace tsajs::jtora::batch {
 
 namespace {
-
-bool env_default() noexcept {
-  const char* value = std::getenv("TSAJS_BATCH");
-  if (value == nullptr) return true;
-  return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "false") == 0 ||
-           std::strcmp(value, "off") == 0);
-}
-
-std::atomic<bool>& enabled_flag() noexcept {
-  static std::atomic<bool> flag{env_default()};
-  return flag;
-}
 
 /// One block of the multi-row accumulation: each destination lane is read
 /// once, receives K additions in row order, and is stored once. The per-lane
@@ -41,12 +24,6 @@ void accumulate_block(double* dst, const double* const* rows,
 }
 
 }  // namespace
-
-bool enabled() noexcept { return enabled_flag().load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) noexcept {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
 
 void accumulate_rows(double* dst, const double* const* rows,
                      std::size_t num_rows, std::size_t n) noexcept {
@@ -95,7 +72,6 @@ double interference_at(const CompiledProblem& problem,
   const std::size_t num_servers = problem.num_servers();
   const std::size_t num_subchannels = problem.num_subchannels();
   const double* table = problem.signal_table().data();
-  TSAJS_PRAGMA_SIMD_REDUCTION(total)
   for (std::uint32_t i = begin; i < end; ++i) {
     const std::uint32_t k = lists.user[i];
     // r == s is u's own slot (one occupant per slot, and u holds (s, j));

@@ -20,25 +20,18 @@
 // multi-row accumulation hoists the destination lane into a register across
 // a block of rows — one load/store pass instead of one per row.
 //
-// Bit-compatibility contract: with default flags every kernel performs the
-// *exact* floating-point operation sequence of the scalar code it replaces
-// — per-lane addition chains stay in row order, interference sums stay in
-// ascending-server order — so enabling/disabling the batch path (or the
-// TSAJS_SIMD build option) never changes a result bit. Golden hexfloat
-// tests pin this. The only exception is the opt-in TSAJS_SIMD_REASSOC
-// build mode, which additionally marks the interference reductions as
-// vectorizable (`reduction(+:...)`) and therefore permits reassociation;
-// equivalence tests switch from bitwise to a 1e-12 relative tolerance
-// under that mode (see DESIGN.md "Sharding & batch kernels").
+// Bit-compatibility contract: every kernel performs the *exact*
+// floating-point operation sequence of the scalar code it replaces —
+// per-lane addition chains stay in row order, interference sums stay in
+// ascending-server order — so the TSAJS_SIMD build option never changes a
+// result bit. Golden hexfloat tests pin this, and the scalar references
+// (interference_sums_scalar, the per-row add_row_scaled loop) stay as the
+// other side of the equivalence tests and micro benches.
 //
 // Vectorization plumbing: `#pragma omp simd` is only meaningful when the
 // compiler is invoked with -fopenmp-simd (the TSAJS_SIMD CMake option; no
 // OpenMP runtime is linked). Without it the macro expands to nothing and
 // the kernels still win on memory passes and avoided occupant() lookups.
-//
-// Runtime dispatch: the batch path is on by default and bit-compatible; it
-// can be disabled process-wide (env TSAJS_BATCH=0 or set_enabled(false))
-// so A/B comparisons and the scalar-reference benches need no rebuild.
 #pragma once
 
 #include <cstddef>
@@ -48,40 +41,18 @@
 #include "jtora/assignment.h"
 #include "jtora/compiled_problem.h"
 
-#if defined(TSAJS_SIMD) && defined(TSAJS_SIMD_REASSOC)
+#if defined(TSAJS_SIMD)
 #define TSAJS_PRAGMA_SIMD _Pragma("omp simd")
-#define TSAJS_PRAGMA_SIMD_REDUCTION(var) _Pragma("omp simd reduction(+ : var)")
-#elif defined(TSAJS_SIMD)
-#define TSAJS_PRAGMA_SIMD _Pragma("omp simd")
-#define TSAJS_PRAGMA_SIMD_REDUCTION(var)
 #else
 #define TSAJS_PRAGMA_SIMD
-#define TSAJS_PRAGMA_SIMD_REDUCTION(var)
 #endif
 
 namespace tsajs::jtora::batch {
-
-/// True when the batch kernels are active (default). Reads env TSAJS_BATCH
-/// ("0"/"false" disables) once on first call; set_enabled overrides.
-[[nodiscard]] bool enabled() noexcept;
-
-/// Process-wide switch, mainly for tests and A/B benches.
-void set_enabled(bool on) noexcept;
 
 /// True when this binary was built with the TSAJS_SIMD CMake option
 /// (-fopenmp-simd; the pragmas are live).
 [[nodiscard]] constexpr bool compiled_with_simd() noexcept {
 #if defined(TSAJS_SIMD)
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// True when the reassociation tolerance mode is compiled in (results may
-/// differ from scalar in the last bits; tests use tolerances).
-[[nodiscard]] constexpr bool reassociation_enabled() noexcept {
-#if defined(TSAJS_SIMD_REASSOC)
   return true;
 #else
   return false;

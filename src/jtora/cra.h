@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "jtora/assignment.h"
@@ -44,11 +43,6 @@ class CraSolver {
   /// Binds to a shared compiled problem (non-owning; `problem` must outlive
   /// this solver). The closed form reads the precompiled sqrt(eta) values.
   explicit CraSolver(const CompiledProblem& problem) : problem_(&problem) {}
-
-  /// Legacy convenience: compiles (and owns) a problem for `scenario`.
-  explicit CraSolver(const mec::Scenario& scenario)
-      : owned_(std::make_shared<const CompiledProblem>(scenario)),
-        problem_(owned_.get()) {}
 
   /// Closed-form optimum (Eq. 22/23).
   [[nodiscard]] CraResult solve(const Assignment& x) const;
@@ -75,7 +69,6 @@ class CraSolver {
   }
 
  private:
-  std::shared_ptr<const CompiledProblem> owned_;  // only on the legacy path
   const CompiledProblem* problem_;
 };
 

@@ -11,27 +11,13 @@ namespace tsajs::jtora {
 
 IncrementalEvaluator::IncrementalEvaluator(const CompiledProblem& problem,
                                            const Assignment& initial)
-    : problem_(&problem), x_(initial) {
-  init();
-}
-
-IncrementalEvaluator::IncrementalEvaluator(const mec::Scenario& scenario,
-                                           const Assignment& initial)
-    : owned_(std::make_shared<const CompiledProblem>(scenario)),
-      problem_(owned_.get()),
-      x_(initial) {
-  init();
-}
-
-void IncrementalEvaluator::init() {
-  num_servers_ = problem_->num_servers();
-  num_subchannels_ = problem_->num_subchannels();
-  noise_w_ = problem_->noise_w();
-  has_downlink_ = problem_->has_downlink();
-  cloud_cpu_hz_ = problem_->cloud_cpu_hz();
-  user_gain_.assign(problem_->num_users(), 0.0);
-  server_sqrt_eta_.assign(num_servers_, 0.0);
-  server_count_.assign(num_servers_, 0);
+    : problem_(&problem),
+      x_(initial),
+      num_servers_(problem.num_servers()),
+      num_subchannels_(problem.num_subchannels()),
+      noise_w_(problem.noise_w()),
+      has_downlink_(problem.has_downlink()),
+      cloud_cpu_hz_(problem.cloud_cpu_hz()) {
   rebuild();
 }
 
@@ -45,45 +31,30 @@ void IncrementalEvaluator::rebuild() {
   user_gain_.assign(problem_->num_users(), 0.0);
   channel_power_.assign(num_servers_ * num_subchannels_, 0.0);
   const std::vector<std::size_t> offloaded = x_.offloaded_users();
-  if (batch::enabled()) {
-    // Batch path: same ascending-user constants pass, but the received-power
-    // cache is folded one sub-channel at a time with a multi-row kernel —
-    // each destination lane still receives its additions in ascending user
-    // order (offloaded_users() is ascending), so the result is bit-identical
-    // to the per-user AXPY loop below.
+  for (const std::size_t u : offloaded) {
+    if (x_.is_forwarded(u)) {
+      cloud_sqrt_eta_ += problem_->sqrt_eta(u);
+      ++cloud_count_;
+      continue;
+    }
+    const Slot slot = *x_.slot_of(u);
+    server_sqrt_eta_[slot.server] += problem_->sqrt_eta(u);
+    ++server_count_[slot.server];
+  }
+  // The received-power cache is folded one sub-channel at a time with the
+  // multi-row kernel: each lane receives its additions in ascending user
+  // order (offloaded_users() is ascending), the order add_channel_power
+  // would apply them one row at a time.
+  thread_local std::vector<const double*> rows;
+  for (std::size_t j = 0; j < num_subchannels_; ++j) {
+    rows.clear();
     for (const std::size_t u : offloaded) {
-      if (x_.is_forwarded(u)) {
-        cloud_sqrt_eta_ += problem_->sqrt_eta(u);
-        ++cloud_count_;
-        continue;
+      if (x_.slot_of(u)->subchannel == j) {
+        rows.push_back(problem_->signal_row(u, j));
       }
-      const Slot slot = *x_.slot_of(u);
-      server_sqrt_eta_[slot.server] += problem_->sqrt_eta(u);
-      ++server_count_[slot.server];
     }
-    thread_local std::vector<const double*> rows;
-    for (std::size_t j = 0; j < num_subchannels_; ++j) {
-      rows.clear();
-      for (const std::size_t u : offloaded) {
-        if (x_.slot_of(u)->subchannel == j) {
-          rows.push_back(problem_->signal_row(u, j));
-        }
-      }
-      batch::accumulate_rows(channel_power_.data() + j * num_servers_,
-                             rows.data(), rows.size(), num_servers_);
-    }
-  } else {
-    for (const std::size_t u : offloaded) {
-      const Slot slot = *x_.slot_of(u);
-      if (x_.is_forwarded(u)) {
-        cloud_sqrt_eta_ += problem_->sqrt_eta(u);
-        ++cloud_count_;
-      } else {
-        server_sqrt_eta_[slot.server] += problem_->sqrt_eta(u);
-        ++server_count_[slot.server];
-      }
-      add_channel_power(u, slot.subchannel, +1.0);
-    }
+    batch::accumulate_rows(channel_power_.data() + j * num_servers_,
+                           rows.data(), rows.size(), num_servers_);
   }
   for (const std::size_t u : offloaded) {
     refresh_user_cost(u);
@@ -102,9 +73,7 @@ void IncrementalEvaluator::rebuild() {
 
 void IncrementalEvaluator::add_channel_power(std::size_t u, std::size_t j,
                                              double sign) {
-  // Elementwise AXPY against the server-contiguous signal row; the batch
-  // kernel performs the identical per-lane operation (power[s] += sign *
-  // sig[s]), so this needs no runtime dispatch.
+  // Elementwise AXPY against the server-contiguous signal row.
   batch::add_row_scaled(channel_power_.data() + j * num_servers_,
                         problem_->signal_row(u, j), sign, num_servers_);
 }

@@ -43,7 +43,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -65,10 +64,6 @@ class IncrementalEvaluator {
   /// constants and the signal/downlink tables come from `problem` — nothing
   /// is re-derived here.
   IncrementalEvaluator(const CompiledProblem& problem,
-                       const Assignment& initial);
-
-  /// Legacy convenience: compiles (and owns) a problem for `scenario`.
-  IncrementalEvaluator(const mec::Scenario& scenario,
                        const Assignment& initial);
 
   /// Current decision (always consistent with utility()).
@@ -224,10 +219,6 @@ class IncrementalEvaluator {
     std::optional<Slot> to;
   };
 
-  /// Shared constructor tail: sizes the runtime state off `problem_` and
-  /// performs the initial full rebuild.
-  void init();
-
   // Raw mutation cores (no commit accounting); apply_* wrap these with the
   // rebuild cadence, rollback() replays them.
   void do_offload(std::size_t u, std::size_t s, std::size_t j);
@@ -297,7 +288,6 @@ class IncrementalEvaluator {
   /// Commit accounting: triggers the periodic anti-drift rebuild.
   void note_commit();
 
-  std::shared_ptr<const CompiledProblem> owned_;  // only on the legacy path
   const CompiledProblem* problem_;
   Assignment x_;
 

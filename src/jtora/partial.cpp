@@ -11,12 +11,6 @@ PartialOffloadEvaluator::PartialOffloadEvaluator(
     const CompiledProblem& problem)
     : problem_(&problem), full_(problem) {}
 
-PartialOffloadEvaluator::PartialOffloadEvaluator(
-    const mec::Scenario& scenario)
-    : owned_(std::make_shared<const CompiledProblem>(scenario)),
-      problem_(owned_.get()),
-      full_(*problem_) {}
-
 PartialOutcome PartialOffloadEvaluator::best_split(std::size_t u,
                                                    const LinkMetrics& link,
                                                    double cpu_hz) const {

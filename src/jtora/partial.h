@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "jtora/assignment.h"
@@ -52,9 +51,6 @@ class PartialOffloadEvaluator {
   /// this evaluator).
   explicit PartialOffloadEvaluator(const CompiledProblem& problem);
 
-  /// Legacy convenience: compiles (and owns) a problem for `scenario`.
-  explicit PartialOffloadEvaluator(const mec::Scenario& scenario);
-
   /// Optimal split for user `u` given its link and CPU share.
   [[nodiscard]] PartialOutcome best_split(std::size_t u,
                                           const LinkMetrics& link,
@@ -65,7 +61,6 @@ class PartialOffloadEvaluator {
   [[nodiscard]] PartialEvaluation evaluate(const Assignment& x) const;
 
  private:
-  std::shared_ptr<const CompiledProblem> owned_;  // only on the legacy path
   const CompiledProblem* problem_;
   UtilityEvaluator full_;  // provides links + CRA allocation
 };

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "jtora/assignment.h"
@@ -42,12 +41,6 @@ class RateEvaluator {
   /// this evaluator).
   explicit RateEvaluator(const CompiledProblem& problem)
       : problem_(&problem) {}
-
-  /// Legacy convenience: compiles (and owns) a problem for `scenario`.
-  /// Prefer the CompiledProblem overload when the compilation can be shared.
-  explicit RateEvaluator(const mec::Scenario& scenario)
-      : owned_(std::make_shared<const CompiledProblem>(scenario)),
-        problem_(owned_.get()) {}
 
   /// SINR of user `u` on its assigned slot under `x`. Requires `u` to be
   /// offloaded in `x`.
@@ -85,7 +78,6 @@ class RateEvaluator {
                                       std::size_t j,
                                       std::size_t exclude) const;
 
-  std::shared_ptr<const CompiledProblem> owned_;  // only on the legacy path
   const CompiledProblem* problem_;
 };
 

@@ -1,7 +1,6 @@
 #include "jtora/utility.h"
 
 #include <cmath>
-#include <utility>
 
 #include "common/error.h"
 #include "jtora/batch_kernels.h"
@@ -11,53 +10,9 @@ namespace tsajs::jtora {
 UtilityEvaluator::UtilityEvaluator(const CompiledProblem& problem)
     : problem_(&problem), rate_(problem), cra_(problem) {}
 
-UtilityEvaluator::UtilityEvaluator(
-    std::shared_ptr<const CompiledProblem> problem)
-    : owned_(std::move(problem)),
-      problem_(owned_.get()),
-      rate_(*problem_),
-      cra_(*problem_) {
-  TSAJS_REQUIRE(problem_ != nullptr && problem_->compiled(),
-                "UtilityEvaluator needs a compiled problem");
-}
-
-UtilityEvaluator::UtilityEvaluator(const mec::Scenario& scenario)
-    : UtilityEvaluator(std::make_shared<const CompiledProblem>(scenario)) {}
-
 double UtilityEvaluator::system_utility(const Assignment& x) const {
-  if (batch::enabled()) return system_utility_batch(x);
-  double gain = 0.0;
-  double gamma = 0.0;
-  for (std::size_t u = 0; u < problem_->num_users(); ++u) {
-    if (!x.is_offloaded(u)) continue;
-    gain += problem_->gain_const(u);
-    const double log_term = std::log2(1.0 + rate_.sinr(x, u));
-    // Gamma(X) = sum (phi_u + psi_u p_u) / log2(1 + gamma_us)  (Eq. 19).
-    gamma += problem_->gamma_coef(u) / log_term;
-    if (problem_->has_downlink()) {
-      // Downlink extension: returning results costs extra delay.
-      const Slot slot = *x.slot_of(u);
-      gamma += problem_->time_cost_scale(u) *
-               problem_->downlink_time_s(u, slot.server, slot.subchannel);
-    }
-    if (x.is_forwarded(u)) {
-      // Cloud forwarding: relaying the input over the backhaul costs extra
-      // serial delay, weighted like any other delay term.
-      const Slot slot = *x.slot_of(u);
-      gamma += problem_->time_cost_scale(u) *
-               problem_->forward_time_s(u, slot.server);
-    }
-  }
-  const double lambda_cost = cra_.optimal_objective(x);
-  // Eq. 24.
-  return gain - gamma - lambda_cost;
-}
-
-double UtilityEvaluator::system_utility_batch(const Assignment& x) const {
-  // Same accumulation as the scalar path — ascending-user gain/gamma adds,
-  // ascending-server interference sums — but the occupant lists are gathered
-  // once (O(S*N)) instead of being re-derived through O(S) occupant()
-  // lookups per offloaded user. Bit-identical (golden tests pin it).
+  // Ascending-user gain/gamma adds, ascending-server interference sums (the
+  // order RateEvaluator::interference_w walks); golden tests pin the bits.
   thread_local batch::OccupantLists lists;
   lists.gather(x, problem_->num_servers(), problem_->num_subchannels());
   const double noise = problem_->noise_w();
@@ -72,6 +27,8 @@ double UtilityEvaluator::system_utility_batch(const Assignment& x) const {
     const double signal = problem_->signal(u, slot.subchannel, slot.server);
     const double sinr = signal / (interference + noise);
     const double log_term = std::log2(1.0 + sinr);
+    // Gamma(X) = sum (phi_u + psi_u p_u) / log2(1 + gamma_us)  (Eq. 19),
+    // plus the downlink and cloud-forwarding delay terms of the extensions.
     gamma += problem_->gamma_coef(u) / log_term;
     if (problem_->has_downlink()) {
       gamma += problem_->time_cost_scale(u) *
@@ -83,6 +40,7 @@ double UtilityEvaluator::system_utility_batch(const Assignment& x) const {
     }
   }
   const double lambda_cost = cra_.optimal_objective(x);
+  // Eq. 24.
   return gain - gamma - lambda_cost;
 }
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "jtora/assignment.h"
@@ -54,16 +53,9 @@ class UtilityEvaluator {
   /// already compiled.
   explicit UtilityEvaluator(const CompiledProblem& problem);
 
-  /// Shared-ownership variant for callers that hand the problem off.
-  explicit UtilityEvaluator(std::shared_ptr<const CompiledProblem> problem);
-
-  /// Legacy convenience: compiles (and owns) a problem for `scenario`. The
-  /// internal RateEvaluator/CraSolver share that single compilation.
-  explicit UtilityEvaluator(const mec::Scenario& scenario);
-
-  /// J*(X) per Eq. 24. O(U_off * S). Dispatches to the batch-kernel path
-  /// (jtora::batch, bit-identical; gathered occupant lists instead of
-  /// per-user occupant() walks) unless batch::set_enabled(false).
+  /// J*(X) per Eq. 24. Gathers the occupant lists once (jtora::batch) and
+  /// sums each offloaded user's interference over them: O(S*N + U_off*K)
+  /// for K co-channel occupants instead of O(U_off * S) occupant() walks.
   [[nodiscard]] double system_utility(const Assignment& x) const;
 
   /// Full per-user breakdown (computes F*(X) via the CRA closed form).
@@ -86,9 +78,6 @@ class UtilityEvaluator {
   [[nodiscard]] const CraSolver& cra() const noexcept { return cra_; }
 
  private:
-  [[nodiscard]] double system_utility_batch(const Assignment& x) const;
-
-  std::shared_ptr<const CompiledProblem> owned_;  // only on owning paths
   const CompiledProblem* problem_;
   RateEvaluator rate_;
   CraSolver cra_;

@@ -573,7 +573,9 @@ RecoveryInfo prepare_recovery(const std::string& run_dir) {
 StreamReport StreamDriver::recover(const algo::Scheduler& scheduler,
                                    const std::string& run_dir,
                                    RecoveryInfo* info_out) const {
-  // Refuse a mismatched bundle *before* prepare_recovery mutates it.
+  // Refuse a mismatched bundle *before* prepare_recovery mutates it. The
+  // config digest covers the stream knobs only, so the grid and the scheme
+  // are compared on their own.
   const exp::JsonValue run_doc = exp::parse_json_file(run_dir + "/run.json");
   const std::uint64_t seed = u64_of(run_doc.at("seed"));
   const std::string scheme = run_doc.at("scheme").as_string();
@@ -581,6 +583,20 @@ StreamReport StreamDriver::recover(const algo::Scheduler& scheduler,
       u64_of(run_doc.at("config").at("config_digest")) == config_.digest(),
       "run.json in " + run_dir + " was written under a different stream "
       "configuration; refusing to recover");
+  const double servers = run_doc.at("servers").as_number();
+  const double subchannels = run_doc.at("subchannels").as_number();
+  char recorded[64];
+  std::snprintf(recorded, sizeof(recorded), "%gx%g", servers, subchannels);
+  TSAJS_REQUIRE(servers == static_cast<double>(num_servers()) &&
+                    subchannels == static_cast<double>(num_subchannels()),
+                "run.json in " + run_dir + " records a " + recorded +
+                    " grid, not this driver's " + dec_of(num_servers()) +
+                    "x" + dec_of(num_subchannels()) +
+                    "; refusing to recover");
+  TSAJS_REQUIRE(scheme == scheduler.name(),
+                "run.json in " + run_dir + " was written by scheme '" +
+                    scheme + "', not '" + scheduler.name() +
+                    "'; refusing to recover");
   RecoveryInfo info = prepare_recovery(run_dir);
   EvidenceWriter evidence(run_dir, /*append=*/true);
   const StreamReport report =

@@ -217,6 +217,15 @@ StreamReport StreamDriver::resume(const algo::Scheduler& scheduler,
   TSAJS_REQUIRE(checkpoint.config_digest == config_.digest(),
                 "checkpoint was taken under a different stream "
                 "configuration; refusing to resume");
+  // The digest does not cover the grid; a carried slot outside it means
+  // the checkpoint came from a larger one.
+  for (const SessionState& s : checkpoint.active) {
+    TSAJS_REQUIRE(!s.has_slot || (s.server < servers_.size() &&
+                                  s.subchannel < num_subchannels_),
+                  "checkpoint carries session " + std::to_string(s.id) +
+                      "'s slot outside this driver's grid; refusing to "
+                      "resume");
+  }
   return run_loop(scheduler, checkpoint, sink);
 }
 

@@ -317,9 +317,11 @@ class StreamDriver {
                                  StreamSink* sink = nullptr) const;
 
   /// Continues a run from `checkpoint` to the end of the horizon. Requires
-  /// the checkpoint's config digest to match this driver's configuration.
-  /// The remaining event stream is bit-identical to what the original run
-  /// emitted after the checkpoint.
+  /// the checkpoint's config digest to match this driver's configuration
+  /// and every carried slot to lie inside this driver's grid; either
+  /// mismatch throws before any event is emitted. The remaining event
+  /// stream is bit-identical to what the original run emitted after the
+  /// checkpoint.
   [[nodiscard]] StreamReport resume(const algo::Scheduler& scheduler,
                                     const StreamCheckpoint& checkpoint,
                                     StreamSink* sink = nullptr) const;
@@ -329,8 +331,10 @@ class StreamDriver {
   /// checkpoint (or restarts from t=0 with the seed recorded in run.json)
   /// appending through an EvidenceWriter, so the completed events.jsonl is
   /// byte-identical to an uninterrupted run's. Requires run.json's config
-  /// digest to match this driver. `info` (optional) receives what the
-  /// repair found. Defined in evidence.cpp.
+  /// digest, server and sub-channel counts to match this driver and its
+  /// scheme to equal scheduler.name(); a mismatch throws before any bundle
+  /// file is touched. `info` (optional) receives what the repair found.
+  /// Defined in evidence.cpp.
   [[nodiscard]] StreamReport recover(const algo::Scheduler& scheduler,
                                      const std::string& run_dir,
                                      RecoveryInfo* info = nullptr) const;

@@ -15,6 +15,7 @@
 #include "common/watchdog.h"
 #include "jtora/utility.h"
 #include "mec/scenario_builder.h"
+#include "support/solve.h"
 
 namespace tsajs::algo {
 namespace {
@@ -78,7 +79,7 @@ TEST(SolveBudgetTest, NegativeDeadlineDegradesToAllLocalFloor) {
   const TsajsScheduler scheduler(config);
   Rng solve_rng(7);
   const ScheduleResult result =
-      run_and_validate(scheduler, scenario, solve_rng);
+      test::validated(scheduler, scenario, solve_rng);
   EXPECT_GE(result.system_utility, 0.0);
 
   RegistryOptions options;
@@ -86,7 +87,7 @@ TEST(SolveBudgetTest, NegativeDeadlineDegradesToAllLocalFloor) {
   const auto stacked = make_scheduler("tsajs", options);
   Rng stack_rng(7);
   const ScheduleResult stacked_result =
-      run_and_validate(*stacked, scenario, stack_rng);
+      test::validated(*stacked, scenario, stack_rng);
   EXPECT_GE(stacked_result.system_utility, 0.0);
 }
 
@@ -105,8 +106,8 @@ TEST(SolveBudgetTest, ZeroDeadlineZeroIterationsIsUnlimited) {
 
   Rng rng_a(3);
   Rng rng_b(3);
-  const ScheduleResult a = run_and_validate(unbudgeted, scenario, rng_a);
-  const ScheduleResult b = run_and_validate(budgeted, scenario, rng_b);
+  const ScheduleResult a = test::validated(unbudgeted, scenario, rng_a);
+  const ScheduleResult b = test::validated(budgeted, scenario, rng_b);
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.evaluations, b.evaluations);
   EXPECT_EQ(a.assignment, b.assignment);
@@ -127,7 +128,7 @@ TEST(SolveBudgetTest, TinyIterationBudgetAtU90StaysFeasible) {
   // An uncaught throw fails the test, which is exactly the contract.
   Rng solve_rng(7);
   const ScheduleResult result =
-      run_and_validate(scheduler, scenario, solve_rng);
+      test::validated(scheduler, scenario, solve_rng);
   EXPECT_GE(result.system_utility, 0.0);
   // The budget actually bit: far fewer evaluations than an unbudgeted
   // anneal (which runs thousands of plateaus).
@@ -159,7 +160,7 @@ TEST(SolveBudgetTest, BudgetedSolveDegradesToAllLocalFloor) {
 
   Rng solve_rng(7);
   const ScheduleResult result =
-      run_and_validate(scheduler, scenario, solve_rng);
+      test::validated(scheduler, scenario, solve_rng);
   EXPECT_EQ(result.system_utility, 0.0);
   EXPECT_EQ(result.assignment.num_offloaded(), 0u);
 }
@@ -178,8 +179,8 @@ TEST(SolveBudgetTest, HugeBudgetIsBitIdenticalToUnlimited) {
 
   Rng rng_a(3);
   Rng rng_b(3);
-  const ScheduleResult a = run_and_validate(unbudgeted, scenario, rng_a);
-  const ScheduleResult b = run_and_validate(budgeted, scenario, rng_b);
+  const ScheduleResult a = test::validated(unbudgeted, scenario, rng_a);
+  const ScheduleResult b = test::validated(budgeted, scenario, rng_b);
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.evaluations, b.evaluations);
   EXPECT_EQ(a.assignment, b.assignment);
@@ -199,7 +200,7 @@ TEST(SolveBudgetTest, OneMillisecondDeadlineAtU90NeverThrows) {
 
   Rng solve_rng(5);
   const ScheduleResult result =
-      run_and_validate(*scheduler, scenario, solve_rng);
+      test::validated(*scheduler, scenario, solve_rng);
   EXPECT_GE(result.system_utility, 0.0);
 }
 
@@ -238,15 +239,15 @@ TEST(SolveBudgetTest, WarmStartRespectsIterationBudget) {
   const jtora::Assignment hint(scenario);  // all-local hint
   Rng solve_rng(9);
   const ScheduleResult result =
-      run_and_validate(scheduler, scenario, hint, solve_rng);
+      test::validated(scheduler, scenario, solve_rng, &hint);
   EXPECT_GE(result.system_utility, 0.0);
   EXPECT_LE(result.evaluations, scheduler.config().chain_length + 1);
 }
 
-// BudgetAware contract: schedule_within under a budget equal to the
-// configured one must be bit-identical to a plain schedule() — same RNG
-// stream, same decision, same effort. The sharded wrapper relies on this
-// to hand shards their slices without rebuilding the inner scheduler.
+// BudgetAware contract: a request budget equal to the configured one must
+// be bit-identical to an unbudgeted request — same RNG stream, same
+// decision, same effort. The sharded wrapper relies on this to hand shards
+// their slices without rebuilding the inner scheduler.
 TEST(SolveBudgetTest, ScheduleWithinEqualsConfiguredBudgetBitwise) {
   Rng env(17);
   const mec::Scenario scenario =
@@ -259,9 +260,9 @@ TEST(SolveBudgetTest, ScheduleWithinEqualsConfiguredBudgetBitwise) {
 
   Rng rng_a(21);
   Rng rng_b(21);
-  const ScheduleResult plain = scheduler.schedule(problem, rng_a);
+  const ScheduleResult plain = test::solve(scheduler, problem, rng_a);
   const ScheduleResult within =
-      scheduler.schedule_within(problem, config.budget, rng_b);
+      test::solve(scheduler, problem, rng_b, nullptr, &config.budget);
   EXPECT_EQ(plain.assignment, within.assignment);
   EXPECT_EQ(plain.system_utility, within.system_utility);
   EXPECT_EQ(plain.evaluations, within.evaluations);
@@ -278,7 +279,8 @@ TEST(SolveBudgetTest, ScheduleWithinOverridesConfiguredBudget) {
   SolveBudget cap;
   cap.max_iterations = 1;
   Rng rng(7);
-  const ScheduleResult result = scheduler.schedule_within(problem, cap, rng);
+  const ScheduleResult result =
+      test::solve(scheduler, problem, rng, nullptr, &cap);
   EXPECT_GE(result.system_utility, 0.0);
   EXPECT_LE(result.evaluations, scheduler.config().chain_length + 1);
 }
@@ -296,7 +298,8 @@ TEST(SolveBudgetTest, MultiStartScheduleWithinCapsEveryRestart) {
   SolveBudget cap;
   cap.max_iterations = 1;
   Rng rng(5);
-  const ScheduleResult result = scheduler.schedule_within(problem, cap, rng);
+  const ScheduleResult result =
+      test::solve(scheduler, problem, rng, nullptr, &cap);
   EXPECT_LE(result.evaluations, 3 * (inner_config.chain_length + 1));
 
   // And the capped parallel path stays bit-identical to the sequential one.
@@ -304,8 +307,9 @@ TEST(SolveBudgetTest, MultiStartScheduleWithinCapsEveryRestart) {
       std::make_unique<TsajsScheduler>(inner_config), 3, 4);
   Rng rng_a(5);
   Rng rng_b(5);
-  const ScheduleResult seq = scheduler.schedule_within(problem, cap, rng_a);
-  const ScheduleResult par = pooled.schedule_within(problem, cap, rng_b);
+  const ScheduleResult seq =
+      test::solve(scheduler, problem, rng_a, nullptr, &cap);
+  const ScheduleResult par = test::solve(pooled, problem, rng_b, nullptr, &cap);
   EXPECT_EQ(seq.assignment, par.assignment);
   EXPECT_EQ(seq.system_utility, par.system_utility);
   EXPECT_EQ(seq.evaluations, par.evaluations);

@@ -18,6 +18,7 @@
 #include "mec/availability.h"
 #include "mec/cloud.h"
 #include "mec/scenario_builder.h"
+#include "support/solve.h"
 
 namespace tsajs::algo {
 namespace {
@@ -56,7 +57,7 @@ TEST(CloudSchedulersTest, EveryRegisteredSchemeSolvesACloudScenario) {
   for (const auto& name : names) {
     const auto scheduler = make_scheduler(name);
     Rng rng(7);
-    const ScheduleResult result = run_and_validate(*scheduler, scenario, rng);
+    const ScheduleResult result = test::validated(*scheduler, scenario, rng);
     result.assignment.check_consistency();
     EXPECT_TRUE(result.assignment.cloud_enabled()) << name;
   }
@@ -79,8 +80,8 @@ TEST(CloudSchedulersTest, ForwardingRaisesUtilityUnderEdgeOverload) {
     const auto scheduler = make_scheduler(name);
     Rng rng_off(31);
     Rng rng_on(31);
-    const ScheduleResult off = run_and_validate(*scheduler, base, rng_off);
-    const ScheduleResult on = run_and_validate(*scheduler, cloudy, rng_on);
+    const ScheduleResult off = test::validated(*scheduler, base, rng_off);
+    const ScheduleResult on = test::validated(*scheduler, cloudy, rng_on);
     EXPECT_GT(on.system_utility, off.system_utility) << name;
     EXPECT_GT(on.assignment.num_forwarded(), 0u) << name;
   }
@@ -248,19 +249,19 @@ TEST(CloudShardHintTest, ShardedWarmSolveSurvivesCrossShardChurn) {
 
   const auto scheduler = make_scheduler("sharded:tsajs");
   Rng rng1(61);
-  const ScheduleResult first = run_and_validate(*scheduler, epoch1, rng1);
+  const ScheduleResult first = test::validated(*scheduler, epoch1, rng1);
   first.assignment.check_consistency();
 
   Rng rng2(62);
   const ScheduleResult warm =
-      run_and_validate(*scheduler, epoch2, first.assignment, rng2);
+      test::validated(*scheduler, epoch2, rng2, &first.assignment);
   warm.assignment.check_consistency();
   EXPECT_EQ(warm.assignment.num_users(), users);
 
   // Determinism of the warm path under churn.
   Rng rng3(62);
   const ScheduleResult again =
-      run_and_validate(*scheduler, epoch2, first.assignment, rng3);
+      test::validated(*scheduler, epoch2, rng3, &first.assignment);
   EXPECT_DOUBLE_EQ(warm.system_utility, again.system_utility);
   for (std::size_t u = 0; u < users; ++u) {
     EXPECT_EQ(warm.assignment.slot_of(u), again.assignment.slot_of(u));

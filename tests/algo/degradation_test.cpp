@@ -15,6 +15,7 @@
 #include "jtora/compiled_problem.h"
 #include "mec/availability.h"
 #include "mec/scenario_builder.h"
+#include "support/solve.h"
 
 namespace tsajs::algo {
 namespace {
@@ -70,7 +71,7 @@ TEST(DegradationTest, WarmStartSurvivesCombinedChurn) {
   const TsajsScheduler scheduler;
 
   Rng rng1(4);
-  const ScheduleResult first = run_and_validate(scheduler, epoch1, rng1);
+  const ScheduleResult first = test::validated(scheduler, epoch1, rng1);
   // Per-population carried slots, as the dynamic simulator keeps them.
   std::vector<std::optional<jtora::Slot>> carried(7);
   for (std::size_t u = 0; u < 6; ++u) {
@@ -109,7 +110,7 @@ TEST(DegradationTest, WarmStartSurvivesCombinedChurn) {
 
   Rng rng2(5);
   const ScheduleResult second =
-      run_and_validate(scheduler, epoch2, hint, rng2);
+      test::validated(scheduler, epoch2, rng2, &hint);
   for (std::size_t u = 0; u < 6; ++u) {
     const auto slot = second.assignment.slot_of(u);
     if (!slot.has_value()) continue;
@@ -156,7 +157,7 @@ TEST(ValidationTest, AuditCatchesMisreportedUtility) {
   const mec::Scenario scenario = make_base(rng);
   Rng solve_rng(1);
   try {
-    (void)run_and_validate(LyingScheduler(), scenario, solve_rng);
+    (void)test::validated(LyingScheduler(), scenario, solve_rng);
     FAIL() << "expected ValidationError";
   } catch (const ValidationError& error) {
     ASSERT_EQ(error.violations().size(), 1u);
@@ -175,7 +176,7 @@ TEST(ValidationTest, AuditCatchesAssignmentToMaskedSlot) {
   const MaskBlindScheduler scheduler(base);
   Rng solve_rng(1);
   try {
-    (void)run_and_validate(scheduler, masked, solve_rng);
+    (void)test::validated(scheduler, masked, solve_rng);
     FAIL() << "expected ValidationError";
   } catch (const ValidationError& error) {
     ASSERT_FALSE(error.violations().empty());
@@ -202,7 +203,7 @@ TEST(ValidationTest, AuditRejectsMismatchedShape) {
     const mec::Scenario& other_;
   };
   Rng solve_rng(1);
-  EXPECT_THROW((void)run_and_validate(WrongShape(big), small, solve_rng),
+  EXPECT_THROW((void)test::validated(WrongShape(big), small, solve_rng),
                ValidationError);
 }
 

@@ -1,14 +1,13 @@
-// Tests of the extension schedulers (genetic algorithm, multi-start).
+// Tests of the multi-start extension scheduler.
 #include <gtest/gtest.h>
 
-#include "algo/genetic.h"
 #include "algo/greedy.h"
 #include "algo/multi_start.h"
-#include "algo/random_scheduler.h"
 #include "algo/registry.h"
 #include "algo/tsajs.h"
 #include "common/error.h"
 #include "mec/scenario_builder.h"
+#include "support/solve.h"
 
 namespace tsajs::algo {
 namespace {
@@ -21,71 +20,6 @@ mec::Scenario make_scenario(std::uint64_t seed, std::size_t users = 8) {
       .num_subchannels(2)
       .task_megacycles(2000.0)
       .build(rng);
-}
-
-TEST(GeneticTest, ConfigValidation) {
-  GeneticConfig config;
-  config.population = 1;
-  EXPECT_THROW(GeneticScheduler{config}, InvalidArgumentError);
-  config = GeneticConfig{};
-  config.tournament = 99;
-  EXPECT_THROW(GeneticScheduler{config}, InvalidArgumentError);
-  config = GeneticConfig{};
-  config.elites = config.population;
-  EXPECT_THROW(GeneticScheduler{config}, InvalidArgumentError);
-  EXPECT_NO_THROW(GeneticScheduler{GeneticConfig{}});
-}
-
-TEST(GeneticTest, ProducesFeasibleScoredResult) {
-  const mec::Scenario scenario = make_scenario(1);
-  Rng rng(2);
-  const auto result = GeneticScheduler().schedule(scenario, rng);
-  result.assignment.check_consistency();
-  const jtora::UtilityEvaluator evaluator(scenario);
-  EXPECT_NEAR(result.system_utility,
-              evaluator.system_utility(result.assignment), 1e-9);
-  EXPECT_GT(result.evaluations, GeneticConfig{}.population);
-}
-
-TEST(GeneticTest, BeatsRandomOnAverage) {
-  double genetic_total = 0.0;
-  double random_total = 0.0;
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const mec::Scenario scenario = make_scenario(seed + 10);
-    Rng rng_a(seed);
-    Rng rng_b(seed);
-    genetic_total += GeneticScheduler().schedule(scenario, rng_a)
-                         .system_utility;
-    random_total += RandomScheduler().schedule(scenario, rng_b)
-                        .system_utility;
-  }
-  EXPECT_GT(genetic_total, random_total);
-}
-
-TEST(GeneticTest, ElitismIsMonotoneAcrossGenerations) {
-  // With elitism the best fitness can never regress; test via: more
-  // generations >= fewer generations on the same seed.
-  const mec::Scenario scenario = make_scenario(3);
-  GeneticConfig short_run;
-  short_run.generations = 5;
-  GeneticConfig long_run;
-  long_run.generations = 50;
-  Rng rng_a(7);
-  Rng rng_b(7);
-  const double short_utility =
-      GeneticScheduler(short_run).schedule(scenario, rng_a).system_utility;
-  const double long_utility =
-      GeneticScheduler(long_run).schedule(scenario, rng_b).system_utility;
-  EXPECT_GE(long_utility, short_utility - 1e-12);
-}
-
-TEST(GeneticTest, DeterministicGivenSeed) {
-  const mec::Scenario scenario = make_scenario(4);
-  Rng rng_a(11);
-  Rng rng_b(11);
-  const auto a = GeneticScheduler().schedule(scenario, rng_a);
-  const auto b = GeneticScheduler().schedule(scenario, rng_b);
-  EXPECT_EQ(a.assignment, b.assignment);
 }
 
 TEST(MultiStartTest, RejectsBadConstruction) {
@@ -110,10 +44,10 @@ TEST(MultiStartTest, NeverWorseThanSingleRunBestOverSeeds) {
   Rng probe(13);
   const MultiStartScheduler multi(std::make_unique<TsajsScheduler>(config),
                                   3);
-  const auto result = multi.schedule(scenario, rng);
+  const auto result = test::solve(multi, scenario, rng);
   for (std::size_t r = 0; r < 3; ++r) {
     Rng child(probe.derive_seed(r));
-    const auto single = TsajsScheduler(config).schedule(scenario, child);
+    const auto single = test::solve(TsajsScheduler(config), scenario, child);
     EXPECT_GE(result.system_utility, single.system_utility - 1e-12);
   }
 }
@@ -123,16 +57,15 @@ TEST(MultiStartTest, AccumulatesEvaluations) {
   TsajsConfig config;
   config.chain_length = 5;
   Rng rng_single(1);
-  const auto single = TsajsScheduler(config).schedule(scenario, rng_single);
+  const auto single = test::solve(TsajsScheduler(config), scenario, rng_single);
   Rng rng_multi(1);
   const MultiStartScheduler multi(std::make_unique<TsajsScheduler>(config),
                                   3);
-  const auto result = multi.schedule(scenario, rng_multi);
+  const auto result = test::solve(multi, scenario, rng_multi);
   EXPECT_GE(result.evaluations, 2 * single.evaluations);
 }
 
 TEST(RegistryExtensionTest, NewNamesResolve) {
-  EXPECT_EQ(make_scheduler("genetic")->name(), "genetic");
   EXPECT_EQ(make_scheduler("tsajs-x4")->name(), "tsajs-x4");
 }
 

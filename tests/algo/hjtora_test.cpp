@@ -7,6 +7,7 @@
 #include "common/error.h"
 #include "jtora/utility.h"
 #include "mec/scenario_builder.h"
+#include "support/solve.h"
 
 namespace tsajs::algo {
 namespace {
@@ -36,11 +37,12 @@ TEST(HjtoraTest, AdmissionOnlyAcceptsImprovements) {
   // improvements — monotone in the number of admitted users.
   const mec::Scenario scenario = make_scenario(1);
   Rng rng(2);
-  const auto result = HjtoraScheduler().schedule(scenario, rng);
+  const auto result = test::solve(HjtoraScheduler(), scenario, rng);
   // Every admitted user must be pulling its weight: dropping any single
   // offloaded user must not raise the objective by more than min_gain
   // (phase 2's drop test guarantees this at convergence).
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::CompiledProblem problem(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   jtora::Assignment x = result.assignment;
   for (const std::size_t u : result.assignment.offloaded_users()) {
     const auto slot = *x.slot_of(u);
@@ -57,8 +59,9 @@ TEST(HjtoraTest, NoFreeSlotLeftWithPositiveMarginalGain) {
   // strictly positive gain (that is exactly phase 1's stopping rule).
   const mec::Scenario scenario = make_scenario(3);
   Rng rng(4);
-  const auto result = HjtoraScheduler().schedule(scenario, rng);
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const auto result = test::solve(HjtoraScheduler(), scenario, rng);
+  const jtora::CompiledProblem problem(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   jtora::Assignment x = result.assignment;
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
     if (x.is_offloaded(u)) continue;
@@ -84,9 +87,9 @@ TEST(HjtoraTest, MatchesExhaustiveOnMostSmallInstances) {
     Rng rng_a(seed);
     Rng rng_b(seed);
     const double optimum =
-        ExhaustiveScheduler().schedule(scenario, rng_a).system_utility;
+        test::solve(ExhaustiveScheduler(), scenario, rng_a).system_utility;
     const double heuristic =
-        HjtoraScheduler().schedule(scenario, rng_b).system_utility;
+        test::solve(HjtoraScheduler(), scenario, rng_b).system_utility;
     if (heuristic >= 0.98 * optimum) ++matches;
   }
   EXPECT_GE(matches, 6);
@@ -97,8 +100,8 @@ TEST(HjtoraTest, EvaluationCountGrowsWithSlotSpace) {
   const mec::Scenario large = make_scenario(7, 6, 4, 3);
   Rng rng_a(1);
   Rng rng_b(1);
-  const auto small_result = HjtoraScheduler().schedule(small, rng_a);
-  const auto large_result = HjtoraScheduler().schedule(large, rng_b);
+  const auto small_result = test::solve(HjtoraScheduler(), small, rng_a);
+  const auto large_result = test::solve(HjtoraScheduler(), large, rng_b);
   EXPECT_GT(large_result.evaluations, small_result.evaluations);
 }
 

@@ -8,6 +8,7 @@
 #include "algo/registry.h"
 #include "algo/tsajs.h"
 #include "mec/scenario_builder.h"
+#include "support/solve.h"
 
 namespace tsajs::algo {
 namespace {
@@ -34,8 +35,8 @@ TEST(MultiStartParallelTest, BitIdenticalToSequential) {
 
   Rng rng_seq(2025);
   Rng rng_par(2025);
-  const ScheduleResult a = sequential.schedule(scenario, rng_seq);
-  const ScheduleResult b = parallel.schedule(scenario, rng_par);
+  const ScheduleResult a = test::solve(sequential, scenario, rng_seq);
+  const ScheduleResult b = test::solve(parallel, scenario, rng_par);
 
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);  // bit-identical, not NEAR
@@ -51,8 +52,8 @@ TEST(MultiStartParallelTest, HardwareThreadsAlsoBitIdentical) {
   const MultiStartScheduler hardware(fast_tsajs(), 5, /*num_threads=*/0);
   Rng rng_a(11);
   Rng rng_b(11);
-  const ScheduleResult a = sequential.schedule(scenario, rng_a);
-  const ScheduleResult b = hardware.schedule(scenario, rng_b);
+  const ScheduleResult a = test::solve(sequential, scenario, rng_a);
+  const ScheduleResult b = test::solve(hardware, scenario, rng_b);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
 }
@@ -64,8 +65,8 @@ TEST(MultiStartParallelTest, RepeatedParallelRunsAreStable) {
   const MultiStartScheduler parallel(fast_tsajs(), 6, 3);
   Rng rng_a(99);
   Rng rng_b(99);
-  const ScheduleResult a = parallel.schedule(scenario, rng_a);
-  const ScheduleResult b = parallel.schedule(scenario, rng_b);
+  const ScheduleResult a = test::solve(parallel, scenario, rng_a);
+  const ScheduleResult b = test::solve(parallel, scenario, rng_b);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.evaluations, b.evaluations);
@@ -80,8 +81,8 @@ TEST(MultiStartParallelTest, RegistryThreadsOptionWiresThrough) {
   const mec::Scenario scenario = make_scenario(6, 5);
   Rng rng_par(17);
   Rng rng_seq(17);
-  const auto par = scheduler->schedule(scenario, rng_par);
-  const auto seq = make_scheduler("tsajs-x4")->schedule(scenario, rng_seq);
+  const auto par = test::solve(*scheduler, scenario, rng_par);
+  const auto seq = test::solve(*make_scheduler("tsajs-x4"), scenario, rng_seq);
   EXPECT_EQ(par.assignment, seq.assignment);
   EXPECT_EQ(par.system_utility, seq.system_utility);
 }

@@ -7,10 +7,10 @@
 #include "algo/greedy.h"
 #include "algo/hjtora.h"
 #include "algo/local_search.h"
-#include "algo/random_scheduler.h"
 #include "algo/tsajs.h"
 #include "common/error.h"
 #include "mec/scenario_builder.h"
+#include "support/solve.h"
 
 namespace tsajs::algo {
 namespace {
@@ -33,15 +33,15 @@ TEST(ExhaustiveTest, BeatsOrMatchesEveryOtherScheme) {
     const mec::Scenario scenario = small_scenario(seed);
     Rng rng(seed + 10);
     const double optimum =
-        ExhaustiveScheduler().schedule(scenario, rng).system_utility;
+        test::solve(ExhaustiveScheduler(), scenario, rng).system_utility;
     const double tsajs =
-        TsajsScheduler().schedule(scenario, rng).system_utility;
+        test::solve(TsajsScheduler(), scenario, rng).system_utility;
     const double hjtora =
-        HjtoraScheduler().schedule(scenario, rng).system_utility;
+        test::solve(HjtoraScheduler(), scenario, rng).system_utility;
     const double greedy =
-        GreedyScheduler().schedule(scenario, rng).system_utility;
+        test::solve(GreedyScheduler(), scenario, rng).system_utility;
     const double local =
-        LocalSearchScheduler().schedule(scenario, rng).system_utility;
+        test::solve(LocalSearchScheduler(), scenario, rng).system_utility;
     const double slack = 1e-9 * std::max(1.0, std::fabs(optimum));
     EXPECT_LE(tsajs, optimum + slack) << "seed " << seed;
     EXPECT_LE(hjtora, optimum + slack) << "seed " << seed;
@@ -53,7 +53,7 @@ TEST(ExhaustiveTest, BeatsOrMatchesEveryOtherScheme) {
 TEST(ExhaustiveTest, FindsPositiveUtilityOnEasyInstance) {
   const mec::Scenario scenario = small_scenario(5);
   Rng rng(6);
-  const auto result = ExhaustiveScheduler().schedule(scenario, rng);
+  const auto result = test::solve(ExhaustiveScheduler(), scenario, rng);
   EXPECT_GT(result.system_utility, 0.0);
   EXPECT_GT(result.assignment.num_offloaded(), 0u);
 }
@@ -62,7 +62,7 @@ TEST(ExhaustiveTest, LeafBudgetGuardTrips) {
   const mec::Scenario scenario = small_scenario(7);
   Rng rng(8);
   const ExhaustiveScheduler tiny_budget(/*max_leaves=*/10);
-  EXPECT_THROW((void)tiny_budget.schedule(scenario, rng),
+  EXPECT_THROW((void)test::solve(tiny_budget, scenario, rng),
                InvalidArgumentError);
 }
 
@@ -76,9 +76,9 @@ TEST(TsajsTest, NearOptimalOnSmallInstances) {
     Rng rng_exh(seed + 1000);
     Rng rng_tsajs(seed + 2000);
     const double optimum =
-        ExhaustiveScheduler().schedule(scenario, rng_exh).system_utility;
+        test::solve(ExhaustiveScheduler(), scenario, rng_exh).system_utility;
     const double heuristic =
-        TsajsScheduler().schedule(scenario, rng_tsajs).system_utility;
+        test::solve(TsajsScheduler(), scenario, rng_tsajs).system_utility;
     ASSERT_GT(optimum, 0.0);
     if (heuristic >= 0.95 * optimum) ++close_calls;
   }
@@ -92,7 +92,7 @@ TEST(TsajsTest, UtilityNeverNegative) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const mec::Scenario scenario = small_scenario(seed + 300);
     Rng rng(seed);
-    const auto result = TsajsScheduler().schedule(scenario, rng);
+    const auto result = test::solve(TsajsScheduler(), scenario, rng);
     EXPECT_GE(result.system_utility, 0.0);
   }
 }
@@ -101,8 +101,8 @@ TEST(TsajsTest, DeterministicGivenSeed) {
   const mec::Scenario scenario = small_scenario(11);
   Rng rng_a(7);
   Rng rng_b(7);
-  const auto a = TsajsScheduler().schedule(scenario, rng_a);
-  const auto b = TsajsScheduler().schedule(scenario, rng_b);
+  const auto a = test::solve(TsajsScheduler(), scenario, rng_a);
+  const auto b = test::solve(TsajsScheduler(), scenario, rng_b);
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.assignment, b.assignment);
 }
@@ -120,8 +120,8 @@ TEST(TsajsTest, LongerChainDoesNotHurtOnAverage) {
     c30.chain_length = 30;
     Rng rng_a(seed);
     Rng rng_b(seed);
-    total10 += TsajsScheduler(c10).schedule(scenario, rng_a).system_utility;
-    total30 += TsajsScheduler(c30).schedule(scenario, rng_b).system_utility;
+    total10 += test::solve(TsajsScheduler(c10), scenario, rng_a).system_utility;
+    total30 += test::solve(TsajsScheduler(c30), scenario, rng_b).system_utility;
   }
   EXPECT_GE(total30, total10 * 0.99);
 }
@@ -148,7 +148,7 @@ TEST(TsajsTest, GeometricCoolingAblationRuns) {
   EXPECT_EQ(scheduler.name(), "tsajs-geo");
   const mec::Scenario scenario = small_scenario(13);
   Rng rng(1);
-  const auto result = scheduler.schedule(scenario, rng);
+  const auto result = test::solve(scheduler, scenario, rng);
   EXPECT_GE(result.system_utility, 0.0);
 }
 
@@ -162,8 +162,9 @@ TEST(GreedyTest, RespectsSlotCapacity) {
                                   .num_subchannels(2)
                                   .build(rng_a);
   Rng rng(2);
-  EXPECT_LE(GreedyScheduler().schedule(tight, rng).assignment.num_offloaded(),
-            4u);
+  EXPECT_LE(
+      test::solve(GreedyScheduler(), tight, rng).assignment.num_offloaded(),
+      4u);
 }
 
 TEST(GreedyTest, OffloadsOnlyBeneficialUsers) {
@@ -172,9 +173,10 @@ TEST(GreedyTest, OffloadsOnlyBeneficialUsers) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const mec::Scenario scenario = small_scenario(seed + 40);
     Rng rng(seed);
-    const auto result = GreedyScheduler().schedule(scenario, rng);
+    const auto result = test::solve(GreedyScheduler(), scenario, rng);
     EXPECT_GE(result.system_utility, 0.0) << "seed " << seed;
-    const jtora::UtilityEvaluator evaluator(scenario);
+    const jtora::CompiledProblem problem(scenario);
+    const jtora::UtilityEvaluator evaluator(problem);
     const jtora::Evaluation eval = evaluator.evaluate(result.assignment);
     for (std::size_t u = 0; u < scenario.num_users(); ++u) {
       if (eval.users[u].offloaded) {
@@ -188,8 +190,8 @@ TEST(GreedyTest, DeterministicWithoutRng) {
   const mec::Scenario scenario = small_scenario(15);
   Rng rng_a(1);
   Rng rng_b(999);
-  const auto a = GreedyScheduler().schedule(scenario, rng_a);
-  const auto b = GreedyScheduler().schedule(scenario, rng_b);
+  const auto a = test::solve(GreedyScheduler(), scenario, rng_a);
+  const auto b = test::solve(GreedyScheduler(), scenario, rng_b);
   EXPECT_EQ(a.assignment, b.assignment);
 }
 
@@ -197,7 +199,7 @@ TEST(GreedyTest, EachUserGetsItsStrongestAvailableSlot) {
   // The first user in signal order must sit on its globally strongest slot.
   const mec::Scenario scenario = small_scenario(17);
   Rng rng(1);
-  const auto result = GreedyScheduler().schedule(scenario, rng);
+  const auto result = test::solve(GreedyScheduler(), scenario, rng);
   // Find the globally strongest (u, s, j).
   double best = -1.0;
   std::size_t bu = 0, bs = 0, bj = 0;
@@ -225,10 +227,11 @@ TEST(LocalSearchTest, ImprovesOverItsRandomStart) {
   Rng rng_init(5);
   const jtora::Assignment start =
       random_feasible_assignment(scenario, rng_init, 0.5);
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::CompiledProblem problem(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   const double start_utility = evaluator.system_utility(start);
   Rng rng(5);  // same stream: the scheduler draws the same start
-  const auto result = LocalSearchScheduler(config).schedule(scenario, rng);
+  const auto result = test::solve(LocalSearchScheduler(config), scenario, rng);
   EXPECT_GE(result.system_utility, start_utility);
 }
 
@@ -238,7 +241,7 @@ TEST(LocalSearchTest, RespectsIterationBudget) {
   config.max_iterations = 50;
   config.patience = 50;
   Rng rng(6);
-  const auto result = LocalSearchScheduler(config).schedule(scenario, rng);
+  const auto result = test::solve(LocalSearchScheduler(config), scenario, rng);
   EXPECT_LE(result.evaluations, 51u);
 }
 
@@ -257,7 +260,7 @@ TEST(HjtoraTest, ProducesNonNegativeUtility) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const mec::Scenario scenario = small_scenario(seed + 700);
     Rng rng(seed);
-    const auto result = HjtoraScheduler().schedule(scenario, rng);
+    const auto result = test::solve(HjtoraScheduler(), scenario, rng);
     EXPECT_GE(result.system_utility, 0.0);
   }
 }
@@ -266,8 +269,8 @@ TEST(HjtoraTest, DeterministicWithoutRng) {
   const mec::Scenario scenario = small_scenario(23);
   Rng rng_a(1);
   Rng rng_b(2);
-  const auto a = HjtoraScheduler().schedule(scenario, rng_a);
-  const auto b = HjtoraScheduler().schedule(scenario, rng_b);
+  const auto a = test::solve(HjtoraScheduler(), scenario, rng_a);
+  const auto b = test::solve(HjtoraScheduler(), scenario, rng_b);
   EXPECT_EQ(a.assignment, b.assignment);
 }
 
@@ -277,20 +280,12 @@ TEST(HjtoraTest, AtLeastAsGoodAsGreedyOnAverage) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const mec::Scenario scenario = small_scenario(seed + 900, 2000.0);
     Rng rng(seed);
-    hjtora_total += HjtoraScheduler().schedule(scenario, rng).system_utility;
-    greedy_total += GreedyScheduler().schedule(scenario, rng).system_utility;
+    hjtora_total +=
+        test::solve(HjtoraScheduler(), scenario, rng).system_utility;
+    greedy_total +=
+        test::solve(GreedyScheduler(), scenario, rng).system_utility;
   }
   EXPECT_GE(hjtora_total, greedy_total);
-}
-
-TEST(RandomSchedulerTest, FeasibleAndScored) {
-  const mec::Scenario scenario = small_scenario(25);
-  Rng rng(9);
-  const auto result = RandomScheduler().schedule(scenario, rng);
-  result.assignment.check_consistency();
-  const jtora::UtilityEvaluator evaluator(scenario);
-  EXPECT_NEAR(result.system_utility,
-              evaluator.system_utility(result.assignment), 1e-9);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "jtora/compiled_problem.h"
 #include "jtora/utility.h"
 #include "mec/scenario_builder.h"
+#include "support/solve.h"
 
 namespace tsajs::algo {
 namespace {
@@ -46,8 +47,8 @@ TEST(ShardedSchedulerTest, OneShardBitIdenticalToInner) {
   const TsajsScheduler inner(small_tsajs());
   Rng rng_a(42);
   Rng rng_b(42);
-  const ScheduleResult a = sharded.schedule(problem, rng_a);
-  const ScheduleResult b = inner.schedule(problem, rng_b);
+  const ScheduleResult a = test::solve(sharded, problem, rng_a);
+  const ScheduleResult b = test::solve(inner, problem, rng_b);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);  // bitwise
   EXPECT_EQ(a.evaluations, b.evaluations);
@@ -60,8 +61,8 @@ TEST(ShardedSchedulerTest, SingleSiteFallsThrough) {
   const GreedyScheduler inner;
   Rng rng_a(7);
   Rng rng_b(7);
-  EXPECT_EQ(sharded.schedule(problem, rng_a).assignment,
-            inner.schedule(problem, rng_b).assignment);
+  EXPECT_EQ(test::solve(sharded, problem, rng_a).assignment,
+            test::solve(inner, problem, rng_b).assignment);
 }
 
 TEST(ShardedSchedulerTest, MultiShardSolveValidatesAndIsDeterministic) {
@@ -75,11 +76,11 @@ TEST(ShardedSchedulerTest, MultiShardSolveValidatesAndIsDeterministic) {
   Rng rng_a(5);
   // run_and_validate audits feasibility, availability, and the reported
   // utility against an independent evaluation.
-  const ScheduleResult a = run_and_validate(scheduler, problem, rng_a);
+  const ScheduleResult a = test::validated(scheduler, problem, rng_a);
   EXPECT_GT(a.evaluations, 0u);
 
   Rng rng_b(5);
-  const ScheduleResult b = run_and_validate(scheduler, problem, rng_b);
+  const ScheduleResult b = test::validated(scheduler, problem, rng_b);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
 }
@@ -96,8 +97,8 @@ TEST(ShardedSchedulerTest, ThreadCountDoesNotChangeTheResult) {
   const ShardedScheduler four(std::make_unique<GreedyScheduler>(), pooled);
   Rng rng_a(9);
   Rng rng_b(9);
-  const ScheduleResult a = one.schedule(problem, rng_a);
-  const ScheduleResult b = four.schedule(problem, rng_b);
+  const ScheduleResult a = test::solve(one, problem, rng_a);
+  const ScheduleResult b = test::solve(four, problem, rng_b);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
 }
@@ -115,8 +116,8 @@ TEST(ShardedSchedulerTest, FixupNeverWorseThanPlainMerge) {
   const ShardedScheduler deep(std::make_unique<GreedyScheduler>(), more);
   Rng rng_a(11);
   Rng rng_b(11);
-  const double u1 = base.schedule(problem, rng_a).system_utility;
-  const double u4 = deep.schedule(problem, rng_b).system_utility;
+  const double u1 = test::solve(base, problem, rng_a).system_utility;
+  const double u4 = test::solve(deep, problem, rng_b).system_utility;
   EXPECT_GE(u4, u1 - 1e-9);
 }
 
@@ -131,7 +132,7 @@ TEST(ShardedSchedulerTest, TinyWallClockBudgetStillFeasible) {
   Rng rng(13);
   // The merged shard solution is feasible on its own, so validation holds
   // even when the budget cancels the fixup.
-  const ScheduleResult result = run_and_validate(scheduler, problem, rng);
+  const ScheduleResult result = test::validated(scheduler, problem, rng);
   result.assignment.check_consistency();
 }
 
@@ -147,7 +148,7 @@ TEST(ShardedSchedulerTest, ParallelSolveBitIdenticalAt1_2_8Threads) {
   const ShardedScheduler sequential(
       std::make_unique<TsajsScheduler>(small_tsajs()), base);
   Rng rng_ref(31);
-  const ScheduleResult reference = sequential.schedule(problem, rng_ref);
+  const ScheduleResult reference = test::solve(sequential, problem, rng_ref);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     SCOPED_TRACE("threads: " + std::to_string(threads));
     ShardedConfig pooled = base;
@@ -155,7 +156,7 @@ TEST(ShardedSchedulerTest, ParallelSolveBitIdenticalAt1_2_8Threads) {
     const ShardedScheduler parallel(
         std::make_unique<TsajsScheduler>(small_tsajs()), pooled);
     Rng rng(31);
-    const ScheduleResult result = parallel.schedule(problem, rng);
+    const ScheduleResult result = test::solve(parallel, problem, rng);
     EXPECT_EQ(result.assignment, reference.assignment);
     EXPECT_EQ(result.system_utility, reference.system_utility);  // bitwise
     EXPECT_EQ(result.evaluations, reference.evaluations);
@@ -182,8 +183,8 @@ TEST(ShardedSchedulerTest, IterationBudgetSplitIsDeterministicAcrossThreads) {
                               config);
   Rng rng_a(17);
   Rng rng_b(17);
-  const ScheduleResult a = run_and_validate(one, problem, rng_a);
-  const ScheduleResult b = run_and_validate(four, problem, rng_b);
+  const ScheduleResult a = test::validated(one, problem, rng_a);
+  const ScheduleResult b = test::validated(four, problem, rng_b);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.evaluations, b.evaluations);
@@ -208,14 +209,14 @@ TEST(ShardedSchedulerTest, WarmStartIsDeterministicAndThreadInvariant) {
       std::make_unique<TsajsScheduler>(small_tsajs()), config);
 
   Rng cold_rng(41);
-  const ScheduleResult cold = scheduler.schedule(problem, cold_rng);
+  const ScheduleResult cold = test::solve(scheduler, problem, cold_rng);
 
   Rng rng_a(43);
   const ScheduleResult warm_a =
-      run_and_validate(scheduler, problem, cold.assignment, rng_a);
+      test::validated(scheduler, problem, rng_a, &cold.assignment);
   Rng rng_b(43);
   const ScheduleResult warm_b =
-      run_and_validate(scheduler, problem, cold.assignment, rng_b);
+      test::validated(scheduler, problem, rng_b, &cold.assignment);
   EXPECT_EQ(warm_a.assignment, warm_b.assignment);
   EXPECT_EQ(warm_a.system_utility, warm_b.system_utility);
 
@@ -224,7 +225,7 @@ TEST(ShardedSchedulerTest, WarmStartIsDeterministicAndThreadInvariant) {
       std::make_unique<TsajsScheduler>(small_tsajs()), config);
   Rng rng_c(43);
   const ScheduleResult warm_c =
-      run_and_validate(pooled, problem, cold.assignment, rng_c);
+      test::validated(pooled, problem, rng_c, &cold.assignment);
   EXPECT_EQ(warm_c.assignment, warm_a.assignment);
   EXPECT_EQ(warm_c.system_utility, warm_a.system_utility);
 }
@@ -245,12 +246,12 @@ TEST(ShardedSchedulerTest, EpochCacheReuseIsBitwiseInvisible) {
       std::make_unique<TsajsScheduler>(small_tsajs()), config);
 
   Rng warmup(3);
-  (void)reused.schedule(problem_a, warmup);  // populate the cache
+  (void)test::solve(reused, problem_a, warmup);  // populate the cache
 
   Rng rng_a(55);
   Rng rng_b(55);
-  const ScheduleResult cached = reused.schedule(problem_b, rng_a);
-  const ScheduleResult cold = fresh.schedule(problem_b, rng_b);
+  const ScheduleResult cached = test::solve(reused, problem_b, rng_a);
+  const ScheduleResult cold = test::solve(fresh, problem_b, rng_b);
   EXPECT_EQ(cached.assignment, cold.assignment);
   EXPECT_EQ(cached.system_utility, cold.system_utility);
   EXPECT_EQ(cached.evaluations, cold.evaluations);
@@ -271,17 +272,18 @@ TEST(ShardedSchedulerTest, SingleShardPassthroughAppliesBudgetAndHint) {
 
   Rng rng_a(61);
   Rng rng_b(61);
-  const ScheduleResult a = sharded.schedule(problem, rng_a);
-  const ScheduleResult b = inner.schedule_within(problem, config.budget, rng_b);
+  const ScheduleResult a = test::solve(sharded, problem, rng_a);
+  const ScheduleResult b =
+      test::solve(inner, problem, rng_b, nullptr, &config.budget);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.evaluations, b.evaluations);
 
   const jtora::Assignment hint(scenario);  // all-local
   Rng rng_c(62);
   Rng rng_d(62);
-  const ScheduleResult c = sharded.schedule_from(problem, hint, rng_c);
+  const ScheduleResult c = test::solve(sharded, problem, rng_c, &hint);
   const ScheduleResult d =
-      inner.schedule_from_within(problem, hint, config.budget, rng_d);
+      test::solve(inner, problem, rng_d, &hint, &config.budget);
   EXPECT_EQ(c.assignment, d.assignment);
   EXPECT_EQ(c.evaluations, d.evaluations);
 }
@@ -301,8 +303,8 @@ TEST(ShardedSchedulerTest, RegistryShardThreadsAreBitwiseInvisible) {
   const auto pooled = make_scheduler("sharded:tsajs", options);
   Rng rng_a(71);
   Rng rng_b(71);
-  const ScheduleResult a = sequential->schedule(problem, rng_a);
-  const ScheduleResult b = pooled->schedule(problem, rng_b);
+  const ScheduleResult a = test::solve(*sequential, problem, rng_a);
+  const ScheduleResult b = test::solve(*pooled, problem, rng_b);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.evaluations, b.evaluations);
@@ -350,7 +352,7 @@ TEST(ShardedSchedulerTest, HedgedRetriesBitIdenticalAt1_2_8Threads) {
       std::make_unique<TsajsScheduler>(small_tsajs()), base);
   Rng rng_ref(37);
   const ScheduleResult reference =
-      run_and_validate(sequential, problem, rng_ref);
+      test::validated(sequential, problem, rng_ref);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     SCOPED_TRACE("threads: " + std::to_string(threads));
     ShardedConfig pooled = base;
@@ -358,7 +360,7 @@ TEST(ShardedSchedulerTest, HedgedRetriesBitIdenticalAt1_2_8Threads) {
     const ShardedScheduler parallel(
         std::make_unique<TsajsScheduler>(small_tsajs()), pooled);
     Rng rng(37);
-    const ScheduleResult result = run_and_validate(parallel, problem, rng);
+    const ScheduleResult result = test::validated(parallel, problem, rng);
     EXPECT_EQ(result.assignment, reference.assignment);
     EXPECT_EQ(result.system_utility, reference.system_utility);  // bitwise
     EXPECT_EQ(result.evaluations, reference.evaluations);
@@ -370,7 +372,7 @@ TEST(ShardedSchedulerTest, HedgedRetriesBitIdenticalAt1_2_8Threads) {
   const ShardedScheduler plain(
       std::make_unique<TsajsScheduler>(small_tsajs()), unhedged);
   Rng rng_plain(37);
-  const ScheduleResult no_hedge = run_and_validate(plain, problem, rng_plain);
+  const ScheduleResult no_hedge = test::validated(plain, problem, rng_plain);
   EXPECT_NE(no_hedge.evaluations, reference.evaluations);
 }
 
@@ -388,7 +390,7 @@ TEST(ShardedSchedulerTest, WallClockHedgeFallsBackToGreedy) {
   const ShardedScheduler scheduler(
       std::make_unique<TsajsScheduler>(small_tsajs()), config);
   Rng rng(41);
-  const ScheduleResult result = run_and_validate(scheduler, problem, rng);
+  const ScheduleResult result = test::validated(scheduler, problem, rng);
   result.assignment.check_consistency();
 }
 
@@ -407,8 +409,8 @@ TEST(ShardedSchedulerTest, RegistryHedgeFactorStaysThreadInvariant) {
   const auto pooled = make_scheduler("sharded:tsajs", options);
   Rng rng_a(73);
   Rng rng_b(73);
-  const ScheduleResult a = sequential->schedule(problem, rng_a);
-  const ScheduleResult b = pooled->schedule(problem, rng_b);
+  const ScheduleResult a = test::solve(*sequential, problem, rng_a);
+  const ScheduleResult b = test::solve(*pooled, problem, rng_b);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.evaluations, b.evaluations);

@@ -1,5 +1,5 @@
 // Warm-start capability: repair_hint feasibility under arbitrary churn,
-// schedule_from determinism, and the run_and_validate hint overload.
+// determinism of hinted solves, and run_and_validate on a hinted request.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include "algo/tsajs.h"
 #include "jtora/utility.h"
 #include "mec/scenario_builder.h"
+#include "support/solve.h"
 
 namespace tsajs::algo {
 namespace {
@@ -90,8 +91,8 @@ TEST(WarmStartTest, ScheduleFromIsDeterministic) {
   const TsajsScheduler scheduler(config);
   Rng rng_a(21);
   Rng rng_b(21);
-  const ScheduleResult a = scheduler.schedule_from(scenario, hint, rng_a);
-  const ScheduleResult b = scheduler.schedule_from(scenario, hint, rng_b);
+  const ScheduleResult a = test::solve(scheduler, scenario, rng_a, &hint);
+  const ScheduleResult b = test::solve(scheduler, scenario, rng_b, &hint);
   EXPECT_DOUBLE_EQ(a.system_utility, b.system_utility);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
     EXPECT_EQ(a.assignment.slot_of(u), b.assignment.slot_of(u));
@@ -106,7 +107,8 @@ TEST(WarmStartTest, WarmResultNeverBelowRepairedHint) {
   Rng hint_rng(9);
   const jtora::Assignment hint =
       random_feasible_assignment(scenario, hint_rng, 0.7);
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::CompiledProblem problem(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   const double hint_utility =
       evaluator.system_utility(repair_hint(scenario, hint));
 
@@ -121,14 +123,14 @@ TEST(WarmStartTest, WarmResultNeverBelowRepairedHint) {
         static_cast<const Scheduler*>(&greedy)}) {
     Rng rng(77);
     const ScheduleResult result =
-        run_and_validate(*scheduler, scenario, hint, rng);
+        test::validated(*scheduler, scenario, rng, &hint);
     EXPECT_GE(result.system_utility, hint_utility - 1e-9)
         << scheduler->name();
   }
 }
 
 TEST(WarmStartTest, RunAndValidateFallsBackForColdSchedulers) {
-  // hJTORA is not WarmStartable: the hint overload must silently produce
+  // hJTORA lacks kWarmStart: a hinted request must silently produce
   // exactly the cold-path result.
   const mec::Scenario scenario = make_scenario(10, 3, 2, 13);
   Rng hint_rng(3);
@@ -138,8 +140,8 @@ TEST(WarmStartTest, RunAndValidateFallsBackForColdSchedulers) {
   Rng rng_hint(55);
   Rng rng_cold(55);
   const ScheduleResult with_hint =
-      run_and_validate(scheduler, scenario, hint, rng_hint);
-  const ScheduleResult cold = run_and_validate(scheduler, scenario, rng_cold);
+      test::validated(scheduler, scenario, rng_hint, &hint);
+  const ScheduleResult cold = test::validated(scheduler, scenario, rng_cold);
   EXPECT_DOUBLE_EQ(with_hint.system_utility, cold.system_utility);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
     EXPECT_EQ(with_hint.assignment.slot_of(u), cold.assignment.slot_of(u));
@@ -154,7 +156,8 @@ TEST(WarmStartTest, MultiStartForwardsHintToRestartZero) {
   Rng hint_rng(4);
   const jtora::Assignment hint =
       random_feasible_assignment(scenario, hint_rng, 0.6);
-  const double hint_utility = jtora::UtilityEvaluator(scenario).system_utility(
+  const jtora::CompiledProblem problem(scenario);
+  const double hint_utility = jtora::UtilityEvaluator(problem).system_utility(
       repair_hint(scenario, hint));
   TsajsConfig config;
   config.chain_length = 5;
@@ -162,8 +165,8 @@ TEST(WarmStartTest, MultiStartForwardsHintToRestartZero) {
                                       3);
   Rng rng_a(91);
   Rng rng_b(91);
-  const ScheduleResult a = scheduler.schedule_from(scenario, hint, rng_a);
-  const ScheduleResult b = scheduler.schedule_from(scenario, hint, rng_b);
+  const ScheduleResult a = test::solve(scheduler, scenario, rng_a, &hint);
+  const ScheduleResult b = test::solve(scheduler, scenario, rng_b, &hint);
   EXPECT_GE(a.system_utility, hint_utility - 1e-9);
   EXPECT_DOUBLE_EQ(a.system_utility, b.system_utility);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {

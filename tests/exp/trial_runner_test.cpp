@@ -11,7 +11,7 @@ namespace {
 TrialSpec quick_spec() {
   TrialSpec spec;
   spec.builder.num_users(5).num_servers(3).num_subchannels(2);
-  spec.schemes = {"greedy", "random"};
+  spec.schemes = {"greedy", "hjtora"};
   spec.trials = 6;
   spec.base_seed = 99;
   return spec;
@@ -21,7 +21,7 @@ TEST(TrialRunnerTest, RunsAllTrialsForAllSchemes) {
   const auto stats = TrialRunner(2).run(quick_spec());
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_EQ(stats[0].scheme, "greedy");
-  EXPECT_EQ(stats[1].scheme, "random");
+  EXPECT_EQ(stats[1].scheme, "hjtora");
   for (const auto& s : stats) {
     EXPECT_EQ(s.utility.count(), 6u);
     EXPECT_EQ(s.solve_seconds.count(), 6u);

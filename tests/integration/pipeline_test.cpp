@@ -16,6 +16,7 @@
 #include "jtora/incremental.h"
 #include "jtora/utility.h"
 #include "mec/scenario_builder.h"
+#include "support/solve.h"
 
 namespace tsajs {
 namespace {
@@ -47,7 +48,7 @@ TEST_P(SchemeInstanceTest, InvariantsHoldOnEverySolve) {
   const auto scheduler = algo::make_scheduler(scheme);
   Rng rng(99);
   const algo::ScheduleResult result =
-      algo::run_and_validate(*scheduler, scenario, rng);
+      test::validated(*scheduler, scenario, rng);
 
   // Constraints (12b)-(12d) via the bijection check.
   result.assignment.check_consistency();
@@ -56,7 +57,8 @@ TEST_P(SchemeInstanceTest, InvariantsHoldOnEverySolve) {
 
   // Independent evaluation agrees (run_and_validate already asserts this;
   // assert again explicitly for the detailed path).
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::CompiledProblem problem(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   const jtora::Evaluation eval = evaluator.evaluate(result.assignment);
   EXPECT_NEAR(eval.system_utility, result.system_utility,
               1e-6 * std::max(1.0, std::fabs(result.system_utility)));
@@ -95,7 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SchemeInstanceTest,
     ::testing::Combine(
         ::testing::Values("tsajs", "tsajs-geo", "hjtora", "local-search",
-                          "greedy", "genetic", "random"),
+                          "greedy"),
         ::testing::Values(Shape{4, 2, 1, 1000.0}, Shape{8, 3, 2, 2000.0},
                           Shape{20, 9, 3, 1000.0},
                           Shape{40, 9, 3, 3000.0})),
@@ -109,15 +111,14 @@ TEST_P(OptimalityTest, NoSchemeBeatsExhaustive) {
   const std::uint64_t seed = GetParam();
   const mec::Scenario scenario = build(Shape{5, 3, 2, 2000.0}, seed);
   Rng rng_exh(seed);
-  const double optimum = algo::ExhaustiveScheduler()
-                             .schedule(scenario, rng_exh)
-                             .system_utility;
-  for (const char* scheme :
-       {"tsajs", "hjtora", "local-search", "greedy", "genetic"}) {
+  const double optimum =
+      test::solve(algo::ExhaustiveScheduler(), scenario, rng_exh)
+          .system_utility;
+  for (const char* scheme : {"tsajs", "hjtora", "local-search", "greedy"}) {
     Rng rng(seed + 17);
-    const double utility = algo::make_scheduler(scheme)
-                               ->schedule(scenario, rng)
-                               .system_utility;
+    const double utility =
+        test::solve(*algo::make_scheduler(scheme), scenario, rng)
+            .system_utility;
     EXPECT_LE(utility,
               optimum + 1e-9 * std::max(1.0, std::fabs(optimum)))
         << scheme;
@@ -144,10 +145,11 @@ TEST_P(EvaluatorIdentityTest, FastDetailedAndIncrementalAgree) {
   Rng rng(seed * 3 + 1);
   const jtora::Assignment x =
       algo::random_feasible_assignment(scenario, rng, 0.6);
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::CompiledProblem problem(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   const double fast = evaluator.system_utility(x);
   const double detailed = evaluator.evaluate(x).system_utility;
-  const jtora::IncrementalEvaluator incremental(scenario, x);
+  const jtora::IncrementalEvaluator incremental(problem, x);
   const double tolerance = 1e-9 * std::max(1.0, std::fabs(fast));
   EXPECT_NEAR(fast, detailed, tolerance);
   EXPECT_NEAR(fast, incremental.utility(), tolerance);

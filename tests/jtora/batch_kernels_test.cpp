@@ -13,28 +13,15 @@
 #include "common/rng.h"
 #include "jtora/assignment.h"
 #include "jtora/compiled_problem.h"
+#include "jtora/cra.h"
 #include "jtora/incremental.h"
+#include "jtora/rate.h"
 #include "jtora/utility.h"
 #include "mec/availability.h"
 #include "mec/scenario_builder.h"
 
 namespace tsajs::jtora {
 namespace {
-
-/// Restores the process-wide batch toggle on scope exit so tests cannot
-/// leak a disabled batch path into each other.
-class ScopedBatchToggle {
- public:
-  explicit ScopedBatchToggle(bool on) : prior_(batch::enabled()) {
-    batch::set_enabled(on);
-  }
-  ~ScopedBatchToggle() { batch::set_enabled(prior_); }
-  ScopedBatchToggle(const ScopedBatchToggle&) = delete;
-  ScopedBatchToggle& operator=(const ScopedBatchToggle&) = delete;
-
- private:
-  bool prior_;
-};
 
 mec::Scenario make_scenario(std::uint64_t seed, std::size_t users = 30,
                             std::size_t servers = 9,
@@ -47,15 +34,31 @@ mec::Scenario make_scenario(std::uint64_t seed, std::size_t users = 30,
       .build(rng);
 }
 
-/// Compares batch output against a scalar reference: bitwise with default
-/// flags, 1e-12 relative under the opt-in reassociation build mode.
-void expect_equivalent(double batch_value, double scalar_value) {
-  if (batch::reassociation_enabled()) {
-    const double tol = 1e-12 * std::max(1.0, std::fabs(scalar_value));
-    EXPECT_NEAR(batch_value, scalar_value, tol);
-  } else {
-    EXPECT_EQ(batch_value, scalar_value);
+/// Scalar reference for UtilityEvaluator::system_utility: Eq. 24 summed
+/// over the offloaded users in ascending order, each SINR taken from
+/// RateEvaluator's per-user occupant() walk instead of the gathered
+/// occupant lists.
+double scalar_system_utility(const CompiledProblem& problem,
+                             const Assignment& x) {
+  const RateEvaluator rates(problem);
+  const CraSolver cra(problem);
+  double gain = 0.0;
+  double gamma = 0.0;
+  for (std::size_t u = 0; u < problem.num_users(); ++u) {
+    if (!x.is_offloaded(u)) continue;
+    const Slot slot = *x.slot_of(u);
+    gain += problem.gain_const(u);
+    gamma += problem.gamma_coef(u) / std::log2(1.0 + rates.sinr(x, u));
+    if (problem.has_downlink()) {
+      gamma += problem.time_cost_scale(u) *
+               problem.downlink_time_s(u, slot.server, slot.subchannel);
+    }
+    if (x.is_forwarded(u)) {
+      gamma += problem.time_cost_scale(u) *
+               problem.forward_time_s(u, slot.server);
+    }
   }
+  return gain - gamma - cra.optimal_objective(x);
 }
 
 TEST(AccumulateRowsTest, MatchesSequentialRowAdditionBitwise) {
@@ -121,15 +124,14 @@ TEST(InterferenceSumsTest, BatchMatchesScalarReference) {
     ASSERT_EQ(got.size(), x.num_offloaded());
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
-      expect_equivalent(got[i], want[i]);
+      EXPECT_EQ(got[i], want[i]);
     }
   }
 }
 
 // Golden pin (captured with the scalar occupant() walk on the seed drop
 // below): the batch interference kernel must keep reproducing the
-// historical values exactly — see expect_equivalent for the documented
-// reassociation tolerance mode.
+// historical values exactly.
 TEST(InterferenceSumsTest, GoldenValuesPinned) {
   const mec::Scenario scenario = make_scenario(2026, 12, 4, 2);
   const CompiledProblem problem(scenario);
@@ -144,10 +146,12 @@ TEST(InterferenceSumsTest, GoldenValuesPinned) {
       0x1.b63038461d5ap-45,  0x1.99754c2236de7p-48,
   };
   for (std::size_t i = 0; i < sums.size(); ++i) {
-    expect_equivalent(sums[i], golden[i]);
+    EXPECT_EQ(sums[i], golden[i]);
   }
 }
 
+// The batch evaluator ("on") against the scalar Eq. 24 chain it replaced
+// ("off"), bit for bit.
 TEST(BatchDispatchTest, UtilityEvaluatorIdenticalWithBatchOnAndOff) {
   const mec::Scenario scenario = make_scenario(5, 40, 9, 3);
   const CompiledProblem problem(scenario);
@@ -156,38 +160,8 @@ TEST(BatchDispatchTest, UtilityEvaluatorIdenticalWithBatchOnAndOff) {
     Rng rng(seed);
     const Assignment x =
         algo::random_feasible_assignment(scenario, rng, 0.8);
-    double on = 0.0;
-    double off = 0.0;
-    {
-      const ScopedBatchToggle batch_on(true);
-      on = evaluator.system_utility(x);
-    }
-    {
-      const ScopedBatchToggle batch_off(false);
-      off = evaluator.system_utility(x);
-    }
-    expect_equivalent(on, off);
+    EXPECT_EQ(evaluator.system_utility(x), scalar_system_utility(problem, x));
   }
-}
-
-TEST(BatchDispatchTest, IncrementalRebuildIdenticalWithBatchOnAndOff) {
-  const mec::Scenario scenario = make_scenario(6, 50, 9, 3);
-  const CompiledProblem problem(scenario);
-  Rng rng(77);
-  const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.7);
-  double on = 0.0;
-  double off = 0.0;
-  {
-    const ScopedBatchToggle batch_on(true);
-    const IncrementalEvaluator eval(problem, x);
-    on = eval.utility();
-  }
-  {
-    const ScopedBatchToggle batch_off(false);
-    const IncrementalEvaluator eval(problem, x);
-    off = eval.utility();
-  }
-  expect_equivalent(on, off);
 }
 
 TEST(BatchPreviewTest, SubchannelRowMatchesScalarPreviews) {
@@ -207,7 +181,7 @@ TEST(BatchPreviewTest, SubchannelRowMatchesScalarPreviews) {
       if (x.occupant(s, j).has_value() || !scenario.slot_available(s, j)) {
         EXPECT_TRUE(std::isnan(row[s])) << "s=" << s << " j=" << j;
       } else {
-        expect_equivalent(row[s], eval.preview_offload(0, s, j));
+        EXPECT_EQ(row[s], eval.preview_offload(0, s, j));
       }
     }
   }
@@ -249,7 +223,7 @@ TEST(BatchPreviewTest, CandidateSubsetMatchesScalarPreviews) {
       if (x.occupant(s, j).has_value() || !scenario.slot_available(s, j)) {
         EXPECT_TRUE(std::isnan(row[i])) << "s=" << s << " j=" << j;
       } else {
-        expect_equivalent(row[i], eval.preview_offload(11, s, j));
+        EXPECT_EQ(row[i], eval.preview_offload(11, s, j));
         ++scored;
       }
     }

@@ -162,7 +162,8 @@ TEST(CloudCraTest, SoleForwardedUserGetsFullCloudPool) {
   x.offload(0, 0, 0);
   x.offload(1, 0, 1);
   x.set_forwarded(0, true);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   const CraResult result = solver.solve(x);
   // User 0 computes in the cloud pool (alone there); user 1 keeps the
   // whole edge server for itself.
@@ -179,7 +180,8 @@ TEST(CloudCraTest, CloudPoolSplitsLikeAVirtualServer) {
   x.set_forwarded(0, true);
   x.set_forwarded(1, true);
   x.set_forwarded(2, true);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   const CraResult result = solver.solve(x);
   // Homogeneous users (equal eta): the cloud splits evenly, per Eq. 22.
   EXPECT_NEAR(result.cpu_hz[0], 20e9, 1e-3);
@@ -197,7 +199,8 @@ TEST(CloudCraTest, NumericSolverConfirmsClosedFormWithForwarding) {
   x.offload(2, 1, 0);
   x.set_forwarded(1, true);
   x.set_forwarded(2, true);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   const double closed = solver.optimal_objective(x);
   const CraResult numeric = solver.solve_numeric(x);
   EXPECT_NEAR(numeric.objective, closed, 1e-6 * closed);
@@ -208,7 +211,8 @@ TEST(CloudUtilityTest, ScalarAndPerUserDecompositionsAgree) {
   // the forward cost enters gamma via time_cost_scale * t_fwd and the
   // forwarded user's delay via extra_delay_s.
   const mec::Scenario scenario = make_cloud_scenario(43);
-  const UtilityEvaluator evaluator(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator evaluator(problem);
   Assignment x(scenario);
   x.offload(0, 0, 0);
   x.offload(1, 0, 1);
@@ -230,8 +234,8 @@ TEST(CloudUtilityTest, ScalarAndPerUserDecompositionsAgree) {
 
 TEST(CloudUtilityTest, ForwardedOutcomeCarriesTheBackhaulDelay) {
   const mec::Scenario scenario = make_cloud_scenario(47);
-  const UtilityEvaluator evaluator(scenario);
-  const CompiledProblem& problem = evaluator.problem();
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator evaluator(problem);
   Assignment x(scenario);
   x.offload(0, 1, 0);
   x.set_forwarded(0, true);
@@ -260,7 +264,8 @@ TEST(CloudUtilityTest, ForwardingRelievesAnOverloadedEdge) {
                                      .server_cpu_hz(2e9)
                                      .cloud(100e9, 200e6, 0.005)
                                      .build(rng);
-  const UtilityEvaluator evaluator(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator evaluator(problem);
   Assignment x(scenario);
   for (std::size_t u = 0; u < 6; ++u) x.offload(u, u / 3, u % 3);
   const double edge_only = evaluator.system_utility(x);

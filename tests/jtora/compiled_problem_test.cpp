@@ -15,6 +15,7 @@
 #include "jtora/rate.h"
 #include "jtora/utility.h"
 #include "mec/scenario_builder.h"
+#include "support/solve.h"
 
 namespace tsajs::jtora {
 namespace {
@@ -56,7 +57,8 @@ TEST(CompiledProblemGoldenTest, PlainScenarioBitIdenticalToPreRefactor) {
   Rng rng(99);
   const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.6);
 
-  const UtilityEvaluator evaluator(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator evaluator(problem);
   EXPECT_EQ(evaluator.system_utility(x), -0x1.202b72b69852ep+10);
 
   const Evaluation eval = evaluator.evaluate(x);
@@ -77,7 +79,7 @@ TEST(CompiledProblemGoldenTest, PlainScenarioBitIdenticalToPreRefactor) {
   EXPECT_EQ(eval.users[3].energy_j, 0x1.b70c6cc089dc3p+0);
   EXPECT_EQ(eval.users[3].utility, -0x1.53e486bb8584cp+6);
 
-  const PartialOffloadEvaluator partial(scenario);
+  const PartialOffloadEvaluator partial(problem);
   EXPECT_EQ(partial.evaluate(x).system_utility, 0x1.a30415332ca49p-3);
 }
 
@@ -86,7 +88,8 @@ TEST(CompiledProblemGoldenTest, DownlinkScenarioBitIdenticalToPreRefactor) {
   Rng rng(77);
   const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.6);
 
-  const UtilityEvaluator evaluator(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator evaluator(problem);
   // The fast path and the per-user path accumulate in different orders, so
   // their last bits legitimately differ; both are pinned separately.
   EXPECT_EQ(evaluator.system_utility(x), -0x1.50cb274270b54p+16);
@@ -109,7 +112,7 @@ TEST(CompiledProblemGoldenTest, DownlinkScenarioBitIdenticalToPreRefactor) {
   EXPECT_EQ(eval.users[3].energy_j, 0x1.4p+2);
   EXPECT_EQ(eval.users[3].utility, 0x0p+0);
 
-  const PartialOffloadEvaluator partial(scenario);
+  const PartialOffloadEvaluator partial(problem);
   EXPECT_EQ(partial.evaluate(x).system_utility, 0x1.098c7b361c456p-3);
 }
 
@@ -128,7 +131,7 @@ TEST(CompiledProblemGoldenTest, TsajsSolveBitIdenticalToPreRefactor) {
   {
     const algo::TsajsScheduler scheduler(config);
     Rng rng(5);
-    const algo::ScheduleResult result = scheduler.schedule(scenario, rng);
+    const algo::ScheduleResult result = test::solve(scheduler, scenario, rng);
     EXPECT_EQ(result.system_utility, 0x1.a358984a1ce73p+1);
     EXPECT_EQ(result.evaluations, 5209u);
     EXPECT_EQ(result.assignment.num_offloaded(), 4u);
@@ -138,7 +141,7 @@ TEST(CompiledProblemGoldenTest, TsajsSolveBitIdenticalToPreRefactor) {
     naive.use_incremental_evaluator = false;
     Rng rng(5);
     const algo::ScheduleResult result =
-        algo::TsajsScheduler(naive).schedule(scenario, rng);
+        test::solve(algo::TsajsScheduler(naive), scenario, rng);
     EXPECT_EQ(result.system_utility, 0x1.a358984a1ce58p+1);
     EXPECT_EQ(result.evaluations, 5209u);
   }
@@ -146,15 +149,17 @@ TEST(CompiledProblemGoldenTest, TsajsSolveBitIdenticalToPreRefactor) {
 
 // ---------------------------------------------------------------------------
 // Property: every evaluator bound to one shared CompiledProblem is bit-
-// identical to a freshly constructed scenario-path evaluator.
+// identical to the same evaluator bound to a second, independent
+// compilation of the scenario.
 // ---------------------------------------------------------------------------
 
 void expect_shared_matches_fresh(const mec::Scenario& scenario,
                                  const Assignment& x) {
   const CompiledProblem problem(scenario);
+  const CompiledProblem fresh(scenario);
 
   const UtilityEvaluator shared_utility(problem);
-  const UtilityEvaluator fresh_utility(scenario);
+  const UtilityEvaluator fresh_utility(fresh);
   EXPECT_EQ(shared_utility.system_utility(x), fresh_utility.system_utility(x));
   const Evaluation shared_eval = shared_utility.evaluate(x);
   const Evaluation fresh_eval = fresh_utility.evaluate(x);
@@ -171,7 +176,7 @@ void expect_shared_matches_fresh(const mec::Scenario& scenario,
   }
 
   const RateEvaluator shared_rate(problem);
-  const RateEvaluator fresh_rate(scenario);
+  const RateEvaluator fresh_rate(fresh);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
     if (!x.slot_of(u).has_value()) continue;
     const LinkMetrics a = shared_rate.link(x, u);
@@ -184,7 +189,7 @@ void expect_shared_matches_fresh(const mec::Scenario& scenario,
   }
 
   const CraSolver shared_cra(problem);
-  const CraSolver fresh_cra(scenario);
+  const CraSolver fresh_cra(fresh);
   const CraResult a = shared_cra.solve(x);
   const CraResult b = fresh_cra.solve(x);
   EXPECT_EQ(a.objective, b.objective);
@@ -194,11 +199,11 @@ void expect_shared_matches_fresh(const mec::Scenario& scenario,
   }
 
   const IncrementalEvaluator shared_inc(problem, x);
-  const IncrementalEvaluator fresh_inc(scenario, x);
+  const IncrementalEvaluator fresh_inc(fresh, x);
   EXPECT_EQ(shared_inc.utility(), fresh_inc.utility());
 
   const PartialOffloadEvaluator shared_partial(problem);
-  const PartialOffloadEvaluator fresh_partial(scenario);
+  const PartialOffloadEvaluator fresh_partial(fresh);
   EXPECT_EQ(shared_partial.evaluate(x).system_utility,
             fresh_partial.evaluate(x).system_utility);
 }

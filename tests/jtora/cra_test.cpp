@@ -35,7 +35,8 @@ TEST(CraTest, SingleUserGetsFullCapacity) {
   const mec::Scenario scenario = make_scenario(3, 2, 2);
   Assignment x(scenario);
   x.offload(1, 0, 0);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   const CraResult result = solver.solve(x);
   EXPECT_DOUBLE_EQ(result.cpu_hz[1], scenario.server(0).cpu_hz);
   EXPECT_EQ(result.cpu_hz[0], 0.0);
@@ -48,7 +49,8 @@ TEST(CraTest, HomogeneousUsersSplitEqually) {
   x.offload(0, 0, 0);
   x.offload(1, 0, 1);
   x.offload(2, 0, 2);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   const CraResult result = solver.solve(x);
   const double third = scenario.server(0).cpu_hz / 3.0;
   EXPECT_NEAR(result.cpu_hz[0], third, 1e-3);
@@ -72,7 +74,8 @@ TEST(CraTest, AllocationProportionalToSqrtEta) {
   Assignment x(scenario);
   x.offload(0, 0, 0);
   x.offload(1, 0, 1);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   const CraResult result = solver.solve(x);
   // Eq. 22: ratio = sqrt(eta_0 / eta_1) = sqrt(0.9 / 0.1) = 3.
   EXPECT_NEAR(result.cpu_hz[0] / result.cpu_hz[1], 3.0, 1e-9);
@@ -86,7 +89,8 @@ TEST(CraTest, CapacityConstraintTightAtOptimum) {
   const mec::Scenario scenario = make_scenario(9, 3, 3, 5);
   Rng rng(6);
   const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.9);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   const CraResult result = solver.solve(x);
   for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
     double sum = 0.0;
@@ -104,7 +108,8 @@ TEST(CraTest, ClosedFormObjectiveMatchesEq23) {
   x.offload(0, 0, 0);
   x.offload(2, 0, 1);
   x.offload(4, 1, 0);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   const CraResult result = solver.solve(x);
   // Eq. 23 evaluated by hand.
   const double s0 = std::sqrt(eta(scenario.user(0))) +
@@ -120,7 +125,8 @@ TEST(CraTest, ObjectiveOfAgreesWithClosedFormAllocation) {
   const mec::Scenario scenario = make_scenario(8, 3, 3, 9);
   Rng rng(10);
   const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.8);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   const CraResult result = solver.solve(x);
   EXPECT_NEAR(solver.objective_of(x, result.cpu_hz), result.objective,
               result.objective * 1e-12);
@@ -129,7 +135,8 @@ TEST(CraTest, ObjectiveOfAgreesWithClosedFormAllocation) {
 TEST(CraTest, EmptyAssignmentHasZeroObjective) {
   const mec::Scenario scenario = make_scenario(3, 2, 2);
   const Assignment x(scenario);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   EXPECT_EQ(solver.solve(x).objective, 0.0);
   EXPECT_EQ(solver.optimal_objective(x), 0.0);
 }
@@ -142,7 +149,8 @@ TEST(CraProperty, ClosedFormMatchesNumericSolver) {
     Rng rng(seed * 7 + 1);
     const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.8);
     if (x.num_offloaded() == 0) continue;
-    const CraSolver solver(scenario);
+    const CompiledProblem problem(scenario);
+    const CraSolver solver(problem);
     const CraResult closed = solver.solve(x);
     const CraResult numeric = solver.solve_numeric(x);
     EXPECT_NEAR(numeric.objective, closed.objective,
@@ -157,7 +165,8 @@ TEST(CraProperty, RandomFeasiblePerturbationsNeverBeatClosedForm) {
   const mec::Scenario scenario = make_scenario(10, 3, 4, 77);
   Rng rng(78);
   const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.9);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   const CraResult closed = solver.solve(x);
   for (int trial = 0; trial < 500; ++trial) {
     // Random positive split of each server's capacity among its users.
@@ -194,7 +203,8 @@ TEST(CraTest, AllZeroEtaServerSplitsEqually) {
   x.offload(0, 0, 0);
   x.offload(1, 0, 1);
   x.offload(2, 0, 2);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   const CraResult result = solver.solve(x);
   const double third = scenario.server(0).cpu_hz / 3.0;
   for (const std::size_t u : {0u, 1u, 2u}) {
@@ -218,7 +228,8 @@ TEST(CraTest, MixedZeroEtaUserGetsEpsilonShare) {
   Assignment x(scenario);
   x.offload(0, 0, 0);
   x.offload(1, 0, 1);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   const CraResult result = solver.solve(x);
   // The pure-energy user holds a tiny positive share; the other takes
   // essentially the whole server.
@@ -234,7 +245,8 @@ TEST(CraTest, ObjectiveOfRejectsZeroAllocationForOffloader) {
   const mec::Scenario scenario = make_scenario(3, 2, 2);
   Assignment x(scenario);
   x.offload(0, 0, 0);
-  const CraSolver solver(scenario);
+  const CompiledProblem problem(scenario);
+  const CraSolver solver(problem);
   std::vector<double> alloc(scenario.num_users(), 0.0);
   EXPECT_THROW((void)solver.objective_of(x, alloc), InvalidArgumentError);
 }

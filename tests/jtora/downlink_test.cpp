@@ -30,14 +30,16 @@ TEST(DownlinkTest, ZeroOutputMeansZeroDownloadTime) {
   const mec::Scenario scenario = make_scenario(0.0);
   Assignment x(scenario);
   x.offload(0, 0, 0);
-  const RateEvaluator rates(scenario);
+  const CompiledProblem problem(scenario);
+  const RateEvaluator rates(problem);
   EXPECT_EQ(rates.downlink_time_s(0, 0, 0), 0.0);
   EXPECT_EQ(rates.link(x, 0).download_s, 0.0);
 }
 
 TEST(DownlinkTest, DownloadTimeMatchesFormula) {
   const mec::Scenario scenario = make_scenario(100.0);
-  const RateEvaluator rates(scenario);
+  const CompiledProblem problem(scenario);
+  const RateEvaluator rates(problem);
   const double snr = scenario.server(1).tx_power_w *
                      scenario.gain(2, 1, 0) / scenario.noise_w();
   const double rate =
@@ -54,8 +56,11 @@ TEST(DownlinkTest, OutputDataLowersUtility) {
   x_a.offload(0, 0, 0);
   Assignment x_b(big_output);
   x_b.offload(0, 0, 0);
-  const double without = UtilityEvaluator(no_output).system_utility(x_a);
-  const double with = UtilityEvaluator(big_output).system_utility(x_b);
+  const CompiledProblem without_problem(no_output);
+  const CompiledProblem with_problem(big_output);
+  const double without =
+      UtilityEvaluator(without_problem).system_utility(x_a);
+  const double with = UtilityEvaluator(with_problem).system_utility(x_b);
   EXPECT_LT(with, without);
 }
 
@@ -68,8 +73,11 @@ TEST(DownlinkTest, SmallOutputIsNearlyFree) {
   x_a.offload(0, 0, 0);
   Assignment x_b(tiny_output);
   x_b.offload(0, 0, 0);
-  const double without = UtilityEvaluator(no_output).system_utility(x_a);
-  const double with = UtilityEvaluator(tiny_output).system_utility(x_b);
+  const CompiledProblem without_problem(no_output);
+  const CompiledProblem with_problem(tiny_output);
+  const double without =
+      UtilityEvaluator(without_problem).system_utility(x_a);
+  const double with = UtilityEvaluator(with_problem).system_utility(x_b);
   EXPECT_NEAR(with, without, 5e-3 * std::max(1.0, std::fabs(without)));
 }
 
@@ -77,7 +85,8 @@ TEST(DownlinkTest, DelayBreakdownIncludesDownload) {
   const mec::Scenario scenario = make_scenario(500.0, 11);
   Assignment x(scenario);
   x.offload(0, 1, 1);
-  const UtilityEvaluator evaluator(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator evaluator(problem);
   const Evaluation eval = evaluator.evaluate(x);
   const UserOutcome& outcome = eval.users[0];
   EXPECT_GT(outcome.link.download_s, 0.0);
@@ -90,7 +99,8 @@ TEST(DownlinkTest, DelayBreakdownIncludesDownload) {
 TEST(DownlinkTest, FastAndDetailedPathsAgreeWithOutput) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const mec::Scenario scenario = make_scenario(300.0, seed, 10);
-    const UtilityEvaluator evaluator(scenario);
+    const CompiledProblem problem(scenario);
+    const UtilityEvaluator evaluator(problem);
     Rng rng(seed + 5);
     const Assignment x =
         algo::random_feasible_assignment(scenario, rng, 0.7);
@@ -103,9 +113,10 @@ TEST(DownlinkTest, FastAndDetailedPathsAgreeWithOutput) {
 TEST(DownlinkTest, IncrementalEvaluatorTracksDownlinkCosts) {
   const mec::Scenario scenario = make_scenario(300.0, 13, 10);
   const algo::Neighborhood neighborhood(scenario);
-  const UtilityEvaluator reference(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator reference(problem);
   Rng rng(17);
-  IncrementalEvaluator inc(scenario, Assignment(scenario));
+  IncrementalEvaluator inc(problem, Assignment(scenario));
   for (int step = 0; step < 500; ++step) {
     const std::size_t mark = inc.checkpoint();
     neighborhood.step(inc, rng);

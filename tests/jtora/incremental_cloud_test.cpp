@@ -31,7 +31,8 @@ mec::Scenario make_cloud_scenario(std::uint64_t seed = 61,
 
 TEST(IncrementalCloudTest, ApplySetForwardedTracksPlainEvaluator) {
   const mec::Scenario scenario = make_cloud_scenario();
-  const UtilityEvaluator plain(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator plain(problem);
   Assignment x(scenario);
   x.offload(0, 0, 0);
   x.offload(1, 0, 1);
@@ -57,7 +58,8 @@ TEST(IncrementalCloudTest, PreviewSetForwardedMatchesApply) {
   x.offload(0, 0, 0);
   x.offload(1, 1, 0);
   x.offload(2, 1, 1);
-  IncrementalEvaluator eval(scenario, x);
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator eval(problem, x);
 
   for (std::size_t u : {0u, 1u, 2u}) {
     const double previewed = eval.preview_set_forwarded(u, true);
@@ -78,7 +80,8 @@ TEST(IncrementalCloudTest, SlotPreviewsAccountForForwardedOccupants) {
   // A forwarded occupant contributes to the cloud pool, not its server's —
   // previews of moves around it must keep that split.
   const mec::Scenario scenario = make_cloud_scenario(71);
-  const UtilityEvaluator plain(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator plain(problem);
   Assignment x(scenario);
   x.offload(0, 0, 0);
   x.offload(1, 0, 1);
@@ -111,7 +114,8 @@ TEST(IncrementalCloudTest, RollbackRestoresForwardBits) {
   x.offload(0, 0, 0);
   x.offload(1, 1, 0);
   x.set_forwarded(0, true);
-  IncrementalEvaluator eval(scenario, x);
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator eval(problem, x);
   const double before = eval.utility();
 
   const std::size_t mark = eval.checkpoint();
@@ -131,7 +135,8 @@ TEST(IncrementalCloudTest, RollbackRestoresForwardBits) {
 
 TEST(IncrementalCloudTest, RandomOperationChainStaysConsistent) {
   const mec::Scenario scenario = make_cloud_scenario(79, 12, 4, 3);
-  const UtilityEvaluator plain(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator plain(problem);
   Assignment x(scenario);
   IncrementalEvaluator eval(plain.problem(), x);
   eval.set_rebuild_interval(0);  // exercise the running sums, not rebuilds

@@ -9,6 +9,7 @@
 #include "algo/tsajs.h"
 #include "common/error.h"
 #include "mec/scenario_builder.h"
+#include "support/solve.h"
 
 namespace tsajs::jtora {
 namespace {
@@ -24,21 +25,25 @@ mec::Scenario make_scenario(std::size_t users = 10, std::size_t servers = 4,
       .build(rng);
 }
 
+/// J*(X) from a plain evaluator on its own compilation of `scenario`.
 double reference_utility(const mec::Scenario& scenario, const Assignment& x) {
-  return UtilityEvaluator(scenario).system_utility(x);
+  const CompiledProblem problem(scenario);
+  return UtilityEvaluator(problem).system_utility(x);
 }
 
 TEST(IncrementalTest, InitialUtilityMatchesReference) {
   const mec::Scenario scenario = make_scenario();
   Rng rng(1);
   const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.6);
-  const IncrementalEvaluator inc(scenario, x);
+  const CompiledProblem problem(scenario);
+  const IncrementalEvaluator inc(problem, x);
   EXPECT_NEAR(inc.utility(), reference_utility(scenario, x), 1e-9);
 }
 
 TEST(IncrementalTest, OffloadMatchesReference) {
   const mec::Scenario scenario = make_scenario();
-  IncrementalEvaluator inc(scenario, Assignment(scenario));
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator inc(problem, Assignment(scenario));
   inc.apply_offload(3, 1, 2);
   EXPECT_NEAR(inc.utility(), reference_utility(scenario, inc.assignment()),
               1e-9);
@@ -49,7 +54,8 @@ TEST(IncrementalTest, OffloadMatchesReference) {
 
 TEST(IncrementalTest, MakeLocalMatchesReference) {
   const mec::Scenario scenario = make_scenario();
-  IncrementalEvaluator inc(scenario, Assignment(scenario));
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator inc(problem, Assignment(scenario));
   inc.apply_offload(0, 0, 0);
   inc.apply_offload(1, 1, 0);
   inc.apply_make_local(0);
@@ -60,7 +66,8 @@ TEST(IncrementalTest, MakeLocalMatchesReference) {
 
 TEST(IncrementalTest, SwapMatchesReference) {
   const mec::Scenario scenario = make_scenario();
-  IncrementalEvaluator inc(scenario, Assignment(scenario));
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator inc(problem, Assignment(scenario));
   inc.apply_offload(0, 0, 0);
   inc.apply_offload(1, 1, 1);
   inc.apply_swap(0, 1);
@@ -72,7 +79,8 @@ TEST(IncrementalTest, SwapMatchesReference) {
 
 TEST(IncrementalTest, MoveBetweenSubchannelsMatchesReference) {
   const mec::Scenario scenario = make_scenario();
-  IncrementalEvaluator inc(scenario, Assignment(scenario));
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator inc(problem, Assignment(scenario));
   inc.apply_offload(0, 0, 0);
   inc.apply_offload(1, 1, 0);
   inc.apply_offload(0, 0, 1);  // move away from user 1's sub-channel
@@ -85,7 +93,8 @@ TEST(IncrementalTest, RollbackRestoresStateAndUtility) {
   Rng rng(2);
   const Assignment start =
       algo::random_feasible_assignment(scenario, rng, 0.5);
-  IncrementalEvaluator inc(scenario, start);
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator inc(problem, start);
   const double utility_before = inc.utility();
   const Assignment snapshot = inc.assignment();
 
@@ -101,7 +110,8 @@ TEST(IncrementalTest, RollbackRestoresStateAndUtility) {
 
 TEST(IncrementalTest, NestedCheckpointsRollbackInReverse) {
   const mec::Scenario scenario = make_scenario();
-  IncrementalEvaluator inc(scenario, Assignment(scenario));
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator inc(problem, Assignment(scenario));
   inc.apply_offload(0, 0, 0);
   const Assignment after_first = inc.assignment();
 
@@ -127,7 +137,8 @@ TEST(IncrementalTest, RollbackAfterEvictionRestoresOccupant) {
                                      .num_servers(2)
                                      .num_subchannels(1)
                                      .build(rng_s);
-  IncrementalEvaluator inc(scenario, Assignment(scenario));
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator inc(problem, Assignment(scenario));
   inc.apply_offload(0, 0, 0);
   const Assignment before = inc.assignment();
   const double utility_before = inc.utility();
@@ -142,7 +153,8 @@ TEST(IncrementalTest, RollbackAfterEvictionRestoresOccupant) {
 
 TEST(IncrementalTest, RollbackMarkInFutureThrows) {
   const mec::Scenario scenario = make_scenario();
-  IncrementalEvaluator inc(scenario, Assignment(scenario));
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator inc(problem, Assignment(scenario));
   EXPECT_THROW(inc.rollback(5), InvalidArgumentError);
 }
 
@@ -154,8 +166,9 @@ TEST(IncrementalProperty, LongRandomWalkTracksReferenceEvaluator) {
     const mec::Scenario scenario = make_scenario(12, 4, 3, seed);
     const algo::Neighborhood neighborhood(scenario);
     Rng rng(seed * 31 + 7);
-    IncrementalEvaluator inc(scenario, Assignment(scenario));
-    const UtilityEvaluator reference(scenario);
+    const CompiledProblem problem(scenario);
+    IncrementalEvaluator inc(problem, Assignment(scenario));
+    const UtilityEvaluator reference(problem);
     for (int step = 0; step < 2000; ++step) {
       const std::size_t mark = inc.checkpoint();
       const double before = inc.utility();
@@ -179,7 +192,8 @@ TEST(IncrementalTest, RebuildResetsDrift) {
   const mec::Scenario scenario = make_scenario();
   const algo::Neighborhood neighborhood(scenario);
   Rng rng(9);
-  IncrementalEvaluator inc(scenario, Assignment(scenario));
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator inc(problem, Assignment(scenario));
   for (int i = 0; i < 500; ++i) neighborhood.step(inc, rng);
   inc.rebuild();
   EXPECT_NEAR(inc.utility(), reference_utility(scenario, inc.assignment()),
@@ -188,7 +202,8 @@ TEST(IncrementalTest, RebuildResetsDrift) {
 
 TEST(IncrementalPreviewTest, PreviewsMatchApplyWithoutMutating) {
   const mec::Scenario scenario = make_scenario();
-  IncrementalEvaluator inc(scenario, Assignment(scenario));
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator inc(problem, Assignment(scenario));
   inc.apply_offload(0, 0, 0);
   inc.apply_offload(1, 1, 0);  // shares sub-channel 0 with user 0
   inc.apply_offload(2, 2, 1);
@@ -227,7 +242,8 @@ TEST(IncrementalPreviewTest, PreviewReplaceEvictsOccupant) {
                                      .num_servers(2)
                                      .num_subchannels(1)
                                      .build(rng_s);
-  IncrementalEvaluator inc(scenario, Assignment(scenario));
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator inc(problem, Assignment(scenario));
   inc.apply_offload(0, 0, 0);
   inc.apply_offload(1, 1, 0);
   const Assignment before = inc.assignment();
@@ -252,7 +268,8 @@ TEST(IncrementalPreviewProperty, ProposedMovesPreviewExactly) {
     const mec::Scenario scenario = make_scenario(12, 4, 3, seed);
     const algo::Neighborhood neighborhood(scenario);
     Rng rng(seed * 17 + 3);
-    IncrementalEvaluator inc(scenario, Assignment(scenario));
+    const CompiledProblem problem(scenario);
+    IncrementalEvaluator inc(problem, Assignment(scenario));
     for (int step = 0; step < 3000; ++step) {
       const auto move = neighborhood.propose(inc, rng);
       const double previewed = neighborhood.preview(inc, move);
@@ -274,7 +291,8 @@ TEST(IncrementalDriftTest, LongChainStaysPinnedWithRebuildCadence) {
   const mec::Scenario scenario = make_scenario(20, 5, 4, 31);
   const algo::Neighborhood neighborhood(scenario);
   Rng rng(77);
-  IncrementalEvaluator inc(scenario, Assignment(scenario));
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator inc(problem, Assignment(scenario));
   inc.set_undo_logging(false);
   ASSERT_EQ(inc.rebuild_interval(), 4096u);
   for (int step = 0; step < 50000; ++step) {
@@ -289,7 +307,8 @@ TEST(IncrementalDriftTest, EmptiedServerSnapsToExactZero) {
   // residue in the Lambda term: after each drain the cached utility has to
   // match a fresh evaluation to near machine precision.
   const mec::Scenario scenario = make_scenario(6, 2, 3, 37);
-  IncrementalEvaluator inc(scenario, Assignment(scenario));
+  const CompiledProblem problem(scenario);
+  IncrementalEvaluator inc(problem, Assignment(scenario));
   inc.set_rebuild_interval(0);  // no rebuild assistance — the snap must do it
   for (int round = 0; round < 2000; ++round) {
     inc.apply_offload(0, 0, 0);
@@ -312,8 +331,8 @@ TEST(IncrementalTest, TsajsIncrementalAndPlainPathsAgree) {
   slow.use_incremental_evaluator = false;
   Rng rng_a(13);
   Rng rng_b(13);
-  const auto a = algo::TsajsScheduler(fast).schedule(scenario, rng_a);
-  const auto b = algo::TsajsScheduler(slow).schedule(scenario, rng_b);
+  const auto a = test::solve(algo::TsajsScheduler(fast), scenario, rng_a);
+  const auto b = test::solve(algo::TsajsScheduler(slow), scenario, rng_b);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_NEAR(a.system_utility, b.system_utility,
               1e-6 * std::max(1.0, std::fabs(b.system_utility)));

@@ -29,9 +29,10 @@ TEST_P(PartialSweepTest, ClosedFormBeatsDenseScan) {
                                      .build(srng);
   Rng rng(7);
   const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.8);
-  const UtilityEvaluator full(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator full(problem);
   const Evaluation full_eval = full.evaluate(x);
-  const PartialOffloadEvaluator partial(scenario);
+  const PartialOffloadEvaluator partial(problem);
 
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
     if (!x.is_offloaded(u)) continue;

@@ -25,7 +25,8 @@ TEST(PartialTest, SplitAlwaysInUnitInterval) {
   const mec::Scenario scenario = make_scenario(1);
   Rng rng(2);
   const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.8);
-  const PartialOffloadEvaluator partial(scenario);
+  const CompiledProblem problem(scenario);
+  const PartialOffloadEvaluator partial(problem);
   const PartialEvaluation eval = partial.evaluate(x);
   for (const auto& user : eval.users) {
     EXPECT_GE(user.split, 0.0);
@@ -41,8 +42,9 @@ TEST(PartialTest, NeverWorseThanFullOffloadPerUser) {
     Rng rng(seed + 9);
     const Assignment x =
         algo::random_feasible_assignment(scenario, rng, 0.7);
-    const UtilityEvaluator full(scenario);
-    const PartialOffloadEvaluator partial(scenario);
+    const CompiledProblem problem(scenario);
+    const UtilityEvaluator full(problem);
+    const PartialOffloadEvaluator partial(problem);
     const Evaluation full_eval = full.evaluate(x);
     const PartialEvaluation part_eval = partial.evaluate(x);
     for (std::size_t u = 0; u < scenario.num_users(); ++u) {
@@ -69,7 +71,8 @@ TEST(PartialTest, HopelessLinkFallsBackToAllLocal) {
                                      .build(rng);
   Assignment x(scenario);
   x.offload(0, 0, 0);
-  const PartialOffloadEvaluator partial(scenario);
+  const CompiledProblem problem(scenario);
+  const PartialOffloadEvaluator partial(problem);
   const PartialEvaluation eval = partial.evaluate(x);
   EXPECT_EQ(eval.users[0].split, 0.0);
   EXPECT_EQ(eval.users[0].utility, 0.0);
@@ -80,9 +83,10 @@ TEST(PartialTest, KinkSplitEqualizesPipelines) {
   const mec::Scenario scenario = make_scenario(11, 6);
   Rng rng(12);
   const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.9);
-  const UtilityEvaluator full(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator full(problem);
   const Evaluation full_eval = full.evaluate(x);
-  const PartialOffloadEvaluator partial(scenario);
+  const PartialOffloadEvaluator partial(problem);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
     if (!x.is_offloaded(u)) continue;
     const PartialOutcome outcome = partial.best_split(
@@ -111,7 +115,8 @@ TEST(PartialTest, ParallelismBeatsSerialDelayWhenBalanced) {
                                      .build(rng);
   Assignment x(scenario);
   x.offload(0, 0, 0);
-  const PartialOffloadEvaluator partial(scenario);
+  const CompiledProblem problem(scenario);
+  const PartialOffloadEvaluator partial(problem);
   const PartialEvaluation eval = partial.evaluate(x);
   EXPECT_LT(eval.users[0].delay_s, scenario.user(0).local_time_s());
   EXPECT_GT(eval.users[0].utility, 0.0);
@@ -119,7 +124,8 @@ TEST(PartialTest, ParallelismBeatsSerialDelayWhenBalanced) {
 
 TEST(PartialTest, BestSplitValidatesInput) {
   const mec::Scenario scenario = make_scenario(15);
-  const PartialOffloadEvaluator partial(scenario);
+  const CompiledProblem problem(scenario);
+  const PartialOffloadEvaluator partial(problem);
   const LinkMetrics link;
   EXPECT_THROW((void)partial.best_split(99, link, 1e9),
                InvalidArgumentError);
@@ -130,7 +136,8 @@ TEST(PartialTest, BestSplitValidatesInput) {
 TEST(PartialTest, LocalUsersCarryBaselines) {
   const mec::Scenario scenario = make_scenario(17);
   const Assignment x(scenario);
-  const PartialOffloadEvaluator partial(scenario);
+  const CompiledProblem problem(scenario);
+  const PartialOffloadEvaluator partial(problem);
   const PartialEvaluation eval = partial.evaluate(x);
   EXPECT_EQ(eval.system_utility, 0.0);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {

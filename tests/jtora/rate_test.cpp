@@ -25,7 +25,8 @@ TEST(RateTest, LoneUserSeesOnlyNoise) {
   const mec::Scenario scenario = make_scenario();
   Assignment x(scenario);
   x.offload(0, 1, 0);
-  const RateEvaluator rates(scenario);
+  const CompiledProblem problem(scenario);
+  const RateEvaluator rates(problem);
   const double expected =
       scenario.user(0).tx_power_w * scenario.gain(0, 1, 0) /
       scenario.noise_w();
@@ -35,7 +36,8 @@ TEST(RateTest, LoneUserSeesOnlyNoise) {
 TEST(RateTest, SinrRequiresOffloadedUser) {
   const mec::Scenario scenario = make_scenario();
   const Assignment x(scenario);
-  const RateEvaluator rates(scenario);
+  const CompiledProblem problem(scenario);
+  const RateEvaluator rates(problem);
   EXPECT_THROW((void)rates.sinr(x, 0), InvalidArgumentError);
 }
 
@@ -43,7 +45,8 @@ TEST(RateTest, SameSubchannelOtherCellInterferes) {
   const mec::Scenario scenario = make_scenario();
   Assignment x(scenario);
   x.offload(0, 1, 0);
-  const RateEvaluator rates(scenario);
+  const CompiledProblem problem(scenario);
+  const RateEvaluator rates(problem);
   const double alone = rates.sinr(x, 0);
   x.offload(1, 2, 0);  // same sub-channel, different server
   const double with_interferer = rates.sinr(x, 0);
@@ -61,7 +64,8 @@ TEST(RateTest, DifferentSubchannelDoesNotInterfere) {
   const mec::Scenario scenario = make_scenario();
   Assignment x(scenario);
   x.offload(0, 1, 0);
-  const RateEvaluator rates(scenario);
+  const CompiledProblem problem(scenario);
+  const RateEvaluator rates(problem);
   const double alone = rates.sinr(x, 0);
   x.offload(1, 2, 1);  // different sub-channel
   EXPECT_DOUBLE_EQ(rates.sinr(x, 0), alone);
@@ -73,7 +77,8 @@ TEST(RateTest, IntraCellUsersAreOrthogonal) {
   const mec::Scenario scenario = make_scenario();
   Assignment x(scenario);
   x.offload(0, 1, 0);
-  const RateEvaluator rates(scenario);
+  const CompiledProblem problem(scenario);
+  const RateEvaluator rates(problem);
   const double alone = rates.sinr(x, 0);
   x.offload(1, 1, 1);
   EXPECT_DOUBLE_EQ(rates.sinr(x, 0), alone);
@@ -83,7 +88,8 @@ TEST(RateTest, RateMatchesShannonFormula) {
   const mec::Scenario scenario = make_scenario();
   Assignment x(scenario);
   x.offload(0, 0, 1);
-  const RateEvaluator rates(scenario);
+  const CompiledProblem problem(scenario);
+  const RateEvaluator rates(problem);
   const LinkMetrics m = rates.link(x, 0);
   const double w = scenario.subchannel_bandwidth_hz();
   EXPECT_NEAR(m.rate_bps, w * std::log2(1.0 + m.sinr), 1e-6);
@@ -98,7 +104,8 @@ TEST(RateTest, HypotheticalSinrMatchesActualAfterPlacement) {
   Assignment x(scenario);
   x.offload(1, 0, 0);
   x.offload(2, 3, 1);
-  const RateEvaluator rates(scenario);
+  const CompiledProblem problem(scenario);
+  const RateEvaluator rates(problem);
   const double hypothetical = rates.hypothetical_sinr(x, 5, 2, 0);
   x.offload(5, 2, 0);
   EXPECT_DOUBLE_EQ(rates.sinr(x, 5), hypothetical);
@@ -108,7 +115,8 @@ TEST(RateTest, AllLinksZeroForLocalUsers) {
   const mec::Scenario scenario = make_scenario();
   Assignment x(scenario);
   x.offload(3, 0, 0);
-  const RateEvaluator rates(scenario);
+  const CompiledProblem problem(scenario);
+  const RateEvaluator rates(problem);
   const auto links = rates.all_links(x);
   ASSERT_EQ(links.size(), scenario.num_users());
   for (std::size_t u = 0; u < links.size(); ++u) {
@@ -126,7 +134,8 @@ TEST(RateTest, MoreInterferersMonotonicallyDegradeSinr) {
   const mec::Scenario scenario = make_scenario(10, 5, 2, 7);
   Assignment x(scenario);
   x.offload(0, 0, 0);
-  const RateEvaluator rates(scenario);
+  const CompiledProblem problem(scenario);
+  const RateEvaluator rates(problem);
   double prev = rates.sinr(x, 0);
   for (std::size_t s = 1; s < 5; ++s) {
     x.offload(s, s, 0);  // user s on server s, sub-channel 0
@@ -144,7 +153,8 @@ TEST(RateTest, InterferenceUsesGainTowardTheVictimServer) {
   x.offload(0, 0, 0);
   x.offload(1, 1, 0);
   x.offload(2, 2, 0);
-  const RateEvaluator rates(scenario);
+  const CompiledProblem problem(scenario);
+  const RateEvaluator rates(problem);
   const double interference =
       scenario.user(1).tx_power_w * scenario.gain(1, 0, 0) +
       scenario.user(2).tx_power_w * scenario.gain(2, 0, 0);

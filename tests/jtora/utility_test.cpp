@@ -24,7 +24,8 @@ mec::Scenario make_scenario(std::size_t users = 6, std::size_t servers = 3,
 
 TEST(UtilityTest, AllLocalHasZeroUtility) {
   const mec::Scenario scenario = make_scenario();
-  const UtilityEvaluator evaluator(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator evaluator(problem);
   const Assignment x(scenario);
   EXPECT_EQ(evaluator.system_utility(x), 0.0);
   const Evaluation eval = evaluator.evaluate(x);
@@ -35,7 +36,8 @@ TEST(UtilityTest, AllLocalHasZeroUtility) {
 
 TEST(UtilityTest, LocalUsersCarryLocalBaselines) {
   const mec::Scenario scenario = make_scenario();
-  const UtilityEvaluator evaluator(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator evaluator(problem);
   const Assignment x(scenario);
   const Evaluation eval = evaluator.evaluate(x);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
@@ -53,7 +55,8 @@ TEST(UtilityTest, FastPathMatchesDetailedPath) {
   // across random feasible decisions.
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
     const mec::Scenario scenario = make_scenario(10, 4, 3, seed);
-    const UtilityEvaluator evaluator(scenario);
+    const CompiledProblem problem(scenario);
+    const UtilityEvaluator evaluator(problem);
     Rng rng(seed + 100);
     const Assignment x =
         algo::random_feasible_assignment(scenario, rng, 0.7);
@@ -71,7 +74,8 @@ TEST(UtilityTest, FastPathMatchesDetailedPath) {
 
 TEST(UtilityTest, SingleUserUtilityMatchesHandComputation) {
   const mec::Scenario scenario = make_scenario(1, 1, 1, 9);
-  const UtilityEvaluator evaluator(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator evaluator(problem);
   Assignment x(scenario);
   x.offload(0, 0, 0);
 
@@ -105,7 +109,8 @@ TEST(UtilityTest, OffloadingNearbyUserIsBeneficialWithDefaults) {
                                      .num_servers(1)
                                      .num_subchannels(1)
                                      .build(rng);
-  const UtilityEvaluator evaluator(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator evaluator(problem);
   Assignment x(scenario);
   x.offload(0, 0, 0);
   EXPECT_GT(evaluator.system_utility(x), 0.0);
@@ -129,15 +134,19 @@ TEST(UtilityTest, LambdaScalesUserContribution) {
   // eta depends on lambda, so exec time differs only through CRA weighting;
   // with a single user the allocation is the full server either way, and
   // J scales exactly by lambda.
-  EXPECT_NEAR(UtilityEvaluator(half).system_utility(x_half),
-              0.5 * UtilityEvaluator(full).system_utility(x_full), 1e-9);
+  const CompiledProblem full_problem(full);
+  const CompiledProblem half_problem(half);
+  EXPECT_NEAR(UtilityEvaluator(half_problem).system_utility(x_half),
+              0.5 * UtilityEvaluator(full_problem).system_utility(x_full),
+              1e-9);
 }
 
 TEST(UtilityTest, CongestedServerReducesPerUserUtility) {
   // Packing more users onto one server splits f_s and can only lower each
   // user's utility relative to having the server alone.
   const mec::Scenario scenario = make_scenario(3, 1, 3, 21);
-  const UtilityEvaluator evaluator(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator evaluator(problem);
   Assignment alone(scenario);
   alone.offload(0, 0, 0);
   const Evaluation eval_alone = evaluator.evaluate(alone);
@@ -156,7 +165,8 @@ TEST(UtilityTest, CongestedServerReducesPerUserUtility) {
 
 TEST(UtilityTest, UserUtilityHelperRejectsBadInput) {
   const mec::Scenario scenario = make_scenario();
-  const UtilityEvaluator evaluator(scenario);
+  const CompiledProblem problem(scenario);
+  const UtilityEvaluator evaluator(problem);
   const LinkMetrics link;
   EXPECT_THROW((void)evaluator.user_utility(99, link, 1e9),
                InvalidArgumentError);
@@ -187,8 +197,10 @@ TEST(UtilityTest, EnergyDelayTradeoffFollowsBeta) {
   x_t.offload(0, 0, 0);
   Assignment x_e(energy_pref);
   x_e.offload(0, 0, 0);
-  const Evaluation eval_t = UtilityEvaluator(time_pref).evaluate(x_t);
-  const Evaluation eval_e = UtilityEvaluator(energy_pref).evaluate(x_e);
+  const CompiledProblem time_problem(time_pref);
+  const CompiledProblem energy_problem(energy_pref);
+  const Evaluation eval_t = UtilityEvaluator(time_problem).evaluate(x_t);
+  const Evaluation eval_e = UtilityEvaluator(energy_problem).evaluate(x_e);
   // The channel draw is identical (same seed). Energy saving ratio is ~1
   // (tx energy tiny vs 5 J local), time saving ratio is smaller — so the
   // energy-preferring user reports higher utility.

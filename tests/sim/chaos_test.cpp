@@ -17,6 +17,7 @@
 #include "mec/availability.h"
 #include "mec/scenario_builder.h"
 #include "sim/dynamic.h"
+#include "support/solve.h"
 
 namespace tsajs::sim {
 namespace {
@@ -143,7 +144,7 @@ TEST(ChaosTest, NoSchemeAssignsToMaskedResources) {
     const auto scheduler = algo::make_scheduler(scheme);
     Rng rng(123);
     const algo::ScheduleResult result =
-        algo::run_and_validate(*scheduler, scenario, rng);
+        test::validated(*scheduler, scenario, rng);
     for (std::size_t u = 0; u < kPopulation; ++u) {
       const auto slot = result.assignment.slot_of(u);
       if (!slot.has_value()) continue;
@@ -172,7 +173,7 @@ TEST(ChaosTest, TotalOutageDegradesToAllLocal) {
     const auto scheduler = algo::make_scheduler(scheme);
     Rng rng(9);
     const algo::ScheduleResult result =
-        algo::run_and_validate(*scheduler, scenario, rng);
+        test::validated(*scheduler, scenario, rng);
     EXPECT_EQ(result.assignment.num_offloaded(), 0u);
     EXPECT_EQ(result.system_utility, 0.0);
   }

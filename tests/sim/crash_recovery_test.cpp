@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <string>
 #include <system_error>
 #include <sys/wait.h>
@@ -318,14 +320,73 @@ TEST_F(CrashRecoveryTest, NoUsableCheckpointRestartsFromZero) {
   EXPECT_EQ(info.events_kept, 0u);
 }
 
-// recover() refuses a bundle written under a different configuration — the
-// digest in run.json is the guard.
+/// Every file of a bundle directory, by name.
+std::map<std::string, std::string> bundle_files(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = read_file(entry.path());
+  }
+  return files;
+}
+
+// recover() refuses a bundle written under a different stream
+// configuration (the digest in run.json), a different server or
+// sub-channel grid, or a different scheme — and refuses before it touches
+// anything: the torn bundle stays byte-identical, so the right driver can
+// still recover it afterwards.
 TEST_F(CrashRecoveryTest, RecoverRefusesMismatchedConfig) {
   const std::string dir = damaged_copy("mismatch");
+  const std::string events = read_file(dir + "/events.jsonl");
+  write_file(dir + "/events.jsonl", events.substr(0, events.size() - 7));
+  const std::map<std::string, std::string> before = bundle_files(dir);
+
   StreamConfig other = drill_config();
   other.arrival_rate_hz = 2.0;
-  const StreamDriver mismatched(4, 3, other);
-  EXPECT_THROW((void)mismatched.recover(*scheduler_, dir), Error);
+  const StreamDriver other_config(4, 3, other);
+  const StreamDriver more_servers(9, 3, drill_config());
+  const StreamDriver fewer_servers(2, 3, drill_config());
+  const StreamDriver more_subchannels(4, 5, drill_config());
+  const auto other_scheme = algo::make_scheduler("tsajs");
+  const std::vector<std::pair<const char*, std::function<void()>>> cases = {
+      {"config", [&] { (void)other_config.recover(*scheduler_, dir); }},
+      {"9 servers", [&] { (void)more_servers.recover(*scheduler_, dir); }},
+      {"2 servers", [&] { (void)fewer_servers.recover(*scheduler_, dir); }},
+      {"5 sub-channels",
+       [&] { (void)more_subchannels.recover(*scheduler_, dir); }},
+      {"scheme", [&] { (void)driver_->recover(*other_scheme, dir); }},
+  };
+  for (const auto& [name, recover] : cases) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(recover(), Error);
+    EXPECT_EQ(bundle_files(dir), before);
+  }
+  (void)recover_and_verify(dir);
+}
+
+// resume() refuses a checkpoint whose carried slot lies outside the
+// driver's grid before it emits a single event.
+TEST_F(CrashRecoveryTest, ResumeRefusesSlotOutsideTheGrid) {
+  StreamCheckpoint outside;
+  bool found = false;
+  for (const auto& entry : fs::directory_iterator(*reference_dir_)) {
+    if (found) break;
+    if (entry.path().filename().string().rfind("checkpoint-", 0) != 0) {
+      continue;
+    }
+    outside = read_checkpoint_file(entry.path().string());
+    for (const SessionState& s : outside.active) {
+      found = found || (s.has_slot && s.server >= 2);
+    }
+  }
+  ASSERT_TRUE(found) << "no reference checkpoint carries a slot on server 2+";
+
+  struct CountingSink : StreamSink {
+    std::size_t events = 0;
+    void on_event(const StreamEvent&) override { ++events; }
+  } sink;
+  const StreamDriver smaller(2, 3, drill_config());
+  EXPECT_THROW((void)smaller.resume(*scheduler_, outside, &sink), Error);
+  EXPECT_EQ(sink.events, 0u);
 }
 
 TEST_F(CrashRecoveryTest, PrepareRecoveryRequiresAnEventLog) {

@@ -23,6 +23,7 @@
 #include "mec/scenario_builder.h"
 #include "sim/evidence.h"
 #include "sim/stream.h"
+#include "support/solve.h"
 
 namespace tsajs::sim {
 namespace {
@@ -37,20 +38,6 @@ struct CrcSink : StreamSink {
     ++lines;
   }
 };
-
-/// CRC-32 over one int32 per user: -1 local, else server * N + sub-channel,
-/// with bit 30 set when the user is forwarded to the cloud.
-std::uint32_t slot_crc(const jtora::Assignment& x) {
-  std::vector<std::int32_t> code(x.num_users(), -1);
-  for (std::size_t u = 0; u < x.num_users(); ++u) {
-    const auto slot = x.slot_of(u);
-    if (!slot.has_value()) continue;
-    code[u] = static_cast<std::int32_t>(slot->server * x.num_subchannels() +
-                                        slot->subchannel);
-    if (x.is_forwarded(u)) code[u] |= 1 << 30;
-  }
-  return crc32(code.data(), code.size() * sizeof(std::int32_t));
-}
 
 TEST(DecisionGoldens, MultiShardSolveWithMaskAndCloud) {
   Rng build_rng(2024);
@@ -82,15 +69,11 @@ TEST(DecisionGoldens, MultiShardSolveWithMaskAndCloud) {
   const algo::ShardedScheduler scheduler(
       std::make_unique<algo::TsajsScheduler>(tsajs), config);
   Rng rng(31);
-  algo::SolveRequest request;
-  request.problem = &problem;
-  request.rng = &rng;
-  const algo::ScheduleResult result =
-      algo::run_and_validate(scheduler, request);
+  const algo::ScheduleResult result = test::validated(scheduler, problem, rng);
 
   EXPECT_EQ(result.system_utility, 0x1.96a66cbd7964ap+3);
   EXPECT_EQ(result.evaluations, 38429u);
-  EXPECT_EQ(slot_crc(result.assignment), 0x61c7b17cu);
+  EXPECT_EQ(test::slot_crc(result.assignment), 0x61c7b17cu);
   EXPECT_EQ(result.assignment.num_forwarded(), 2u);
 }
 
