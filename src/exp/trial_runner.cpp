@@ -1,7 +1,5 @@
 #include "exp/trial_runner.h"
 
-#include <mutex>
-
 #include "algo/scheduler.h"
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -56,15 +54,11 @@ std::vector<SchemeStats> TrialRunner::run(const TrialSpec& spec) const {
     schedulers.push_back(algo::make_scheduler(name, spec.options));
   }
 
-  std::vector<SchemeStats> stats(spec.schemes.size());
-  for (std::size_t i = 0; i < spec.schemes.size(); ++i) {
-    stats[i].scheme = spec.schemes[i];
-    // Slot per trial index, so the sample order is deterministic no matter
-    // how the pool schedules trials.
-    stats[i].solve_samples.assign(spec.trials, 0.0);
-  }
-
-  std::mutex merge_mutex;
+  // One outcome slot per (trial, scheme): a worker writes only its own
+  // trial's slots, and the accumulators fold them in trial order after the
+  // loop, so every statistic is independent of thread scheduling.
+  const std::size_t num_schemes = schedulers.size();
+  std::vector<TrialOutcome> outcomes(spec.trials * num_schemes);
   ThreadPool pool(num_threads_);
   pool.parallel_for(spec.trials, [&](std::size_t trial) {
     // Seeds derive from (base_seed, trial) only — independent of threading.
@@ -74,23 +68,29 @@ std::vector<SchemeStats> TrialRunner::run(const TrialSpec& spec) const {
     // One compilation per drop; every scheme solves against the same
     // immutable tables instead of each recompiling the scenario.
     const jtora::CompiledProblem problem(scenario);
-
-    std::vector<TrialOutcome> outcomes(schedulers.size());
-    for (std::size_t i = 0; i < schedulers.size(); ++i) {
+    for (std::size_t i = 0; i < num_schemes; ++i) {
       Rng scheduler_rng(seeder.next());
-      outcomes[i] = run_one(problem, *schedulers[i], scheduler_rng);
-    }
-
-    std::lock_guard<std::mutex> lock(merge_mutex);
-    for (std::size_t i = 0; i < schedulers.size(); ++i) {
-      stats[i].utility.add(outcomes[i].utility);
-      stats[i].solve_seconds.add(outcomes[i].solve_seconds);
-      stats[i].solve_samples[trial] = outcomes[i].solve_seconds;
-      stats[i].offloaded.add(outcomes[i].offloaded);
-      stats[i].mean_delay_s.add(outcomes[i].mean_delay_s);
-      stats[i].mean_energy_j.add(outcomes[i].mean_energy_j);
+      outcomes[trial * num_schemes + i] =
+          run_one(problem, *schedulers[i], scheduler_rng);
     }
   });
+
+  std::vector<SchemeStats> stats(num_schemes);
+  for (std::size_t i = 0; i < num_schemes; ++i) {
+    stats[i].scheme = spec.schemes[i];
+    stats[i].solve_samples.reserve(spec.trials);
+  }
+  for (std::size_t trial = 0; trial < spec.trials; ++trial) {
+    for (std::size_t i = 0; i < num_schemes; ++i) {
+      const TrialOutcome& outcome = outcomes[trial * num_schemes + i];
+      stats[i].utility.add(outcome.utility);
+      stats[i].solve_seconds.add(outcome.solve_seconds);
+      stats[i].solve_samples.push_back(outcome.solve_seconds);
+      stats[i].offloaded.add(outcome.offloaded);
+      stats[i].mean_delay_s.add(outcome.mean_delay_s);
+      stats[i].mean_energy_j.add(outcome.mean_energy_j);
+    }
+  }
   return stats;
 }
 

@@ -32,16 +32,30 @@ TEST(TrialRunnerTest, RunsAllTrialsForAllSchemes) {
   }
 }
 
+void expect_bitwise_equal(const Accumulator& a, const Accumulator& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.variance(), b.variance());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+}
+
 TEST(TrialRunnerTest, DeterministicAcrossThreadCounts) {
-  // Per-trial seeds derive from (base_seed, trial) only, so the aggregate
-  // must be identical no matter how trials are scheduled onto threads.
-  const auto serial = TrialRunner(1).run(quick_spec());
-  const auto parallel = TrialRunner(4).run(quick_spec());
+  // Per-trial seeds derive from (base_seed, trial) only and the outcomes
+  // fold in trial order, so every statistic must be bitwise identical no
+  // matter how trials are scheduled onto threads.
+  TrialSpec spec = quick_spec();
+  spec.schemes = {"tsajs", "greedy"};
+  spec.trials = 24;
+  const auto serial = TrialRunner(1).run(spec);
+  const auto parallel = TrialRunner(4).run(spec);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial[i].utility.mean(), parallel[i].utility.mean());
-    EXPECT_DOUBLE_EQ(serial[i].utility.variance(),
-                     parallel[i].utility.variance());
+    SCOPED_TRACE(serial[i].scheme);
+    expect_bitwise_equal(serial[i].utility, parallel[i].utility);
+    expect_bitwise_equal(serial[i].offloaded, parallel[i].offloaded);
+    expect_bitwise_equal(serial[i].mean_delay_s, parallel[i].mean_delay_s);
+    expect_bitwise_equal(serial[i].mean_energy_j, parallel[i].mean_energy_j);
   }
 }
 
