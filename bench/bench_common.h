@@ -25,10 +25,6 @@ struct BenchOptions {
   std::vector<std::string> schemes;
   std::size_t chain_length = 30;
   std::size_t threads = 0;
-  /// Restart parallelism inside multi-start schemes (tsajs-x4): 1 =
-  /// sequential, 0 = hardware. Bit-identical results for every value; keep
-  /// at 1 when trial-level parallelism already saturates the machine.
-  std::size_t restart_threads = 1;
   std::string csv_prefix;  // empty = no CSV output
   bool tsajs_incremental = true;
 };
@@ -41,10 +37,6 @@ inline void add_common_flags(CliParser& cli, const std::string& trials_default,
   cli.add_flag("schemes", "comma-separated scheme list", schemes_default);
   cli.add_flag("chain-length", "TSAJS Markov-chain length L", "30");
   cli.add_flag("threads", "worker threads (0 = hardware)", "0");
-  cli.add_flag("restart-threads",
-               "threads per multi-start scheme, results identical "
-               "(1 = sequential, 0 = hardware)",
-               "1");
   cli.add_flag("csv", "CSV output path prefix (empty = off)", "");
   cli.add_flag("verbose", "log per-point sweep progress to stderr", "false");
 }
@@ -58,8 +50,6 @@ inline BenchOptions read_common_flags(const CliParser& cli) {
   options.chain_length =
       static_cast<std::size_t>(cli.get_uint("chain-length"));
   options.threads = static_cast<std::size_t>(cli.get_uint("threads"));
-  options.restart_threads =
-      static_cast<std::size_t>(cli.get_uint("restart-threads"));
   options.csv_prefix = cli.get_string("csv");
   if (cli.get_bool("verbose")) set_log_level(LogLevel::Info);
   return options;
@@ -71,7 +61,6 @@ inline exp::TrialSpec make_spec(const BenchOptions& options) {
   spec.schemes = options.schemes;
   spec.options.chain_length = options.chain_length;
   spec.options.incremental_evaluator = options.tsajs_incremental;
-  spec.options.threads = options.restart_threads;
   spec.trials = options.trials;
   spec.base_seed = options.seed;
   return spec;

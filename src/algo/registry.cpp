@@ -6,7 +6,6 @@
 #include "algo/greedy.h"
 #include "algo/hjtora.h"
 #include "algo/local_search.h"
-#include "algo/multi_start.h"
 #include "algo/sharded.h"
 #include "common/error.h"
 
@@ -37,17 +36,6 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
     return std::make_unique<LocalSearchScheduler>(config);
   }
   if (name == "exhaustive") return std::make_unique<ExhaustiveScheduler>();
-  if (name == "tsajs-x4") {
-    TsajsConfig config;
-    config.chain_length = options.chain_length;
-    config.use_incremental_evaluator = options.incremental_evaluator;
-    config.budget = options.budget;
-    if (options.warm_reheat.has_value()) {
-      config.warm_reheat = *options.warm_reheat;
-    }
-    return std::make_unique<MultiStartScheduler>(
-        std::make_unique<TsajsScheduler>(config), 4, options.threads);
-  }
   // "sharded:<inner>" wraps any registered scheme in the interference-
   // locality decomposition (per-shard solves + boundary fixup).
   if (name.rfind("sharded:", 0) == 0) {
@@ -71,8 +59,8 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
 }
 
 std::vector<std::string> scheduler_names() {
-  return {"exhaustive", "tsajs",  "tsajs-geo", "tsajs-x4", "hjtora",
-          "local-search", "greedy"};
+  return {"exhaustive", "tsajs", "tsajs-geo", "hjtora", "local-search",
+          "greedy"};
 }
 
 std::vector<std::string> parse_scheme_list(const std::string& csv) {

@@ -394,7 +394,7 @@ ScheduleResult ShardedScheduler::sharded_solve(
 
   // Derive every child seed up front, in shard order — the only point that
   // touches the caller's rng, so each shard's solve is independent of
-  // execution order and thread count (the MultiStartScheduler pattern).
+  // execution order and thread count.
   // Seeds k and num_shards + k feed shard k's phase-1 solve and its
   // reclaim re-solve respectively.
   std::vector<std::uint64_t> seeds(2 * num_shards);

@@ -13,9 +13,9 @@
 //
 // Parallelism & determinism (see DESIGN.md "Parallel sharded solving"):
 //   * Shard solves: child seeds derive from the caller Rng up front in
-//     shard order (the MultiStartScheduler pattern), results land in
-//     preallocated per-shard slots, and the merge scans them in shard
-//     order — bit-identical for every thread count.
+//     shard order, results land in preallocated per-shard slots, and the
+//     merge scans them in shard order — bit-identical for every thread
+//     count.
 //   * Budget split: the anytime SolveBudget is sliced across shards
 //     work-proportionally (weight = shard users x servers; largest-
 //     remainder apportionment for the iteration cap), handed to a

@@ -6,7 +6,6 @@
 #include <limits>
 #include <memory>
 
-#include "algo/multi_start.h"
 #include "algo/registry.h"
 #include "algo/scheduler.h"
 #include "algo/tsajs.h"
@@ -283,36 +282,6 @@ TEST(SolveBudgetTest, ScheduleWithinOverridesConfiguredBudget) {
       test::solve(scheduler, problem, rng, nullptr, &cap);
   EXPECT_GE(result.system_utility, 0.0);
   EXPECT_LE(result.evaluations, scheduler.config().chain_length + 1);
-}
-
-// Multi-start forwards the per-call cap to every restart.
-TEST(SolveBudgetTest, MultiStartScheduleWithinCapsEveryRestart) {
-  Rng env(42);
-  const mec::Scenario scenario = make_u90(env);
-  const jtora::CompiledProblem problem(scenario);
-
-  TsajsConfig inner_config;
-  inner_config.chain_length = 10;
-  const MultiStartScheduler scheduler(
-      std::make_unique<TsajsScheduler>(inner_config), 3);
-  SolveBudget cap;
-  cap.max_iterations = 1;
-  Rng rng(5);
-  const ScheduleResult result =
-      test::solve(scheduler, problem, rng, nullptr, &cap);
-  EXPECT_LE(result.evaluations, 3 * (inner_config.chain_length + 1));
-
-  // And the capped parallel path stays bit-identical to the sequential one.
-  const MultiStartScheduler pooled(
-      std::make_unique<TsajsScheduler>(inner_config), 3, 4);
-  Rng rng_a(5);
-  Rng rng_b(5);
-  const ScheduleResult seq =
-      test::solve(scheduler, problem, rng_a, nullptr, &cap);
-  const ScheduleResult par = test::solve(pooled, problem, rng_b, nullptr, &cap);
-  EXPECT_EQ(seq.assignment, par.assignment);
-  EXPECT_EQ(seq.system_utility, par.system_utility);
-  EXPECT_EQ(seq.evaluations, par.evaluations);
 }
 
 }  // namespace

@@ -71,8 +71,9 @@ TEST(RegistryTest, AllNamesConstructible) {
 }
 
 TEST(RegistryTest, UnknownNameThrows) {
-  // The last four are unreported schemes the registry no longer carries.
-  for (const char* name : {"nope", "genetic", "pso", "tabu", "random"}) {
+  // The last five are unreported schemes the registry no longer carries.
+  for (const char* name :
+       {"nope", "genetic", "pso", "tabu", "random", "tsajs-x4"}) {
     EXPECT_THROW((void)make_scheduler(name), NotFoundError) << name;
   }
 }

@@ -128,10 +128,6 @@ INSTANTIATE_TEST_SUITE_P(
                      {0x1.23682972aca26p+1, 21511u, 0x452d4252u},
                      {0x1.23682972ac272p+1, 6811u, 0x62d99e28u},
                      {0x1.6653a6bacc3e7p-1, 421u, 0xade67225u}},
-        SchemeGolden{"tsajs-x4",
-                     {0x1.23682972aca3ep+1, 62434u, 0xb8cce562u},
-                     {0x1.23682972aca62p+1, 51814u, 0xc6c59574u},
-                     {0x1.bb410c3de4a78p-1, 1684u, 0x5fb4e229u}},
         SchemeGolden{"hjtora",
                      {0x1.23682972aca29p+1, 2707u, 0x00cb5ab3u},
                      {0x1.23682972aca29p+1, 2707u, 0x00cb5ab3u},

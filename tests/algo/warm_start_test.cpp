@@ -8,7 +8,6 @@
 #include "algo/greedy.h"
 #include "algo/hjtora.h"
 #include "algo/local_search.h"
-#include "algo/multi_start.h"
 #include "algo/scheduler.h"
 #include "algo/tsajs.h"
 #include "jtora/utility.h"
@@ -145,32 +144,6 @@ TEST(WarmStartTest, RunAndValidateFallsBackForColdSchedulers) {
   EXPECT_DOUBLE_EQ(with_hint.system_utility, cold.system_utility);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
     EXPECT_EQ(with_hint.assignment.slot_of(u), cold.assignment.slot_of(u));
-  }
-}
-
-TEST(WarmStartTest, MultiStartForwardsHintToRestartZero) {
-  // Restart 0 anneals from the repaired hint and the reduction keeps the
-  // best restart, so the hinted multi-start dominates the hint; it must
-  // also stay deterministic per seed.
-  const mec::Scenario scenario = make_scenario(12, 3, 2, 17);
-  Rng hint_rng(4);
-  const jtora::Assignment hint =
-      random_feasible_assignment(scenario, hint_rng, 0.6);
-  const jtora::CompiledProblem problem(scenario);
-  const double hint_utility = jtora::UtilityEvaluator(problem).system_utility(
-      repair_hint(scenario, hint));
-  TsajsConfig config;
-  config.chain_length = 5;
-  const MultiStartScheduler scheduler(std::make_unique<TsajsScheduler>(config),
-                                      3);
-  Rng rng_a(91);
-  Rng rng_b(91);
-  const ScheduleResult a = test::solve(scheduler, scenario, rng_a, &hint);
-  const ScheduleResult b = test::solve(scheduler, scenario, rng_b, &hint);
-  EXPECT_GE(a.system_utility, hint_utility - 1e-9);
-  EXPECT_DOUBLE_EQ(a.system_utility, b.system_utility);
-  for (std::size_t u = 0; u < scenario.num_users(); ++u) {
-    EXPECT_EQ(a.assignment.slot_of(u), b.assignment.slot_of(u));
   }
 }
 

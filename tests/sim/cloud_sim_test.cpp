@@ -1,6 +1,5 @@
-// Cloud-facing simulation features: backhaul-outage fault injection,
-// waypoint mobility (golden-pinned), and the cloud-enabled dynamic loop
-// with its recall telemetry.
+// Cloud-facing simulation features: backhaul-outage fault injection and
+// the cloud-enabled dynamic loop with its recall telemetry.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -86,76 +85,6 @@ TEST(BackhaulFaultTest, EnablingBackhaulCoinsKeepsTheServerSchedule) {
       }
     }
     EXPECT_EQ(ma.num_backhauls_down(), 0u);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Waypoint mobility.
-// ---------------------------------------------------------------------------
-
-TEST(WaypointMobilityTest, DivergesFromTheWalkTimeline) {
-  DynamicConfig walk;
-  walk.epochs = 10;
-  DynamicConfig waypoint = walk;
-  waypoint.mobility_model = MobilityModel::kWaypoint;
-  const DynamicSimulator walk_sim(12, 4, 2, walk);
-  const DynamicSimulator wp_sim(12, 4, 2, waypoint);
-  const algo::GreedyScheduler scheduler;
-  Rng rng_a(9);
-  Rng rng_b(9);
-  const DynamicReport a = walk_sim.run(scheduler, rng_a);
-  const DynamicReport b = wp_sim.run(scheduler, rng_b);
-  bool differs = false;
-  for (std::size_t e = 0; e < a.epochs.size(); ++e) {
-    if (a.epochs[e].utility != b.epochs[e].utility) differs = true;
-  }
-  EXPECT_TRUE(differs);
-}
-
-TEST(WaypointMobilityTest, GoldenBitIdentical) {
-  // Pins the waypoint RNG discipline: targets are drawn from the same
-  // environment stream, in a fixed order (initial targets after placement,
-  // redraw on arrival). Any change here silently re-times every
-  // waypoint-based experiment.
-  DynamicConfig config;
-  config.epochs = 8;
-  config.mobility_model = MobilityModel::kWaypoint;
-  const DynamicSimulator simulator(12, 4, 2, config);
-  Rng rng(9);
-  const DynamicReport report = simulator.run(algo::GreedyScheduler(), rng);
-  struct GoldenEpoch {
-    std::size_t active_users;
-    std::size_t offloaded;
-    double utility;
-    double mean_delay_s;
-    double mean_energy_j;
-  };
-  const std::vector<GoldenEpoch> golden = {
-      {5, 5, 0x1.037c9e22ed57cp+2, 0x1.e34e9720956fap-1,
-       0x1.c882f7569b288p-8},
-      {7, 3, 0x1.a649f26394ecdp+0, 0x1.0511d8396bfcdp+1,
-       0x1.14c9f6fbe6c2bp+2},
-      {5, 2, 0x1.8e0b535292625p+0, 0x1.b709a15fee455p+0,
-       0x1.c96c358b36ac4p+2},
-      {3, 3, 0x1.4b774c3e5a9f3p+1, 0x1.7d28b7aa1ed74p-1,
-       0x1.885265340fd63p-8},
-      {6, 3, 0x1.45b178213e4f7p+1, 0x1.70bbbfc5a204bp-1,
-       0x1.56def1b3fc3c8p+1},
-      {9, 3, 0x1.4abf9c0de313ep+1, 0x1.bcc9c7265139ap+0,
-       0x1.cd506ae73c85cp+2},
-      {8, 5, 0x1.910d4c31bf58bp+1, 0x1.915bec010ef0fp+0,
-       0x1.3d4b3f492d121p+1},
-      {9, 4, 0x1.c0fae1d9680efp+1, 0x1.5450542e5a58dp+0,
-       0x1.77e2687c8b47dp+2}};
-  ASSERT_EQ(report.epochs.size(), golden.size());
-  for (std::size_t e = 0; e < golden.size(); ++e) {
-    SCOPED_TRACE("epoch " + std::to_string(e));
-    EXPECT_EQ(report.epochs[e].active_users, golden[e].active_users);
-    EXPECT_EQ(report.epochs[e].offloaded, golden[e].offloaded);
-    EXPECT_DOUBLE_EQ(report.epochs[e].utility, golden[e].utility);
-    EXPECT_DOUBLE_EQ(report.epochs[e].mean_delay_s, golden[e].mean_delay_s);
-    EXPECT_DOUBLE_EQ(report.epochs[e].mean_energy_j,
-                     golden[e].mean_energy_j);
   }
 }
 
