@@ -12,11 +12,6 @@
 #include "common/error.h"
 #include "common/stopwatch.h"
 #include "common/units.h"
-#include "jtora/assignment.h"
-#include "jtora/compiled_problem.h"
-#include "mec/cloud.h"
-#include "mec/scenario_workspace.h"
-#include "radio/spectrum.h"
 
 namespace tsajs::sim {
 
@@ -44,6 +39,7 @@ struct Digest {
 }  // namespace
 
 void StreamConfig::validate() const {
+  GridConfig::validate();
   TSAJS_REQUIRE(std::isfinite(duration_s) && duration_s > 0.0,
                 "stream duration must be positive and finite");
   TSAJS_REQUIRE(std::isfinite(arrival_rate_hz) && arrival_rate_hz > 0.0,
@@ -52,20 +48,6 @@ void StreamConfig::validate() const {
                     lifetime_max_s >= lifetime_min_s &&
                     std::isfinite(lifetime_max_s),
                 "session lifetime range must be positive and ordered");
-  TSAJS_REQUIRE(min_megacycles > 0.0 && max_megacycles >= min_megacycles,
-                "workload range must be positive and ordered");
-  TSAJS_REQUIRE(min_input_kb > 0.0 && max_input_kb >= min_input_kb,
-                "input-size range must be positive and ordered");
-  TSAJS_REQUIRE(std::isfinite(cloud_cpu_hz) && cloud_cpu_hz >= 0.0,
-                "cloud capacity must be finite and >= 0 (0 disables)");
-  if (cloud_cpu_hz > 0.0) {
-    TSAJS_REQUIRE(std::isfinite(cloud_backhaul_bps) && cloud_backhaul_bps > 0.0,
-                  "cloud backhaul rate must be positive and finite");
-    TSAJS_REQUIRE(std::isfinite(cloud_backhaul_latency_s) &&
-                      cloud_backhaul_latency_s >= 0.0,
-                  "cloud backhaul latency must be non-negative and finite");
-  }
-  fault.validate();
   // Noise bursts perturb an epoch's gains from injector RNG state that a
   // checkpoint does not capture; replaying them bit-identically would
   // require serializing the injector mid-stream. Outages/blackouts replay
@@ -86,7 +68,6 @@ void StreamConfig::validate() const {
   TSAJS_REQUIRE(
       std::isfinite(checkpoint_interval_s) && checkpoint_interval_s >= 0.0,
       "checkpoint interval must be >= 0 (0 disables)");
-  breaker.validate();
 }
 
 std::uint64_t StreamConfig::digest() const noexcept {
@@ -183,20 +164,10 @@ StreamDriver::StreamDriver(std::size_t num_servers,
                            mec::UserEquipment prototype,
                            mec::EdgeServer server_prototype,
                            double bandwidth_hz, double noise_dbm)
-    : num_subchannels_(num_subchannels),
-      config_(config),
-      prototype_(prototype),
-      layout_(num_servers, 1000.0),
-      channel_(radio::make_paper_channel()),
-      bandwidth_hz_(bandwidth_hz),
-      noise_w_(units::dbm_to_watts(noise_dbm)) {
-  TSAJS_REQUIRE(num_subchannels >= 1, "need at least one sub-channel");
+    : config_(config),
+      grid_(num_servers, num_subchannels, prototype, server_prototype,
+            bandwidth_hz, noise_dbm) {
   config_.validate();
-  servers_.resize(num_servers);
-  for (std::size_t s = 0; s < num_servers; ++s) {
-    servers_[s] = server_prototype;
-    servers_[s].position = layout_.site(s);
-  }
 }
 
 StreamReport StreamDriver::run(const algo::Scheduler& scheduler,
@@ -220,8 +191,8 @@ StreamReport StreamDriver::resume(const algo::Scheduler& scheduler,
   // The digest does not cover the grid; a carried slot outside it means
   // the checkpoint came from a larger one.
   for (const SessionState& s : checkpoint.active) {
-    TSAJS_REQUIRE(!s.has_slot || (s.server < servers_.size() &&
-                                  s.subchannel < num_subchannels_),
+    TSAJS_REQUIRE(!s.has_slot || (s.server < num_servers() &&
+                                  s.subchannel < num_subchannels()),
                   "checkpoint carries session " + std::to_string(s.id) +
                       "'s slot outside this driver's grid; refusing to "
                       "resume");
@@ -247,69 +218,31 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
   state.active.clear();
   state.backlog.clear();
 
-  mec::ScenarioWorkspace workspace(
-      servers_, radio::Spectrum(bandwidth_hz_, num_subchannels_), noise_w_);
-  const bool has_cloud = config_.cloud_cpu_hz > 0.0;
-  if (has_cloud) {
-    workspace.set_cloud(mec::CloudTier::uniform(
-        config_.cloud_cpu_hz, config_.cloud_backhaul_bps,
-        config_.cloud_backhaul_latency_s, servers_.size(),
-        config_.cloud_max_forwarded));
-  }
-  // The injector is a pure function of its seed and step count, so a
-  // resumed run reproduces the original fault schedule by replaying the
-  // checkpointed number of steps.
-  std::optional<FaultInjector> injector;
-  mec::Availability mask;  // unconstrained until the first fault tick
-  // The breaker consumes no randomness — it is a counter-driven pure
-  // function of the raw outage schedule — so a resumed run reconstructs
-  // its exact state by feeding it the same replayed observations.
-  mec::BackhaulBreaker breaker(servers_.size(), config_.breaker);
-  if (config_.fault.enabled()) {
-    injector.emplace(servers_.size(), num_subchannels_, config_.fault,
-                     stream_seed(state.seed, kFaultStream, 0));
-    for (std::uint64_t i = 0; i < state.fault_steps; ++i) {
-      injector->advance_epoch();
-      if (breaker.enabled()) breaker.observe_epoch(injector->availability());
-    }
-    if (state.fault_steps > 0) {
-      mask = injector->availability();
-      // An open breaker outlives the raw outage; give it a constrained
-      // mask to write its blocks into when the injector is fully healthy.
-      if (mask.unconstrained() && breaker.blocked_count() > 0) {
-        mask = mec::Availability(servers_.size(), num_subchannels_);
-      }
-      breaker.apply(mask);
-    }
-  }
+  // The injector is a pure function of its seed and step count, and the
+  // breaker a counter-driven pure function of the raw outages, so a resumed
+  // run reconstructs both by replaying the checkpointed number of steps.
+  GridState env(grid_, config_, stream_seed(state.seed, kFaultStream, 0));
+  for (std::uint64_t i = 0; i < state.fault_steps; ++i) env.step_faults();
   // A resumed segment reports only its own breaker transitions.
-  const std::uint64_t base_trips = breaker.trips();
-  const std::uint64_t base_half_opens = breaker.half_opens();
-  const std::uint64_t base_closes = breaker.closes();
-  jtora::CompiledProblem compiled;
-  std::vector<geo::Point> bs_positions(servers_.size());
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    bs_positions[s] = servers_[s].position;
-  }
-  std::vector<geo::Point> positions;
-  // Path loss per live session. Sessions never move, so a session's row is
-  // computed at its first staging and read back until it departs; its cache
-  // id then returns to the free list for a later session, and the cache
-  // holds only as many ids as sessions were ever live at once. A resumed or
-  // recovered run starts empty and refills it: a row only ever holds the
-  // value the redraw would recompute, and the shadowing draws take the
-  // decision's channel stream in the same order either way.
-  radio::PathLossCache pathloss;
-  pathloss.reset(0, servers_.size());
+  const std::uint64_t base_trips = env.breaker().trips();
+  const std::uint64_t base_half_opens = env.breaker().half_opens();
+  const std::uint64_t base_closes = env.breaker().closes();
+  // Path-loss cache ids of the live sessions. Sessions never move, so a
+  // session's row is computed at its first staging and read back until it
+  // departs; its id then returns to the free list for a later session, and
+  // the cache holds only as many ids as sessions were ever live at once. A
+  // resumed or recovered run starts empty and refills it: a row only ever
+  // holds the value the redraw would recompute, and the shadowing draws
+  // take the decision's channel stream in the same order either way.
   std::unordered_map<std::uint64_t, std::size_t> pathloss_id;  // session->id
   std::vector<std::size_t> free_pathloss_ids;
-  std::vector<std::size_t> staged_pathloss_ids;
+  std::size_t num_pathloss_ids = 0;
 
   const auto capacity = [&]() -> std::size_t {
     if (config_.admission.max_active > 0) return config_.admission.max_active;
-    const std::size_t cap =
-        admission_capacity(servers_.size(), num_subchannels_, mask, has_cloud,
-                           config_.cloud_max_forwarded);
+    const std::size_t cap = admission_capacity(
+        num_servers(), num_subchannels(), env.mask(), config_.has_cloud(),
+        config_.cloud_max_forwarded);
     return cap > config_.admission.headroom ? cap - config_.admission.headroom
                                             : 0;
   };
@@ -318,63 +251,34 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
     if (sink != nullptr) sink->on_event(event);
   };
 
-  // One scheduling decision: stage the active sessions (ascending id) into
-  // the workspace, redraw gains from the decision's derived channel
-  // stream, solve through the SolveRequest API, and carry the resulting
-  // slots as the next decision's warm hint.
+  // One scheduling decision: stage the active sessions (ascending id) with
+  // their carried slots, redraw gains from the decision's derived channel
+  // stream, solve through the SolveRequest API — warm-started from the
+  // repaired slots when configured — and carry the resulting slots on.
   const auto solve_decision = [&](double now) {
     if (sessions.empty()) return;
     const std::uint64_t d = state.decisions++;
-    workspace.begin_epoch();
-    if (injector.has_value()) workspace.set_availability(mask);
-    std::vector<mec::UserEquipment>& users = workspace.users();
-    positions.clear();
-    staged_pathloss_ids.clear();
+    env.begin_stage();
     for (const auto& [id, s] : sessions) {
-      mec::UserEquipment ue = prototype_;
-      ue.task = mec::Task(s.input_bits, s.cycles);
-      ue.position = {s.x, s.y};
-      positions.push_back(ue.position);
-      users.push_back(std::move(ue));
       const auto [held, fresh] = pathloss_id.try_emplace(id, 0);
       if (fresh && free_pathloss_ids.empty()) {
-        held->second = pathloss.num_ids();  // a new peak of live sessions
-        pathloss.resize(held->second + 1);
+        held->second = num_pathloss_ids++;  // a new peak of live sessions
       } else if (fresh) {
         held->second = free_pathloss_ids.back();
         free_pathloss_ids.pop_back();
       }
-      staged_pathloss_ids.push_back(held->second);
+      CarriedSlot carried{std::nullopt, s.forwarded};
+      if (s.has_slot) carried.slot = jtora::Slot{s.server, s.subchannel};
+      env.stage(mec::Task(s.input_bits, s.cycles), {s.x, s.y}, held->second,
+                carried);
     }
     Rng channel_rng(stream_seed(state.seed, kChannelStream, d));
-    channel_.regenerate_into(positions, bs_positions, num_subchannels_,
-                             channel_rng, workspace.gains(), &pathloss,
-                             &staged_pathloss_ids);
-    const mec::Scenario& scenario = workspace.commit();
-    compiled.compile(scenario);
-
-    // Warm hint: each surviving session re-claims its carried slot when the
-    // slot is still unmasked and unclaimed; sessions evicted by faults (or
-    // newly admitted) enter local and are re-placed by the solve.
-    std::optional<jtora::Assignment> hint;
-    if (config_.warm) {
-      hint.emplace(scenario);
-      std::size_t i = 0;
-      for (const auto& [id, s] : sessions) {
-        if (s.has_slot && hint->slot_available(s.server, s.subchannel) &&
-            !hint->occupant(s.server, s.subchannel).has_value()) {
-          hint->offload(i, s.server, s.subchannel);
-          if (s.forwarded && hint->can_forward(i)) {
-            hint->set_forwarded(i, true);
-          }
-        }
-        ++i;
-      }
-    }
+    const jtora::CompiledProblem& problem = env.compile(channel_rng);
+    const RepairedHint hint = env.repair_hint(config_.warm);
     Rng solve_rng(stream_seed(state.seed, kSolveStream, d));
     algo::SolveRequest request;
-    request.problem = &compiled;
-    if (hint.has_value()) request.hint = &*hint;
+    request.problem = &problem;
+    if (hint.assignment.has_value()) request.hint = &*hint.assignment;
     if (!config_.decision_budget.unlimited()) {
       request.budget = &config_.decision_budget;
     }
@@ -469,7 +373,7 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
   // arrival resolves the tie, so the ordering is a pure function of state.
   while (true) {
     const double t_fault =
-        injector.has_value()
+        env.faults_enabled()
             ? static_cast<double>(state.fault_steps + 1) *
                   config_.fault_interval_s
             : kNever;
@@ -488,25 +392,16 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
     if (t_fault == t_next) {
       ++state.fault_steps;
       ++report.fault_steps;
-      injector->advance_epoch();
-      mask = injector->availability();
-      if (breaker.enabled()) {
-        breaker.observe_epoch(mask);
-        if (mask.unconstrained() && breaker.blocked_count() > 0) {
-          mask = mec::Availability(servers_.size(), num_subchannels_);
-        }
-        breaker.apply(mask);
-      }
+      env.step_faults();
       StreamEvent event;
       event.type = StreamEventType::kFault;
       event.sim_time_s = t_next;
       event.active = sessions.size();
       event.backlog = backlog.size();
-      event.servers_down = injector->servers_down();
-      event.backhauls_down = injector->backhauls_down();
-      event.slots_unavailable =
-          mask.unconstrained() ? 0 : mask.num_unavailable_slots();
-      event.breakers_open = breaker.blocked_count();
+      event.servers_down = env.injector().servers_down();
+      event.backhauls_down = env.injector().backhauls_down();
+      event.slots_unavailable = env.mask().num_unavailable_slots();
+      event.breakers_open = env.breaker().blocked_count();
       emit(event);
       // Recovered capacity may drain the backlog; the new mask may strand
       // carried slots. Either way the standing assignment must be re-made
@@ -554,7 +449,7 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
       (void)arrival_rng.exponential(config_.arrival_rate_hz);
       SessionState s;
       s.id = k + 1;  // 1-based; 0 means "no session" in the event log
-      const geo::Point position = layout_.sample_in_network(arrival_rng);
+      const geo::Point position = grid_.layout().sample_in_network(arrival_rng);
       s.x = position.x;
       s.y = position.y;
       s.input_bits = units::kilobytes_to_bits(
@@ -610,9 +505,9 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
 
   report.sim_time_s = horizon;
   report.wall_seconds = wall.elapsed_seconds();
-  report.breaker_trips = breaker.trips() - base_trips;
-  report.breaker_half_opens = breaker.half_opens() - base_half_opens;
-  report.breaker_closes = breaker.closes() - base_closes;
+  report.breaker_trips = env.breaker().trips() - base_trips;
+  report.breaker_half_opens = env.breaker().half_opens() - base_half_opens;
+  report.breaker_closes = env.breaker().closes() - base_closes;
   return report;
 }
 

@@ -51,12 +51,8 @@
 
 #include "algo/scheduler.h"
 #include "common/stats.h"
-#include "geo/hex_layout.h"
 #include "mec/availability.h"
-#include "mec/breaker.h"
-#include "mec/scenario.h"
-#include "radio/channel.h"
-#include "sim/fault.h"
+#include "sim/grid.h"
 
 namespace tsajs::sim {
 
@@ -103,7 +99,9 @@ struct AdmissionConfig {
                                              bool cloud_enabled,
                                              std::size_t cloud_max_forwarded);
 
-struct StreamConfig {
+/// Task ranges, cloud tier, faults and breaker: see GridConfig. Noise
+/// bursts must stay disabled (checkpoints cannot replay them).
+struct StreamConfig : GridConfig {
   /// Simulated horizon [s].
   double duration_s = 60.0;
   /// Poisson arrival rate [1/s].
@@ -112,28 +110,7 @@ struct StreamConfig {
   /// session departs `lifetime` seconds after *admission*.
   double lifetime_min_s = 5.0;
   double lifetime_max_s = 20.0;
-  /// Task parameter ranges, sampled uniformly per arrival.
-  double min_megacycles = 500.0;
-  double max_megacycles = 4000.0;
-  double min_input_kb = 100.0;
-  double max_input_kb = 800.0;
-  /// Cloud tier behind the edge (disabled by default; see DynamicConfig).
-  double cloud_cpu_hz = 0.0;
-  double cloud_backhaul_bps = 100e6;
-  double cloud_backhaul_latency_s = 0.02;
-  std::size_t cloud_max_forwarded = 0;  ///< 0 = unlimited
-  /// Fault injection; advances every `fault_interval_s` of simulated time.
-  /// Noise bursts must stay disabled (checkpoints cannot replay them).
-  FaultConfig fault;
-  double fault_interval_s = 1.0;
-  /// Per-server backhaul circuit breaker (disabled by default), driven by
-  /// the injector's raw backhaul outages on each fault tick: a flapping
-  /// link trips open and is withheld from forwarding until it proves
-  /// healthy again (see mec/breaker.h). Breaker state is a counter-driven
-  /// pure function of the fault schedule — it consumes no randomness and a
-  /// resumed run reconstructs it by replaying `fault_steps` observations —
-  /// so enabling it keeps the event log seed-deterministic.
-  mec::BreakerConfig breaker;
+  double fault_interval_s = 1.0;  ///< simulated time per fault step [s]
   /// Per-decision solve budget. Only the deterministic iteration cap is
   /// allowed (max_seconds must be 0): a wall-clock deadline would let host
   /// timing leak into the event log and break replay bit-identity.
@@ -343,10 +320,10 @@ class StreamDriver {
     return config_;
   }
   [[nodiscard]] std::size_t num_servers() const noexcept {
-    return servers_.size();
+    return grid_.num_servers();
   }
   [[nodiscard]] std::size_t num_subchannels() const noexcept {
-    return num_subchannels_;
+    return grid_.num_subchannels();
   }
 
  private:
@@ -354,14 +331,8 @@ class StreamDriver {
                                       StreamCheckpoint state,
                                       StreamSink* sink) const;
 
-  std::size_t num_subchannels_;
   StreamConfig config_;
-  mec::UserEquipment prototype_;
-  geo::HexLayout layout_;
-  std::vector<mec::EdgeServer> servers_;
-  radio::ChannelModel channel_;
-  double bandwidth_hz_;
-  double noise_w_;
+  Grid grid_;
 };
 
 }  // namespace tsajs::sim
