@@ -23,7 +23,7 @@
 // Lifetime: a CompiledProblem holds a pointer to its Scenario and must not
 // outlive it. It is immutable through the evaluator-facing API; `compile`
 // and `recompile_channel` rebind/refresh it in place (buffer-reusing, for
-// the epoch loop of sim::DynamicSimulator).
+// the staging loop of sim::GridState).
 #pragma once
 
 #include <cstddef>

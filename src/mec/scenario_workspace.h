@@ -23,7 +23,7 @@
 // The workspace pairs naturally with a long-lived jtora::CompiledProblem:
 // call `compiled.compile(ws.commit())` each epoch and the problem layer
 // reuses its flat tables the same way the workspace reuses the scenario
-// buffers (see sim::DynamicSimulator for the canonical loop).
+// buffers (sim::GridState's staging path is the canonical loop).
 #pragma once
 
 #include <optional>

@@ -113,8 +113,8 @@ class ChannelModel {
       std::size_t num_subchannels, Rng& rng) const;
 
   /// Draws a fresh set of gains *into* `out`, reshaping it in place so the
-  /// tensor's allocation is reused across calls (the per-epoch hot path of
-  /// sim::DynamicSimulator). Consumes exactly the same RNG stream as
+  /// tensor's allocation is reused across calls (the staging hot path of
+  /// sim::GridState). Consumes exactly the same RNG stream as
   /// generate(), so the two are bit-for-bit interchangeable.
   ///
   /// With a `cache`, the deterministic path-loss term is memoized per user:

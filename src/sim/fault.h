@@ -1,9 +1,10 @@
-// Fault injection for the dynamic simulation.
+// Fault injection for the online simulators.
 //
 // A deployed MEC controller sees edge servers crash and recover, individual
 // sub-channels black out, and channel estimates degrade in bursts. The
 // paper's evaluation is fully healthy; `FaultInjector` adds those hazards to
-// sim::DynamicSimulator as a seeded, reproducible per-epoch schedule:
+// both simulators (stepped by sim::GridState) as a seeded, reproducible
+// per-epoch schedule:
 //
 //   * server outages — a geometric MTBF/MTTR model: each epoch an up server
 //     fails with probability 1/MTBF and a down server repairs with
