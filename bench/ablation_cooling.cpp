@@ -1,17 +1,16 @@
-// Ablation — the design choices DESIGN.md calls out:
-//  1. threshold-triggered cooling (the paper's TTSA) vs plain geometric
-//     cooling at the same alpha, and
-//  2. the structured neighborhood mix vs a toggle-heavy mix,
-// measured on the default network at two workloads. Also reports solve time,
-// since the threshold trigger exists to cut wasted low-temperature sweeps.
+// Ablation of the cooling policy: threshold-triggered cooling (the paper's
+// TTSA, tsajs) vs plain geometric cooling at alpha1 (tsajs-geo), with the
+// LocalSearch hill climber as a no-annealing reference, measured on the
+// default network at two workloads. Also reports solve time, since the
+// threshold trigger exists to cut wasted low-temperature sweeps.
 #include "bench_common.h"
 
 using namespace tsajs;
 
 int main(int argc, char** argv) {
   CliParser cli(
-      "ablation_cooling — threshold-triggered vs geometric cooling, and "
-      "neighborhood-mix sensitivity");
+      "ablation_cooling — threshold-triggered vs geometric cooling, with "
+      "local search as the no-annealing reference");
   bench::add_common_flags(cli, /*trials=*/"10",
                           "tsajs,tsajs-geo,local-search");
   cli.add_flag("workloads", "workload sweep [Megacycles]", "1000,3000");

@@ -323,8 +323,9 @@ void BM_PreviewRow_Scalar(benchmark::State& state) {
 }
 BENCHMARK(BM_PreviewRow_Scalar);
 
-// Chunked parallel_for dispatch: per-task overhead (submit + future) across
-// grain sizes, over a body cheap enough that dispatch dominates. Grain 1 is
+// Chunked parallel_for dispatch: per-task overhead (queue, wake-up and the
+// counted join) across grain sizes, over a body cheap enough that dispatch
+// dominates. Grain 1 is
 // the historical one-task-per-index path; larger grains batch indices per
 // task (what the sharded fixup uses when shards outnumber workers); 0 is
 // the even-split mode. Two workers keep the measurement meaningful on the

@@ -2,19 +2,15 @@
 
 #include <optional>
 
-#include "common/error.h"
-
 namespace tsajs::algo {
 
-void HjtoraConfig::validate() const {
-  TSAJS_REQUIRE(min_gain >= 0.0, "min_gain must be non-negative");
-}
-
-HjtoraScheduler::HjtoraScheduler(HjtoraConfig config) : config_(config) {
-  config_.validate();
-}
-
 namespace {
+
+/// Upper bound on the interleaved adjustment rounds after the first
+/// admission phase.
+constexpr std::size_t kMaxAdjustmentPasses = 4;
+/// Minimum objective improvement to accept a change (absolute).
+constexpr double kMinGain = 1e-12;
 
 struct Move {
   std::size_t user = 0;
@@ -49,7 +45,7 @@ ScheduleResult HjtoraScheduler::solve(const SolveRequest& request) const {
             const double candidate = evaluator.system_utility(x);
             ++evaluations;
             x.make_local(u);
-            if (candidate > utility + config_.min_gain &&
+            if (candidate > utility + kMinGain &&
                 (!best.has_value() || candidate > best->utility)) {
               best = Move{u, jtora::Slot{s, j}, candidate};
             }
@@ -77,7 +73,7 @@ ScheduleResult HjtoraScheduler::solve(const SolveRequest& request) const {
       x.make_local(u);
       const double dropped = evaluator.system_utility(x);
       ++evaluations;
-      if (dropped > utility + config_.min_gain) {
+      if (dropped > utility + kMinGain) {
         best = Move{u, std::nullopt, dropped};
       }
       // Move to any free slot (the original slot is free now; skip it).
@@ -90,7 +86,7 @@ ScheduleResult HjtoraScheduler::solve(const SolveRequest& request) const {
           const double candidate = evaluator.system_utility(x);
           ++evaluations;
           x.make_local(u);
-          if (candidate > utility + config_.min_gain &&
+          if (candidate > utility + kMinGain &&
               (!best.has_value() || candidate > best->utility)) {
             best = Move{u, jtora::Slot{s, j}, candidate};
           }
@@ -123,7 +119,7 @@ ScheduleResult HjtoraScheduler::solve(const SolveRequest& request) const {
       x.set_forwarded(u, !forwarded);
       const double candidate = evaluator.system_utility(x);
       ++evaluations;
-      if (candidate > utility + config_.min_gain) {
+      if (candidate > utility + kMinGain) {
         utility = candidate;
         changed = true;
       } else {
@@ -139,7 +135,7 @@ ScheduleResult HjtoraScheduler::solve(const SolveRequest& request) const {
   // improves the objective.
   const bool has_cloud = problem.has_cloud();
   admission_phase();
-  for (std::size_t pass = 0; pass < config_.max_adjustment_passes; ++pass) {
+  for (std::size_t pass = 0; pass < kMaxAdjustmentPasses; ++pass) {
     const bool adjusted = adjustment_pass();
     const bool tiered = has_cloud && tier_pass();
     const bool admitted = admission_phase();

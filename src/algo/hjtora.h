@@ -14,7 +14,7 @@
 //  Phase 2 (adjustment): bounded one-exchange improvement — consider moving
 //  each offloaded user to every other free slot and dropping each offloaded
 //  user to local; apply improvements until a pass makes no change (at most
-//  `max_adjustment_passes` passes).
+//  four passes).
 //
 // This reproduces the qualitative standing the paper reports: utility close
 // to (slightly below) TSAJS and above LocalSearch/Greedy, with runtime that
@@ -26,25 +26,11 @@
 
 namespace tsajs::algo {
 
-struct HjtoraConfig {
-  std::size_t max_adjustment_passes = 4;
-  /// Minimum objective improvement to accept a change (absolute).
-  double min_gain = 1e-12;
-
-  void validate() const;
-};
-
 class HjtoraScheduler final : public Scheduler {
  public:
-
-  explicit HjtoraScheduler(HjtoraConfig config = {});
-
   [[nodiscard]] std::string name() const override { return "hjtora"; }
   [[nodiscard]] ScheduleResult solve(
       const SolveRequest& request) const override;
-
- private:
-  HjtoraConfig config_;
 };
 
 }  // namespace tsajs::algo

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "algo/neighborhood.h"
 #include "common/error.h"
 
 namespace tsajs::algo {
@@ -9,9 +10,6 @@ namespace tsajs::algo {
 void LocalSearchConfig::validate() const {
   TSAJS_REQUIRE(max_iterations >= 1, "need at least one iteration");
   TSAJS_REQUIRE(patience >= 1, "patience must be at least 1");
-  TSAJS_REQUIRE(initial_offload_prob >= 0.0 && initial_offload_prob <= 1.0,
-                "initial offload probability must lie in [0,1]");
-  neighborhood.validate();
 }
 
 LocalSearchScheduler::LocalSearchScheduler(LocalSearchConfig config)
@@ -26,9 +24,7 @@ ScheduleResult LocalSearchScheduler::solve(const SolveRequest& request) const {
   if (request.hint != nullptr) {
     return climb(problem, repair_hint(problem.scenario(), *request.hint), rng);
   }
-  return climb(problem,
-               random_feasible_assignment(problem.scenario(), rng,
-                                          config_.initial_offload_prob),
+  return climb(problem, random_feasible_assignment(problem.scenario(), rng, 0.0),
                rng);
 }
 
@@ -36,7 +32,7 @@ ScheduleResult LocalSearchScheduler::climb(
     const jtora::CompiledProblem& problem, jtora::Assignment initial,
     Rng& rng) const {
   const jtora::UtilityEvaluator evaluator(problem);
-  const Neighborhood neighborhood(problem.scenario(), config_.neighborhood);
+  const Neighborhood neighborhood(problem.scenario());
 
   jtora::Assignment current = std::move(initial);
   double current_utility = evaluator.system_utility(current);

@@ -10,7 +10,6 @@
 // which is the gap the annealer is designed to escape.
 #pragma once
 
-#include "algo/neighborhood.h"
 #include "algo/scheduler.h"
 
 namespace tsajs::algo {
@@ -21,12 +20,6 @@ struct LocalSearchConfig {
   std::size_t max_iterations = 2000;
   /// Convergence: stop after this many consecutive non-improving proposals.
   std::size_t patience = 400;
-  /// Offload probability of the initial solution. Defaults to 0 (all-local):
-  /// a pure hill climber keeps whatever start it gets, and a random start
-  /// can be deeply negative on large instances, which no reasonable
-  /// implementation of the baseline would ship.
-  double initial_offload_prob = 0.0;
-  NeighborhoodConfig neighborhood;
 
   void validate() const;
 };
@@ -37,9 +30,11 @@ class LocalSearchScheduler final : public Scheduler {
 
   [[nodiscard]] std::string name() const override { return "local-search"; }
 
-  /// Warm start (request.hint): hill-climbs from the repaired hint instead
-  /// of the random initial solution — the natural reading for a pure
-  /// descent method, which keeps whatever start it is given.
+  /// Cold: hill-climbs from the all-local start (offload probability 0 in
+  /// random_feasible_assignment): a pure hill climber keeps whatever start
+  /// it gets, and a random start can be deeply negative on large instances,
+  /// which no reasonable implementation of the baseline would ship. Warm
+  /// (request.hint): hill-climbs from the repaired hint instead.
   [[nodiscard]] ScheduleResult solve(
       const SolveRequest& request) const override;
 

@@ -42,22 +42,6 @@
 
 namespace tsajs::algo {
 
-/// Operation mix probabilities (the paper's constants by default). Exposed
-/// so the ablation bench can vary the mix.
-struct NeighborhoodConfig {
-  double toggle_prob = 0.05;  ///< rand <= toggle_prob        -> toggle.
-  double swap_prob = 0.15;    ///< toggle < rand <= +swap     -> swap.
-  double move_server_share = 0.6875;  ///< share of "move" mass that changes
-                                      ///< server: (0.75-0.2)/0.8 in Alg. 2.
-  /// Probability of proposing a cloud tier change (forward / recall) for the
-  /// drawn user *before* the Alg. 2 operation draw. Only consulted — and
-  /// only consumes RNG — when the scenario has an enabled cloud tier, so
-  /// cloud-disabled runs keep their exact pre-cloud proposal streams.
-  double forward_prob = 0.10;
-
-  void validate() const;
-};
-
 class Neighborhood {
  public:
   /// One drawn perturbation, in primitive form. `kReplace` evicts the
@@ -80,8 +64,8 @@ class Neighborhood {
     std::size_t subchannel = 0;
   };
 
-  explicit Neighborhood(const mec::Scenario& scenario,
-                        NeighborhoodConfig config = {});
+  explicit Neighborhood(const mec::Scenario& scenario)
+      : scenario_(&scenario), cloud_active_(scenario.has_cloud()) {}
 
   /// Draws a random neighbor of `decision` without mutating it. Consumes
   /// exactly the same RNG stream as step() so proposal sequences are
@@ -90,16 +74,14 @@ class Neighborhood {
   [[nodiscard]] Move propose(const Decision& decision, Rng& rng) const {
     const auto u =
         static_cast<std::size_t>(rng.uniform_index(scenario_->num_users()));
-    if (cloud_active_ && rng.uniform() < config_.forward_prob) {
+    if (cloud_active_ && rng.uniform() < kForwardProb) {
       return propose_tier(decision, u);
     }
     const double r = rng.uniform();
-    if (r < config_.toggle_prob) return propose_toggle(decision, u, rng);
-    if (r < config_.toggle_prob + config_.swap_prob) {
-      return propose_swap(decision, u, rng);
-    }
+    if (r < kToggleProb) return propose_toggle(decision, u, rng);
+    if (r < kToggleProb + kSwapProb) return propose_swap(decision, u, rng);
     // "move": split between server move and sub-channel move.
-    if (rng.uniform() < config_.move_server_share) {
+    if (rng.uniform() < kMoveServerShare) {
       return propose_move_server(decision, u, rng);
     }
     return propose_move_subchannel(decision, u, rng);
@@ -171,11 +153,18 @@ class Neighborhood {
     return apply_move(decision, propose(decision, rng));
   }
 
-  [[nodiscard]] const NeighborhoodConfig& config() const noexcept {
-    return config_;
-  }
-
  private:
+  // Algorithm 2's operation mix.
+  static constexpr double kToggleProb = 0.05;  ///< rand <= 0.05 -> toggle
+  static constexpr double kSwapProb = 0.15;    ///< 0.05 < rand <= 0.2 -> swap
+  /// Share of the "move" mass that changes server: (0.75 - 0.2) / 0.8.
+  static constexpr double kMoveServerShare = 0.6875;
+  /// Probability of proposing a cloud tier change (forward / recall) for the
+  /// drawn user *before* the Alg. 2 operation draw. Only consulted — and
+  /// only consumes RNG — when the scenario has an enabled cloud tier, so
+  /// cloud-disabled runs keep their exact pre-cloud proposal streams.
+  static constexpr double kForwardProb = 0.10;
+
   /// Picks a sub-channel of `s` for `u`: a random free one (kOffload), else
   /// a random occupied one to evict (kReplace) — the constraint-preserving
   /// reading of Alg. 2 lines 9/13.
@@ -307,7 +296,6 @@ class Neighborhood {
   }
 
   const mec::Scenario* scenario_;
-  NeighborhoodConfig config_;
   /// Cached scenario_->has_cloud(): gates the tier draw so cloud-disabled
   /// scenarios consume exactly the pre-cloud RNG stream.
   bool cloud_active_ = false;

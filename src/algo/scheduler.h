@@ -33,10 +33,6 @@
 #include "jtora/utility.h"
 #include "mec/scenario.h"
 
-namespace tsajs {
-class CancelToken;  // common/watchdog.h
-}  // namespace tsajs
-
 namespace tsajs::algo {
 
 /// Anytime solve budget: wall-clock and/or search-effort caps for one
@@ -88,13 +84,6 @@ struct SolveRequest {
   const SolveBudget* budget = nullptr;
   /// RNG for this decision (required). Mutated by the solve.
   Rng* rng = nullptr;
-  /// Cooperative cancellation (nullptr = never cancelled). A budget-aware
-  /// scheduler polls the token at the same safe boundaries where it checks
-  /// its budget and returns its best feasible result so far once the flag
-  /// is set — same degradation contract as an expired budget, including
-  /// the all-local floor. Lets a watchdog stop a runaway solve without
-  /// preemption (see common/watchdog.h). Non-owning.
-  const CancelToken* cancel = nullptr;
 
   /// Throws unless `problem` and `rng` are set and any budget validates.
   void validate() const;

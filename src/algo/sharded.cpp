@@ -11,7 +11,6 @@
 #include "common/error.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "common/watchdog.h"
 #include "geo/partition.h"
 #include "jtora/incremental.h"
 #include "jtora/sharded_problem.h"
@@ -22,7 +21,6 @@ namespace tsajs::algo {
 void ShardedConfig::validate() const {
   TSAJS_REQUIRE(reach_m >= 0.0 && std::isfinite(reach_m),
                 "interference reach must be finite and non-negative");
-  TSAJS_REQUIRE(fixup_passes >= 1, "need at least one fixup pass");
   TSAJS_REQUIRE(std::isfinite(hedge_factor) &&
                     (hedge_factor == 0.0 || hedge_factor >= 1.0),
                 "hedge factor must be 0 (disabled) or >= 1");
@@ -65,6 +63,11 @@ std::string ShardedScheduler::name() const {
 }
 
 namespace {
+
+/// Boundary fixup rounds after the shard solves. Each round sweeps the
+/// boundary users once (colored); rounds stop early when a sweep changes
+/// nothing.
+constexpr std::size_t kFixupPasses = 2;
 
 /// Greedy coloring of the shard graph under *distance-2* conflicts: two
 /// shards conflict when they are adjacent or share a common neighbor.
@@ -272,13 +275,12 @@ ScheduleResult ShardedScheduler::solve(const SolveRequest& request) const {
   // split across shards; absent both, the solve is unbudgeted.
   const SolveBudget& budget =
       request.budget != nullptr ? *request.budget : config_.budget;
-  return sharded_solve(*request.problem, request.hint, budget, request.cancel,
-                       *request.rng);
+  return sharded_solve(*request.problem, request.hint, budget, *request.rng);
 }
 
 ScheduleResult ShardedScheduler::passthrough(
     const jtora::CompiledProblem& problem, const jtora::Assignment* hint,
-    const SolveBudget& budget, const CancelToken* cancel, Rng& rng) const {
+    const SolveBudget& budget, Rng& rng) const {
   // An unlimited budget is not forwarded, keeping the historical delegation
   // paths bit for bit (the inner scheme falls back to its own configured
   // budget); a real budget rides the request and caps the unsharded solve
@@ -290,13 +292,12 @@ ScheduleResult ShardedScheduler::passthrough(
   inner_request.hint = hint;
   inner_request.budget = budget.unlimited() ? nullptr : &budget;
   inner_request.rng = &rng;
-  inner_request.cancel = cancel;
   return inner_->solve(inner_request);
 }
 
 ScheduleResult ShardedScheduler::sharded_solve(
     const jtora::CompiledProblem& problem, const jtora::Assignment* hint,
-    const SolveBudget& budget, const CancelToken* cancel, Rng& rng) const {
+    const SolveBudget& budget, Rng& rng) const {
   const Stopwatch timer;
   const mec::Scenario& scenario = problem.scenario();
 
@@ -319,7 +320,7 @@ ScheduleResult ShardedScheduler::sharded_solve(
   // A single site (auto reach 0) cannot be partitioned; neither can a
   // deployment whose sites all share one tile. Both degenerate to the
   // wrapped scheme verbatim — same Rng, same result, bit for bit.
-  if (reach <= 0.0) return passthrough(problem, hint, budget, cancel, rng);
+  if (reach <= 0.0) return passthrough(problem, hint, budget, rng);
 
   // The mutex is held for the whole solve: concurrent solve() calls on
   // one instance serialize (each still deterministic), and the cache below
@@ -343,7 +344,7 @@ ScheduleResult ShardedScheduler::sharded_solve(
   }
   const geo::InterferencePartition& partition = *cache.partition;
   if (partition.num_shards() == 1) {
-    return passthrough(problem, hint, budget, cancel, rng);
+    return passthrough(problem, hint, budget, rng);
   }
 
   // Re-slice for this epoch; ShardedProblem reuses whatever it can.
@@ -400,12 +401,10 @@ ScheduleResult ShardedScheduler::sharded_solve(
   std::vector<std::uint64_t> seeds(2 * num_shards);
   for (std::size_t k = 0; k < seeds.size(); ++k) seeds[k] = rng.derive_seed(k);
 
-  // Hedged retries (config_.hedge_factor > 0): one watchdog serves every
-  // wall-clock-budgeted shard solve; iteration budgets need no watchdog —
-  // overrun there is a pure function of the reported evaluation count.
+  // Hedged retries (config_.hedge_factor > 0) judge each shard after its
+  // solve returns: by its evaluation count under an iteration budget, by
+  // its elapsed time under a wall-clock one.
   const bool hedging = config_.hedge_factor > 0.0 && capped_inner;
-  std::optional<Watchdog> watchdog;
-  if (hedging && budget.max_seconds > 0.0) watchdog.emplace();
 
   struct Outcome {
     std::optional<ScheduleResult> result;
@@ -422,7 +421,6 @@ ScheduleResult ShardedScheduler::sharded_solve(
     SolveRequest shard_request;
     shard_request.problem = shard.problem.get();
     shard_request.rng = &child;
-    shard_request.cancel = cancel;
     std::optional<jtora::Assignment> shard_hint;
     if (repaired.has_value()) {
       shard_hint = sharded.shard_hint(k, *repaired);
@@ -433,19 +431,7 @@ ScheduleResult ShardedScheduler::sharded_solve(
       slice.max_iterations = iter_slice[k];
       slice.max_seconds = sec_slice[k];
       shard_request.budget = &slice;
-      // Wall-clock hedging cancels the inner solve cooperatively once it
-      // overruns hedge_factor x its slice deadline; the caller's own token
-      // (if any) already fed the request above, and a fired hedge token
-      // implies this shard will be retried below either way.
-      CancelToken hedge_token;
-      std::uint64_t watch_id = 0;
-      if (watchdog.has_value() && slice.max_seconds > 0.0) {
-        shard_request.cancel = &hedge_token;
-        watch_id =
-            watchdog->arm(hedge_token, config_.hedge_factor * slice.max_seconds);
-      }
       out.result = inner_->solve(shard_request);
-      if (watch_id != 0) watchdog->disarm(watch_id);
       // Truncated = the slice (not mere preference) stopped the solve; only
       // these shards compete for reclaimed budget. The iteration test is a
       // pure function of the result, keeping iteration-only budgets
@@ -458,9 +444,8 @@ ScheduleResult ShardedScheduler::sharded_solve(
       if (hedging) {
         // Overrun = the solve blew past hedge_factor x its slice. Under an
         // iteration budget the test reads only the result (bit-identical at
-        // any thread count); under a wall-clock budget the watchdog token
-        // and the elapsed check agree up to timing, which that mode never
-        // guaranteed anyway.
+        // any thread count); under a wall-clock budget it reads the shard's
+        // elapsed time, which that mode never guaranteed to be stable.
         const bool iter_overrun =
             slice.max_iterations != 0 &&
             static_cast<double>(out.result->evaluations) >
@@ -468,9 +453,8 @@ ScheduleResult ShardedScheduler::sharded_solve(
                     static_cast<double>(slice.max_iterations);
         const bool clock_overrun =
             slice.max_seconds > 0.0 &&
-            (hedge_token.cancelled() ||
-             shard_timer.elapsed_seconds() >=
-                 config_.hedge_factor * slice.max_seconds);
+            shard_timer.elapsed_seconds() >=
+                config_.hedge_factor * slice.max_seconds;
         if (iter_overrun || clock_overrun) {
           // Deterministic retry: the greedy fallback is RNG-free, so the
           // hedged result is a pure function of the shard problem (and the
@@ -479,7 +463,6 @@ ScheduleResult ShardedScheduler::sharded_solve(
           // slice well.
           SolveRequest fallback_request = shard_request;
           fallback_request.budget = nullptr;
-          fallback_request.cancel = nullptr;
           const ScheduleResult fallback =
               hedge_fallback_->solve(fallback_request);
           out.result->evaluations += fallback.evaluations;
@@ -607,11 +590,8 @@ ScheduleResult ShardedScheduler::sharded_solve(
   master.set_undo_logging(false);
   const std::size_t num_subchannels = scenario.num_subchannels();
   std::vector<ShardSweep> sweeps;
-  for (std::size_t pass = 0; pass < config_.fixup_passes; ++pass) {
+  for (std::size_t pass = 0; pass < kFixupPasses; ++pass) {
     if (deadline > 0.0 && timer.elapsed_seconds() >= deadline) break;
-    // The merged assignment is feasible at every pass boundary, so a
-    // cancelled solve can stop polishing here and return it as-is.
-    if (cancel != nullptr && cancel->cancelled()) break;
     std::size_t moved = 0;
     for (const std::vector<std::size_t>& color_class : cache.color_classes) {
       if (deadline > 0.0 && timer.elapsed_seconds() >= deadline) break;

@@ -33,7 +33,8 @@
 //     master evaluator (candidates restricted to the shard's halo) and
 //     commits in shard order — Jacobi within a class, Gauss-Seidel across
 //     classes — which makes the sweep thread-count independent by
-//     construction. Each pass re-checks the deadline before it starts,
+//     construction. At most two passes run, stopping early when a pass
+//     changes nothing. Each pass re-checks the deadline before it starts,
 //     before every color class, and every 32 users inside a sweep.
 //
 // Warm start & epoch reuse: the scheduler is warm-startable — a global hint
@@ -65,10 +66,6 @@ struct ShardedConfig {
   /// Interference reach [m] for the partition; 0 (default) derives it from
   /// the deployment via geo::InterferencePartition::auto_reach.
   double reach_m = 0.0;
-  /// Boundary fixup rounds after the shard solves. Each round sweeps the
-  /// boundary users once (colored, see above); rounds stop early when a
-  /// sweep changes nothing.
-  std::size_t fixup_passes = 2;
   /// Worker threads for the shard solves and the colored fixup sweeps:
   /// 1 = sequential (default), 0 = hardware concurrency. Results are
   /// identical for every setting.
@@ -87,10 +84,11 @@ struct ShardedConfig {
   /// deterministic greedy fallback solve, and it no longer competes for
   /// reclaimed budget. Overrun detection is a pure function of the shard's
   /// reported evaluation count under an iteration budget — sequential and
-  /// N-thread solves stay bit-identical — while under a wall-clock budget a
-  /// Watchdog additionally cancels the overrunning solve cooperatively at
-  /// hedge_factor x the slice deadline (wall-clock mode was never
-  /// bit-stable). No effect unless the solve is budgeted.
+  /// N-thread solves stay bit-identical — and of the shard's elapsed time
+  /// under a wall-clock budget (wall-clock mode was never bit-stable). A
+  /// budget-aware inner scheme stops at its own slice deadline, so an
+  /// overrun shows after the solve returns. No effect unless the solve is
+  /// budgeted.
   double hedge_factor = 0.0;
 
   void validate() const;
@@ -125,13 +123,12 @@ class ShardedScheduler : public Scheduler {
 
   [[nodiscard]] ScheduleResult sharded_solve(
       const jtora::CompiledProblem& problem, const jtora::Assignment* hint,
-      const SolveBudget& budget, const CancelToken* cancel, Rng& rng) const;
+      const SolveBudget& budget, Rng& rng) const;
   /// Degenerate (single-shard) path: delegate to the inner scheme with the
-  /// caller's Rng, still applying the effective budget, hint, and cancel
-  /// token.
+  /// caller's Rng, still applying the effective budget and hint.
   [[nodiscard]] ScheduleResult passthrough(
       const jtora::CompiledProblem& problem, const jtora::Assignment* hint,
-      const SolveBudget& budget, const CancelToken* cancel, Rng& rng) const;
+      const SolveBudget& budget, Rng& rng) const;
 
   std::unique_ptr<Scheduler> inner_;
   /// Deterministic, RNG-free fallback for hedged shard retries (greedy).

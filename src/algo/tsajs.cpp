@@ -2,31 +2,28 @@
 
 #include <cmath>
 
+#include "algo/neighborhood.h"
 #include "common/error.h"
 #include "common/stopwatch.h"
-#include "common/watchdog.h"
 #include "jtora/incremental.h"
 
 namespace tsajs::algo {
 
+namespace {
+
+// Algorithm 1's schedule constants.
+constexpr double kMinTemperature = 1e-9;  ///< T_min: the search stops below
+constexpr double kAlphaSlow = 0.97;       ///< alpha1
+constexpr double kAlphaFast = 0.90;       ///< alpha2
+constexpr double kThresholdFactor = 1.75;  ///< maxCount = 1.75 L
+
+}  // namespace
+
 void TsajsConfig::validate() const {
   TSAJS_REQUIRE(chain_length >= 1, "chain length must be at least 1");
-  TSAJS_REQUIRE(min_temperature > 0.0, "min temperature must be positive");
-  TSAJS_REQUIRE(alpha_slow > 0.0 && alpha_slow < 1.0,
-                "alpha_slow must lie in (0,1)");
-  TSAJS_REQUIRE(alpha_fast > 0.0 && alpha_fast < 1.0,
-                "alpha_fast must lie in (0,1)");
-  TSAJS_REQUIRE(alpha_fast <= alpha_slow,
-                "fast cooling must not be slower than slow cooling");
-  TSAJS_REQUIRE(threshold_factor > 0.0, "threshold factor must be positive");
-  TSAJS_REQUIRE(!initial_temperature.has_value() || *initial_temperature > 0.0,
-                "initial temperature must be positive");
-  TSAJS_REQUIRE(initial_offload_prob >= 0.0 && initial_offload_prob <= 1.0,
-                "initial offload probability must lie in [0,1]");
-  TSAJS_REQUIRE(warm_reheat > min_temperature,
+  TSAJS_REQUIRE(warm_reheat > kMinTemperature,
                 "warm reheat temperature must exceed the minimum temperature");
   budget.validate();
-  neighborhood.validate();
 }
 
 TsajsScheduler::TsajsScheduler(TsajsConfig config)
@@ -49,16 +46,16 @@ namespace {
 // construction: an unrealized proposal leaves no trace.
 template <typename Propose, typename Commit, typename Snapshot>
 ScheduleResult anneal(const TsajsConfig& config, const SolveBudget& budget,
-                      const CancelToken* cancel, Rng& rng,
-                      double initial_temperature, double initial_utility,
+                      Rng& rng, double initial_temperature,
+                      double initial_utility,
                       Propose&& propose, Commit&& commit,
                       Snapshot&& snapshot) {
   // Algorithm 1 lines 3-4: temperature schedule parameters.
   double temperature = initial_temperature;
-  TSAJS_CHECK(temperature > config.min_temperature,
+  TSAJS_CHECK(temperature > kMinTemperature,
               "initial temperature must exceed the minimum");
   const double max_count =
-      config.threshold_factor * static_cast<double>(config.chain_length);
+      kThresholdFactor * static_cast<double>(config.chain_length);
 
   double current_utility = initial_utility;
   ScheduleResult result{snapshot(), current_utility, 0.0, 1};
@@ -69,7 +66,7 @@ ScheduleResult anneal(const TsajsConfig& config, const SolveBudget& budget,
   const Stopwatch deadline_timer;
 
   std::size_t worse_accept_count = 0;  // Algorithm 1's `count`.
-  while (temperature > config.min_temperature) {
+  while (temperature > kMinTemperature) {
     for (std::size_t i = 0; i < config.chain_length; ++i) {
       // Lines 10-12: neighbor + closed-form CRA folded into the objective.
       const double candidate_utility = propose(rng);
@@ -92,8 +89,7 @@ ScheduleResult anneal(const TsajsConfig& config, const SolveBudget& budget,
     // Anytime budget: a plateau boundary is a safe point — `result` always
     // holds the best feasible decision seen so far, so stopping here is
     // "return best-so-far", never "return partial state". A negative
-    // deadline compares as already expired, and a cancelled token stops
-    // the solve under the same contract.
+    // deadline compares as already expired.
     if (budgeted &&
         ((budget.max_iterations != 0 &&
           result.evaluations >= budget.max_iterations) ||
@@ -101,14 +97,13 @@ ScheduleResult anneal(const TsajsConfig& config, const SolveBudget& budget,
           deadline_timer.elapsed_seconds() >= budget.max_seconds))) {
       break;
     }
-    if (cancel != nullptr && cancel->cancelled()) break;
     // Lines 26-30: threshold-triggered cooling.
     if (config.cooling == CoolingMode::kGeometric) {
-      temperature *= config.alpha_slow;
+      temperature *= kAlphaSlow;
     } else if (static_cast<double>(worse_accept_count) < max_count) {
-      temperature *= config.alpha_slow;
+      temperature *= kAlphaSlow;
     } else {
-      temperature *= config.alpha_fast;
+      temperature *= kAlphaFast;
       worse_accept_count = 0;
     }
   }
@@ -128,26 +123,29 @@ ScheduleResult TsajsScheduler::solve(const SolveRequest& request) const {
     // scenario whatever it was shaped for. Annealing restarts from the low
     // warm_reheat temperature instead of re-melting at T = N.
     return budgeted_solve(problem, repair_hint(problem.scenario(), *request.hint),
-                          config_.warm_reheat, budget, request.cancel, rng);
+                          config_.warm_reheat, budget, rng);
   }
-  // Algorithm 1 line 5: random feasible initial solution; line 3: T <- N.
-  jtora::Assignment initial = random_feasible_assignment(
-      problem.scenario(), rng, config_.initial_offload_prob);
-  const double initial_temperature = config_.initial_temperature.value_or(
-      static_cast<double>(problem.num_subchannels()));
+  // Algorithm 1 line 5: random feasible initial solution, which the paper
+  // only requires to be feasible. The start is all-local (offload
+  // probability 0): on large instances a dense random start sits so deep in
+  // negative-utility territory that the annealing budget cannot climb out,
+  // whereas from all-local the "move" and "toggle" operators grow the
+  // offload set organically. The draw still consumes one uniform per user.
+  jtora::Assignment initial =
+      random_feasible_assignment(problem.scenario(), rng, 0.0);
+  // Line 3: T <- N.
+  const auto initial_temperature =
+      static_cast<double>(problem.num_subchannels());
   return budgeted_solve(problem, std::move(initial), initial_temperature,
-                        budget, request.cancel, rng);
+                        budget, rng);
 }
 
 ScheduleResult TsajsScheduler::budgeted_solve(
     const jtora::CompiledProblem& problem, jtora::Assignment initial,
-    double initial_temperature, const SolveBudget& budget,
-    const CancelToken* cancel, Rng& rng) const {
+    double initial_temperature, const SolveBudget& budget, Rng& rng) const {
   ScheduleResult result = anneal_solve(problem, std::move(initial),
-                                       initial_temperature, budget, cancel,
-                                       rng);
-  if ((!budget.unlimited() || cancel != nullptr) &&
-      result.system_utility < 0.0) {
+                                       initial_temperature, budget, rng);
+  if (!budget.unlimited() && result.system_utility < 0.0) {
     // The budget fired before the search reached anything at least as good
     // as all-local execution (system utility exactly 0, feasible by
     // construction): degrade to it rather than return a worse start.
@@ -159,9 +157,8 @@ ScheduleResult TsajsScheduler::budgeted_solve(
 
 ScheduleResult TsajsScheduler::anneal_solve(
     const jtora::CompiledProblem& problem, jtora::Assignment initial,
-    double initial_temperature, const SolveBudget& budget,
-    const CancelToken* cancel, Rng& rng) const {
-  const Neighborhood neighborhood(problem.scenario(), config_.neighborhood);
+    double initial_temperature, const SolveBudget& budget, Rng& rng) const {
+  const Neighborhood neighborhood(problem.scenario());
 
   if (config_.use_incremental_evaluator) {
     // Preview/commit protocol: propose() only *describes* the move and
@@ -170,10 +167,9 @@ ScheduleResult TsajsScheduler::anneal_solve(
     // apply+rollback round trip and no undo bookkeeping.
     jtora::IncrementalEvaluator state(problem, initial);
     state.set_undo_logging(false);
-    state.set_rebuild_interval(config_.rebuild_interval);
     Neighborhood::Move move;
     return anneal(
-        config_, budget, cancel, rng, initial_temperature, state.utility(),
+        config_, budget, rng, initial_temperature, state.utility(),
         /*propose=*/
         [&](Rng& r) {
           move = neighborhood.propose(state, r);
@@ -192,7 +188,7 @@ ScheduleResult TsajsScheduler::anneal_solve(
   jtora::Assignment candidate = current;
   double candidate_utility = 0.0;
   return anneal(
-      config_, budget, cancel, rng, initial_temperature,
+      config_, budget, rng, initial_temperature,
       evaluator.system_utility(current),
       /*propose=*/
       [&](Rng& r) {

@@ -5,18 +5,15 @@
 //  * the initial temperature is set to N (the number of sub-channels);
 //  * cooling is *threshold-triggered*: per temperature plateau of L
 //    proposals, accepted-worse moves are counted; while the running count
-//    stays below maxCount = threshold_factor * L the temperature decays
-//    slowly (alpha1 = 0.97), and once the threshold is hit it decays fast
+//    stays below maxCount = 1.75 L the temperature decays slowly
+//    (alpha1 = 0.97), and once the threshold is hit it decays fast
 //    (alpha2 = 0.90) and the count resets. This spends iterations where the
 //    landscape still offers uphill escapes and rushes through the
-//    quenched tail.
+//    quenched tail. The search stops once T falls below T_min = 1e-9.
 //
 // The returned decision is the best one seen anywhere during the search.
 #pragma once
 
-#include <optional>
-
-#include "algo/neighborhood.h"
 #include "algo/scheduler.h"
 
 namespace tsajs::algo {
@@ -28,17 +25,6 @@ enum class CoolingMode { kThresholdTriggered, kGeometric };
 struct TsajsConfig {
   /// Markov-chain length per temperature (paper's L; Figs. 4/7/8 vary it).
   std::size_t chain_length = 30;
-  /// Stop when the temperature falls below this (paper: 1e-9).
-  double min_temperature = 1e-9;
-  /// Slow cooling factor alpha1 (paper: 0.97).
-  double alpha_slow = 0.97;
-  /// Fast cooling factor alpha2 (paper: 0.90).
-  double alpha_fast = 0.90;
-  /// maxCount = threshold_factor * chain_length (paper: 1.75).
-  double threshold_factor = 1.75;
-  /// Initial temperature; defaults to the number of sub-channels N
-  /// (Algorithm 1 line 3, "T <- N").
-  std::optional<double> initial_temperature;
   /// Initial temperature of *warm* solves (a SolveRequest carrying a
   /// hint). A warm start is already near-optimal, so instead of
   /// reheating to T = N and re-melting the solution, the annealer restarts
@@ -48,14 +34,7 @@ struct TsajsConfig {
   /// which empirically keeps utility inside the cold run's confidence
   /// interval at a fraction of the iterations (bench/bench_dynamic.cpp).
   double warm_reheat = 1e-6;
-  /// Offload probability of the random initial solution (Algorithm 1 line 5
-  /// only requires feasibility). Defaults to all-local: on large instances a
-  /// dense random start sits so deep in negative-utility territory that the
-  /// annealing budget cannot climb out, whereas from all-local the "move"
-  /// and "toggle" operators grow the offload set organically.
-  double initial_offload_prob = 0.0;
   CoolingMode cooling = CoolingMode::kThresholdTriggered;
-  NeighborhoodConfig neighborhood;
   /// Evaluate proposals with the O(co-channel) incremental evaluator
   /// instead of a full recompute: every proposal is *previewed* read-only
   /// and only accepted moves are applied, so rejected moves (the vast
@@ -63,10 +42,6 @@ struct TsajsConfig {
   /// co-channel users. Identical results (a property test pins the two
   /// evaluators to each other); order-of-magnitude faster solves.
   bool use_incremental_evaluator = true;
-  /// Commits between automatic full rebuilds of the incremental evaluator
-  /// (0 disables). Bounds floating-point drift of its running sums on long
-  /// annealing chains; the default rebuild is amortized to noise.
-  std::size_t rebuild_interval = 4096;
   /// Anytime budget. The annealer checks it at every plateau (chain)
   /// boundary and returns the best feasible decision seen so far; if the
   /// budget fires while that best is still worse than all-local, the solve
@@ -101,16 +76,13 @@ class TsajsScheduler final : public Scheduler {
   [[nodiscard]] const TsajsConfig& config() const noexcept { return config_; }
 
  private:
-  /// anneal_solve + the budgeted all-local degradation floor (which also
-  /// covers a cancelled solve; `cancel` may be nullptr).
+  /// anneal_solve + the budgeted all-local degradation floor.
   [[nodiscard]] ScheduleResult budgeted_solve(
       const jtora::CompiledProblem& problem, jtora::Assignment initial,
-      double initial_temperature, const SolveBudget& budget,
-      const CancelToken* cancel, Rng& rng) const;
+      double initial_temperature, const SolveBudget& budget, Rng& rng) const;
   [[nodiscard]] ScheduleResult anneal_solve(
       const jtora::CompiledProblem& problem, jtora::Assignment initial,
-      double initial_temperature, const SolveBudget& budget,
-      const CancelToken* cancel, Rng& rng) const;
+      double initial_temperature, const SolveBudget& budget, Rng& rng) const;
 
   TsajsConfig config_;
 };

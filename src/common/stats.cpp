@@ -103,104 +103,6 @@ double P2Quantile::value() const noexcept {
   return heights_[2];
 }
 
-namespace {
-
-/// Piecewise-linear empirical CDF readout of a P² marker state: returns
-/// the estimated number of samples <= x given marker (height, rank) pairs.
-double marker_cdf(const double* heights, const double* positions,
-                  std::size_t n_markers, double total, double x) noexcept {
-  if (x < heights[0]) return 0.0;
-  if (x >= heights[n_markers - 1]) return total;
-  std::size_t i = 0;
-  while (i + 1 < n_markers && heights[i + 1] <= x) ++i;
-  const double span = heights[i + 1] - heights[i];
-  const double frac = span > 0.0 ? (x - heights[i]) / span : 0.0;
-  return positions[i] + frac * (positions[i + 1] - positions[i]);
-}
-
-}  // namespace
-
-void P2Quantile::merge(const P2Quantile& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  // A side still in warm-up holds its raw samples exactly — replay them.
-  if (other.count_ <= 5) {
-    for (std::size_t i = 0; i < other.count_; ++i) add(other.heights_[i]);
-    return;
-  }
-  if (count_ <= 5) {
-    P2Quantile combined = other;
-    for (std::size_t i = 0; i < count_; ++i) combined.add(heights_[i]);
-    *this = combined;
-    return;
-  }
-
-  // Both sides carry five-marker sketches. Sum the two piecewise-linear
-  // CDFs and invert the sum at this sketch's desired marker ranks for the
-  // combined count. Deterministic: a pure function of the two states.
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double total = n1 + n2;
-  const double lo = std::min(heights_[0], other.heights_[0]);
-  const double hi = std::max(heights_[4], other.heights_[4]);
-
-  // Candidate breakpoints: both marker sets, sorted. Between consecutive
-  // breakpoints the combined CDF is linear, so inversion per target rank is
-  // a scan plus one interpolation.
-  double xs[10];
-  for (int i = 0; i < 5; ++i) {
-    xs[i] = heights_[i];
-    xs[5 + i] = other.heights_[i];
-  }
-  std::sort(std::begin(xs), std::end(xs));
-  double cdf[10];
-  for (int i = 0; i < 10; ++i) {
-    cdf[i] = marker_cdf(heights_, positions_, 5, n1, xs[i]) +
-             marker_cdf(other.heights_, other.positions_, 5, n2, xs[i]);
-  }
-
-  double merged[5];
-  double targets[5];
-  targets[0] = 1.0;
-  targets[1] = 1.0 + (total - 1.0) * (q_ / 2.0);
-  targets[2] = 1.0 + (total - 1.0) * q_;
-  targets[3] = 1.0 + (total - 1.0) * ((1.0 + q_) / 2.0);
-  targets[4] = total;
-  merged[0] = lo;
-  merged[4] = hi;
-  for (int m = 1; m <= 3; ++m) {
-    const double t = targets[m];
-    double v = hi;
-    for (int i = 0; i + 1 < 10; ++i) {
-      if (cdf[i + 1] < t) continue;
-      const double span = cdf[i + 1] - cdf[i];
-      const double frac = span > 0.0 ? (t - cdf[i]) / span : 0.0;
-      v = xs[i] + frac * (xs[i + 1] - xs[i]);
-      break;
-    }
-    merged[m] = std::min(std::max(v, lo), hi);
-  }
-  // Enforce monotone heights (the inversion can tie under flat CDF spans).
-  for (int i = 1; i < 5; ++i) merged[i] = std::max(merged[i], merged[i - 1]);
-
-  count_ = static_cast<std::size_t>(total);
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = merged[i];
-    positions_[i] = targets[i];
-    desired_[i] = targets[i];
-  }
-  // Increments are invariant (a function of q_ alone); keep them as set by
-  // init_markers on whichever side initialized first.
-  increments_[0] = 0.0;
-  increments_[1] = q_ / 2.0;
-  increments_[2] = q_;
-  increments_[3] = (1.0 + q_) / 2.0;
-  increments_[4] = 1.0;
-}
-
 void Accumulator::add(double x) {
   // One NaN would silently poison the running mean/variance and every
   // later sample; reject it at the door instead.
@@ -213,25 +115,6 @@ void Accumulator::add(double x) {
   max_ = std::max(max_, x);
   p50_.add(x);
   p99_.add(x);
-}
-
-void Accumulator::merge(const Accumulator& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  p50_.merge(other.p50_);
-  p99_.merge(other.p99_);
 }
 
 double Accumulator::variance() const noexcept {

@@ -19,8 +19,8 @@ namespace tsajs {
 /// new sample shifts marker counts and nudges marker heights by a
 /// piecewise-parabolic update. O(1) memory and time per sample, no sample
 /// retention, and fully deterministic: the estimate is a pure function of
-/// the sample *sequence* (and, after a merge, of the merge tree). Below
-/// five samples the estimate is the exact interpolated quantile.
+/// the sample *sequence*. Below five samples the estimate is the exact
+/// interpolated quantile.
 class P2Quantile {
  public:
   /// `q` in [0,1], e.g. 0.5 for the median, 0.99 for p99.
@@ -35,16 +35,6 @@ class P2Quantile {
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] double quantile_level() const noexcept { return q_; }
-
-  /// Merges another estimator (parallel reduction). Both marker sets are
-  /// read as piecewise-linear empirical CDFs, summed, and the combined CDF
-  /// is inverted at this quantile's desired marker positions — an
-  /// approximation (the exact merged quantile is not recoverable from five
-  /// markers a side) but a deterministic one: the result depends only on
-  /// the two marker states, never on execution order within a side. When
-  /// either side still holds raw samples (count <= 5) the merge replays
-  /// them exactly.
-  void merge(const P2Quantile& other) noexcept;
 
  private:
   void init_markers() noexcept;
@@ -69,11 +59,6 @@ class Accumulator {
   /// irreversibly poison the running sums (and thus a whole report), so it
   /// is rejected before touching any state.
   void add(double x);
-
-  /// Merges another accumulator (parallel reduction; Chan et al.). The
-  /// quantile sketches merge via P2Quantile::merge (deterministic,
-  /// approximate).
-  void merge(const Accumulator& other) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   /// Mean of the samples; defined as 0.0 when no samples have been added

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 
 namespace tsajs {
 
@@ -47,31 +48,43 @@ void ThreadPool::parallel_for(std::size_t n,
     grain = (n + num_threads() - 1) / num_threads();
   }
   const std::size_t num_chunks = (n + grain - 1) / grain;
-  std::vector<std::future<void>> futures;
-  futures.reserve(num_chunks);
-  for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
+  // One error slot per chunk. A worker only stores into its own slot, the
+  // slots change hands under the mutex below, and every exception object is
+  // rethrown or destroyed on this thread — never touched by two at once.
+  std::vector<std::exception_ptr> errors(num_chunks);
+  std::size_t pending = num_chunks;  // guarded by mutex_
+  const auto run_chunk = [&](std::size_t chunk) {
     const std::size_t begin = chunk * grain;
     const std::size_t end = std::min(n, begin + grain);
-    futures.push_back(submit([&fn, begin, end] {
-      // Ascending within the chunk, so the chunk's future carries its
+    try {
+      // Ascending within the chunk, so its slot holds the chunk's
       // lowest-index failure.
       for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
-  }
-  // Drain every future before rethrowing: all tasks must have finished when
-  // parallel_for returns (callers' captured state dies with the frame). The
-  // chunk-ordered scan makes the propagated exception the *lowest-index*
-  // failure among the executed calls, deterministically, no matter which
-  // worker threw first on the wall clock.
-  std::exception_ptr lowest_index_error;
-  for (auto& future : futures) {
-    try {
-      future.get();
     } catch (...) {
-      if (!lowest_index_error) lowest_index_error = std::current_exception();
+      errors[chunk] = std::current_exception();
+    }
+    // Notify under the lock: once `pending` reads 0 the caller may return
+    // and end this frame, so nothing of it is touched after the unlock.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (--pending == 0) done_.notify_all();
+  };
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
+      queue_.emplace([&run_chunk, chunk] { run_chunk(chunk); });
     }
   }
-  if (lowest_index_error) std::rethrow_exception(lowest_index_error);
+  cv_.notify_all();
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_.wait(lock, [&pending] { return pending == 0; });
+  }
+  // Chunk order is index order, so the first stored error is the
+  // lowest-index failure among the executed calls, no matter which worker
+  // threw first on the wall clock.
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace tsajs

@@ -1,10 +1,10 @@
-// Fixed-size thread pool used to parallelize independent Monte-Carlo trials.
+// Fixed-size thread pool used to parallelize independent Monte-Carlo trials
+// and the sharded scheduler's shard solves.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -12,8 +12,7 @@
 
 namespace tsajs {
 
-/// A simple FIFO thread pool. Tasks must not throw through the pool boundary;
-/// use `submit` to capture exceptions in the returned future.
+/// A FIFO pool of workers behind one blocking entry point, parallel_for.
 class ThreadPool {
  public:
   /// `num_threads == 0` selects the hardware concurrency (at least 1).
@@ -27,46 +26,37 @@ class ThreadPool {
     return workers_.size();
   }
 
-  /// Enqueues a callable; the future carries its result or exception.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      queue_.emplace([task]() { (*task)(); });
-    }
-    cv_.notify_one();
-    return result;
-  }
-
   /// Runs `fn(i)` for i in [0, n) across the pool and waits for *all* tasks
   /// to finish. If any calls threw, the exception of the lowest-index
   /// failure is rethrown — a deterministic choice, independent of the
-  /// temporal order in which workers hit their errors.
+  /// temporal order in which workers hit their errors. Every exception
+  /// object is destroyed on the calling thread, after the join.
   ///
   /// `grain` sets the chunk size: one pool task covers `grain` consecutive
-  /// indices, run in ascending order. The default (1) submits one task per
+  /// indices, run in ascending order. The default (1) queues one task per
   /// index — right for heavy bodies like a shard solve; a larger grain
-  /// amortizes the queue/future overhead when the per-index body is tiny
-  /// and the index count is large (see BM_ParallelForGrain). `grain == 0`
-  /// picks an even split over the workers automatically. Within a chunk a
-  /// throwing index skips the chunk's remaining indices (chunks are
-  /// all-or-nothing past the failure); with the default grain of 1 every
-  /// index runs regardless, as before.
+  /// amortizes the queue overhead when the per-index body is tiny and the
+  /// index count is large (see BM_ParallelForGrain). `grain == 0` picks an
+  /// even split over the workers automatically. Within a chunk a throwing
+  /// index skips the chunk's remaining indices (chunks are all-or-nothing
+  /// past the failure); with the default grain of 1 every index runs
+  /// regardless.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t grain = 1);
 
  private:
   void worker_loop();
 
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
-  std::condition_variable cv_;
+  /// Guarded by mutex_.
+  std::queue<std::function<void()>> queue_;
   bool stopping_ = false;
+  /// Signals workers: a task was queued or the pool is stopping.
+  std::condition_variable cv_;
+  /// Signals parallel_for callers: a call's last chunk finished.
+  std::condition_variable done_;
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace tsajs

@@ -4,6 +4,7 @@
 #include "common/error.h"
 #include "common/units.h"
 #include "geo/hex_layout.h"
+#include "radio/channel.h"
 
 namespace tsajs::mec {
 
@@ -46,11 +47,6 @@ ScenarioBuilder& ScenarioBuilder::noise_dbm(double dbm) {
 
 ScenarioBuilder& ScenarioBuilder::tx_power_dbm(double dbm) {
   tx_power_dbm_ = dbm;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::channel(radio::ChannelModel model) {
-  channel_ = std::move(model);
   return *this;
 }
 
@@ -151,8 +147,7 @@ Scenario ScenarioBuilder::build(Rng& rng) const {
     if (customize_) customize_(u, ue);
   }
 
-  const radio::ChannelModel channel =
-      channel_.has_value() ? *channel_ : radio::make_paper_channel();
+  const radio::ChannelModel channel = radio::make_paper_channel();
 
   if (power_control_.has_value()) {
     // Fractional power control against the *mean* path loss of the

@@ -6,16 +6,16 @@
 // beta = (0.5, 0.5), lambda_u = 1, path loss 140.7 + 36.7 log10(d[km]) with
 // 8 dB log-normal shadowing, users uniform over the network area.
 //
-// Every knob is settable; `build(rng)` draws one random drop (placement +
-// shadowing) and returns an immutable Scenario.
+// Every knob but the channel is settable; `build(rng)` draws one random drop
+// (placement + shadowing) and returns an immutable Scenario.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <optional>
 
+#include "common/rng.h"
 #include "mec/scenario.h"
-#include "radio/channel.h"
 
 namespace tsajs::mec {
 
@@ -33,7 +33,6 @@ class ScenarioBuilder {
   ScenarioBuilder& bandwidth_hz(double b);
   ScenarioBuilder& noise_dbm(double dbm);
   ScenarioBuilder& tx_power_dbm(double dbm);
-  ScenarioBuilder& channel(radio::ChannelModel model);
 
   /// Extension: 3GPP-style fractional uplink power control instead of the
   /// paper's fixed transmit power. Each user transmits at
@@ -99,7 +98,6 @@ class ScenarioBuilder {
   double task_megacycles_ = 1000.0;
   double beta_time_ = 0.5;
   double lambda_ = 1.0;
-  std::optional<radio::ChannelModel> channel_;
   std::function<void(std::size_t, UserEquipment&)> customize_;
 
   struct CloudSpec {

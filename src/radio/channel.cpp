@@ -2,27 +2,16 @@
 
 #include "common/error.h"
 #include "common/units.h"
+#include "radio/pathloss.h"
 
 namespace tsajs::radio {
 
-ChannelModel::ChannelModel(std::unique_ptr<PathLossModel> pathloss,
-                           ChannelConfig config)
-    : pathloss_(std::move(pathloss)), config_(config) {
-  TSAJS_REQUIRE(pathloss_ != nullptr, "a path-loss model is required");
-  TSAJS_REQUIRE(config.shadowing_sigma_db >= 0.0,
-                "shadowing sigma must be non-negative");
-}
+namespace {
 
-ChannelModel::ChannelModel(const ChannelModel& other)
-    : pathloss_(other.pathloss_->clone()), config_(other.config_) {}
+/// Log-normal shadowing standard deviation [dB] (paper: 8 dB).
+constexpr double kShadowingSigmaDb = 8.0;
 
-ChannelModel& ChannelModel::operator=(const ChannelModel& other) {
-  if (this != &other) {
-    pathloss_ = other.pathloss_->clone();
-    config_ = other.config_;
-  }
-  return *this;
-}
+}  // namespace
 
 Matrix3<double> ChannelModel::generate(
     const std::vector<geo::Point>& user_positions,
@@ -59,7 +48,7 @@ void ChannelModel::regenerate_into(
       if (cache->valid_[id] == 0 ||
           !(cache->position_[id] == user_positions[u])) {
         for (std::size_t s = 0; s < num_bs; ++s) {
-          row[s] = pathloss_->loss_db(
+          row[s] = paper_pathloss_db(
               geo::distance(user_positions[u], bs_positions[s]));
         }
         cache->position_[id] = user_positions[u];
@@ -71,25 +60,21 @@ void ChannelModel::regenerate_into(
       const double pl_db =
           loss_row != nullptr
               ? loss_row[s]
-              : pathloss_->loss_db(
+              : paper_pathloss_db(
                     geo::distance(user_positions[u], bs_positions[s]));
-      const double shadow_db = rng.normal(0.0, config_.shadowing_sigma_db);
+      const double shadow_db = rng.normal(0.0, kShadowingSigmaDb);
       const double link_gain = units::db_to_linear(-(pl_db + shadow_db));
       for (std::size_t j = 0; j < num_subchannels; ++j) {
-        const double fading =
-            config_.rayleigh_fading ? rng.exponential(1.0) : 1.0;
-        out(u, s, j) = link_gain * fading;
+        out(u, s, j) = link_gain;
       }
     }
   }
 }
 
 double ChannelModel::mean_gain(geo::Point user, geo::Point bs) const {
-  return units::db_to_linear(-pathloss_->loss_db(geo::distance(user, bs)));
+  return units::db_to_linear(-paper_pathloss_db(geo::distance(user, bs)));
 }
 
-ChannelModel make_paper_channel() {
-  return ChannelModel(make_paper_pathloss(), ChannelConfig{});
-}
+ChannelModel make_paper_channel() { return ChannelModel{}; }
 
 }  // namespace tsajs::radio

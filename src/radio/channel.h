@@ -3,13 +3,12 @@
 // Produces the channel-gain tensor H[u][s][j] (user u -> base station s on
 // sub-channel j, linear power gain) from user/BS geometry:
 //
-//   H = 10^(-(PL(d_us) + X_us) / 10) * F_us^j
+//   H = 10^(-(PL(d_us) + X_us) / 10)
 //
-// where PL is the path-loss model, X_us ~ N(0, sigma_shadow^2) dB is
-// log-normal shadowing (drawn once per link — the paper averages out fast
-// fading over the long-term association timescale), and F_us^j is optional
-// per-sub-channel Rayleigh fading (disabled by default to match the paper;
-// kept as an extension knob and exercised by ablation benches).
+// where PL is the paper's path loss (radio/pathloss.h) and X_us ~ N(0, 8^2)
+// dB is log-normal shadowing, drawn once per link. The paper averages out
+// fast fading over the long-term association timescale, so every
+// sub-channel of a link carries the same gain.
 #pragma once
 
 #include <cstddef>
@@ -19,23 +18,14 @@
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "geo/point.h"
-#include "radio/pathloss.h"
 
 namespace tsajs::radio {
-
-struct ChannelConfig {
-  /// Log-normal shadowing standard deviation [dB]; paper: 8 dB.
-  double shadowing_sigma_db = 8.0;
-  /// When true, multiplies each (u, s, j) gain by an independent
-  /// unit-mean exponential (Rayleigh power) fading coefficient.
-  bool rayleigh_fading = false;
-};
 
 /// Memoized deterministic path loss for a fixed population of users against
 /// a fixed set of base stations, keyed by a *stable* user id (not the row
 /// index of one epoch's active subset). ChannelModel::regenerate_into
 /// consults it so that per-epoch channel redraws only re-evaluate the
-/// path-loss model for users whose position actually changed — under
+/// path loss for users whose position actually changed — under
 /// random-walk mobility a user that rejected every step keeps its exact
 /// position and therefore its cached row. A row is reused only while its id
 /// presents the exact position it was computed at, so an id may be handed
@@ -96,16 +86,10 @@ class PathLossCache {
   std::vector<char> valid_;
 };
 
-/// Generates channel gains for a deployment snapshot.
+/// Generates channel gains for a deployment snapshot with the paper's
+/// channel. Stateless: every random draw comes from the caller's Rng.
 class ChannelModel {
  public:
-  ChannelModel(std::unique_ptr<PathLossModel> pathloss, ChannelConfig config);
-
-  ChannelModel(const ChannelModel& other);
-  ChannelModel& operator=(const ChannelModel& other);
-  ChannelModel(ChannelModel&&) noexcept = default;
-  ChannelModel& operator=(ChannelModel&&) noexcept = default;
-
   /// Linear power gains, indexed (user, bs, subchannel).
   [[nodiscard]] Matrix3<double> generate(
       const std::vector<geo::Point>& user_positions,
@@ -120,9 +104,9 @@ class ChannelModel {
   /// With a `cache`, the deterministic path-loss term is memoized per user:
   /// `user_ids[u]` names the stable identity of row `u` (pass nullptr when
   /// row indices are themselves stable), and only rows whose position
-  /// changed since their last draw re-evaluate the path-loss model. The
-  /// shadowing/fading draws are unconditionally redrawn either way — the
-  /// cache never changes results, only skips deterministic recomputation.
+  /// changed since their last draw re-evaluate the path loss. The
+  /// shadowing draws are unconditionally redrawn either way — the cache
+  /// never changes results, only skips deterministic recomputation.
   void regenerate_into(const std::vector<geo::Point>& user_positions,
                        const std::vector<geo::Point>& bs_positions,
                        std::size_t num_subchannels, Rng& rng,
@@ -130,20 +114,12 @@ class ChannelModel {
                        const std::vector<std::size_t>* user_ids =
                            nullptr) const;
 
-  /// Deterministic mean gain of a single link (no shadowing/fading); used by
-  /// tests and by the Greedy baseline's "strongest signal" ordering intuition.
+  /// Deterministic mean gain of a single link (no shadowing); fractional
+  /// power control (mec::ScenarioBuilder) sets transmit power from it.
   [[nodiscard]] double mean_gain(geo::Point user, geo::Point bs) const;
-
-  [[nodiscard]] const ChannelConfig& config() const noexcept {
-    return config_;
-  }
-
- private:
-  std::unique_ptr<PathLossModel> pathloss_;
-  ChannelConfig config_;
 };
 
-/// Channel model with the paper's parameters (140.7 + 36.7 log10 d, 8 dB).
+/// The paper's channel (140.7 + 36.7 log10 d[km], 8 dB shadowing).
 [[nodiscard]] ChannelModel make_paper_channel();
 
 }  // namespace tsajs::radio

@@ -7,45 +7,18 @@
 
 namespace tsajs::radio {
 
-LogDistancePathLoss::LogDistancePathLoss(double intercept_db, double exponent,
-                                         double min_distance_m)
-    : intercept_db_(intercept_db),
-      exponent_(exponent),
-      min_distance_m_(min_distance_m) {
-  TSAJS_REQUIRE(exponent > 0.0, "path-loss exponent must be positive");
-  TSAJS_REQUIRE(min_distance_m > 0.0, "minimum distance must be positive");
-}
+namespace {
 
-double LogDistancePathLoss::loss_db(double distance_m) const {
+constexpr double kInterceptDb = 140.7;  ///< loss at 1 km
+constexpr double kExponent = 3.67;      ///< path-loss exponent
+constexpr double kMinDistanceM = 10.0;
+
+}  // namespace
+
+double paper_pathloss_db(double distance_m) {
   TSAJS_REQUIRE(distance_m >= 0.0, "distance must be non-negative");
-  const double d_km = std::max(distance_m, min_distance_m_) / 1000.0;
-  return intercept_db_ + 10.0 * exponent_ * std::log10(d_km);
-}
-
-std::unique_ptr<PathLossModel> LogDistancePathLoss::clone() const {
-  return std::make_unique<LogDistancePathLoss>(*this);
-}
-
-FreeSpacePathLoss::FreeSpacePathLoss(double carrier_hz, double min_distance_m)
-    : carrier_hz_(carrier_hz), min_distance_m_(min_distance_m) {
-  TSAJS_REQUIRE(carrier_hz > 0.0, "carrier frequency must be positive");
-  TSAJS_REQUIRE(min_distance_m > 0.0, "minimum distance must be positive");
-}
-
-double FreeSpacePathLoss::loss_db(double distance_m) const {
-  TSAJS_REQUIRE(distance_m >= 0.0, "distance must be non-negative");
-  const double d = std::max(distance_m, min_distance_m_);
-  // FSPL[dB] = 20 log10(d) + 20 log10(f) - 147.55  (d in m, f in Hz)
-  return 20.0 * std::log10(d) + 20.0 * std::log10(carrier_hz_) - 147.55;
-}
-
-std::unique_ptr<PathLossModel> FreeSpacePathLoss::clone() const {
-  return std::make_unique<FreeSpacePathLoss>(*this);
-}
-
-std::unique_ptr<PathLossModel> make_paper_pathloss() {
-  // L[dB] = 140.7 + 36.7 log10(d[km])  (Sec. V of the paper).
-  return std::make_unique<LogDistancePathLoss>(140.7, 3.67);
+  const double d_km = std::max(distance_m, kMinDistanceM) / 1000.0;
+  return kInterceptDb + 10.0 * kExponent * std::log10(d_km);
 }
 
 }  // namespace tsajs::radio

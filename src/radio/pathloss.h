@@ -1,64 +1,15 @@
-// Path-loss models.
+// Path loss of the paper's uplink channel.
 //
-// The paper's uplink channel uses a distance-dependent log-distance model,
-// L[dB] = 140.7 + 36.7 * log10(d[km])  (the 3GPP UMa NLOS form at 2 GHz),
-// combined with log-normal shadowing of 8 dB standard deviation. We expose
-// the model behind a small interface so tests can substitute a free-space
-// model and the scenario builder can be parameterized.
+// L[dB] = 140.7 + 36.7 * log10(d[km])  (the 3GPP UMa NLOS form at 2 GHz,
+// Sec. V of the paper). Distances below 10 m are clamped to 10 m to avoid
+// the singularity at d = 0. ChannelModel adds the 8 dB log-normal
+// shadowing on top.
 #pragma once
-
-#include <memory>
 
 namespace tsajs::radio {
 
-/// Interface: average propagation loss as a function of distance.
-class PathLossModel {
- public:
-  virtual ~PathLossModel() = default;
-
-  /// Path loss in dB at the given link distance [m]. Implementations clamp
-  /// tiny distances to a model-specific minimum to avoid singularities.
-  [[nodiscard]] virtual double loss_db(double distance_m) const = 0;
-
-  /// Polymorphic copy (scenarios own their model).
-  [[nodiscard]] virtual std::unique_ptr<PathLossModel> clone() const = 0;
-};
-
-/// L[dB] = intercept + 10 * exponent * log10(d[km]); the paper's model is
-/// LogDistancePathLoss(140.7, 3.67).
-class LogDistancePathLoss final : public PathLossModel {
- public:
-  /// `intercept_db` is the loss at 1 km; `exponent` the path-loss exponent.
-  LogDistancePathLoss(double intercept_db, double exponent,
-                      double min_distance_m = 10.0);
-
-  [[nodiscard]] double loss_db(double distance_m) const override;
-  [[nodiscard]] std::unique_ptr<PathLossModel> clone() const override;
-
-  [[nodiscard]] double intercept_db() const noexcept { return intercept_db_; }
-  [[nodiscard]] double exponent() const noexcept { return exponent_; }
-
- private:
-  double intercept_db_;
-  double exponent_;
-  double min_distance_m_;
-};
-
-/// Free-space path loss at a given carrier frequency (used in tests and as
-/// an optimistic what-if model in examples).
-class FreeSpacePathLoss final : public PathLossModel {
- public:
-  explicit FreeSpacePathLoss(double carrier_hz, double min_distance_m = 1.0);
-
-  [[nodiscard]] double loss_db(double distance_m) const override;
-  [[nodiscard]] std::unique_ptr<PathLossModel> clone() const override;
-
- private:
-  double carrier_hz_;
-  double min_distance_m_;
-};
-
-/// The exact model from the paper's evaluation section.
-[[nodiscard]] std::unique_ptr<PathLossModel> make_paper_pathloss();
+/// Path loss [dB] at link distance `distance_m` [m]. Throws
+/// InvalidArgumentError for a negative distance.
+[[nodiscard]] double paper_pathloss_db(double distance_m);
 
 }  // namespace tsajs::radio

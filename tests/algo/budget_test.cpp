@@ -11,7 +11,6 @@
 #include "algo/tsajs.h"
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/watchdog.h"
 #include "jtora/utility.h"
 #include "mec/scenario_builder.h"
 #include "support/solve.h"
@@ -134,11 +133,11 @@ TEST(SolveBudgetTest, TinyIterationBudgetAtU90StaysFeasible) {
   EXPECT_LE(result.evaluations, scheduler.config().chain_length + 1);
 }
 
-// Force the degradation floor: start from a dense random solution (which on
-// a congested U = 90 instance sits at negative utility) and allow a single
-// proposal before the budget fires. The solver must detect that its best
-// decision is still worse than all-local and degrade to the guaranteed
-// fallback instead of returning the bad start.
+// Force the degradation floor: start from a dense random solution, passed as
+// the solve's hint (on a congested U = 90 instance it sits at negative
+// utility), and allow a single proposal before the budget fires. The solver
+// must detect that its best decision is still worse than all-local and
+// degrade to the guaranteed fallback instead of returning the bad start.
 TEST(SolveBudgetTest, BudgetedSolveDegradesToAllLocalFloor) {
   Rng env(42);
   const mec::Scenario scenario = make_u90(env);
@@ -152,14 +151,13 @@ TEST(SolveBudgetTest, BudgetedSolveDegradesToAllLocalFloor) {
   ASSERT_LT(evaluator.system_utility(dense), 0.0);
 
   TsajsConfig config;
-  config.initial_offload_prob = 1.0;
   config.chain_length = 1;
   config.budget.max_iterations = 1;
   const TsajsScheduler scheduler(config);
 
   Rng solve_rng(7);
   const ScheduleResult result =
-      test::validated(scheduler, scenario, solve_rng);
+      test::validated(scheduler, scenario, solve_rng, &dense);
   EXPECT_EQ(result.system_utility, 0.0);
   EXPECT_EQ(result.assignment.num_offloaded(), 0u);
 }
@@ -201,27 +199,6 @@ TEST(SolveBudgetTest, OneMillisecondDeadlineAtU90NeverThrows) {
   const ScheduleResult result =
       test::validated(*scheduler, scenario, solve_rng);
   EXPECT_GE(result.system_utility, 0.0);
-}
-
-// A pre-cancelled token (the watchdog's transport) stops the anneal at its
-// first plateau boundary and still honors the degradation floor: feasible,
-// never below all-local, never a throw.
-TEST(SolveBudgetTest, PreCancelledTokenStopsAtFirstBoundary) {
-  Rng env(42);
-  const mec::Scenario scenario = make_u90(env);
-  const jtora::CompiledProblem problem(scenario);
-
-  const TsajsScheduler scheduler;  // no budget — cancellation alone bites
-  CancelToken token;
-  token.cancel();
-  Rng rng(7);
-  SolveRequest request;
-  request.problem = &problem;
-  request.rng = &rng;
-  request.cancel = &token;
-  const ScheduleResult result = run_and_validate(scheduler, request);
-  EXPECT_GE(result.system_utility, 0.0);
-  EXPECT_LE(result.evaluations, scheduler.config().chain_length + 1);
 }
 
 // Warm starts honor the budget too: the hint path goes through the same

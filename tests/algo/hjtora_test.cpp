@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "algo/exhaustive.h"
-#include "common/error.h"
 #include "jtora/utility.h"
 #include "mec/scenario_builder.h"
 #include "support/solve.h"
@@ -22,13 +21,6 @@ mec::Scenario make_scenario(std::uint64_t seed, std::size_t users = 6,
       .num_subchannels(subchannels)
       .task_megacycles(2000.0)
       .build(rng);
-}
-
-TEST(HjtoraConfigTest, Validation) {
-  HjtoraConfig config;
-  config.min_gain = -1.0;
-  EXPECT_THROW(HjtoraScheduler{config}, InvalidArgumentError);
-  EXPECT_NO_THROW(HjtoraScheduler{HjtoraConfig{}});
 }
 
 TEST(HjtoraTest, AdmissionOnlyAcceptsImprovements) {

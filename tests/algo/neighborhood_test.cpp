@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algo/scheduler.h"
-#include "common/error.h"
 #include "mec/scenario_builder.h"
 
 namespace tsajs::algo {
@@ -18,17 +19,6 @@ mec::Scenario make_scenario(std::size_t users = 8, std::size_t servers = 3,
       .num_servers(servers)
       .num_subchannels(subchannels)
       .build(rng);
-}
-
-TEST(NeighborhoodConfigTest, ValidatesProbabilities) {
-  NeighborhoodConfig config;
-  config.toggle_prob = 0.7;
-  config.swap_prob = 0.7;
-  EXPECT_THROW(config.validate(), InvalidArgumentError);
-  config = NeighborhoodConfig{};
-  config.move_server_share = 1.5;
-  EXPECT_THROW(config.validate(), InvalidArgumentError);
-  EXPECT_NO_THROW(NeighborhoodConfig{}.validate());
 }
 
 TEST(NeighborhoodTest, StepsPreserveFeasibility) {
@@ -118,38 +108,61 @@ TEST(NeighborhoodTest, EvictionKeepsSlotCountStable) {
 }
 
 TEST(NeighborhoodTest, ToggleOnlyConfigFlipsStates) {
-  NeighborhoodConfig config;
-  config.toggle_prob = 1.0;
-  config.swap_prob = 0.0;
+  // Filtered from the paper's mix: a kOffload or kMakeLocal move changes the
+  // slot of its own user only, and one that flips the user's offloading
+  // state changes the offload count by exactly one.
+  using Kind = Neighborhood::Move::Kind;
   const mec::Scenario scenario = make_scenario(3, 2, 2, 13);
-  const Neighborhood neighborhood(scenario, config);
+  const Neighborhood neighborhood(scenario);
   Rng rng(5);
   jtora::Assignment x(scenario);
-  // Each step toggles exactly one user.
-  for (int i = 0; i < 100; ++i) {
-    const std::size_t before = x.num_offloaded();
-    const bool acted = neighborhood.step(x, rng);
-    ASSERT_TRUE(acted);
-    EXPECT_EQ(std::max(x.num_offloaded(), before) -
-                  std::min(x.num_offloaded(), before),
-              1u);
+  std::size_t flips = 0;
+  for (int i = 0; i < 500; ++i) {
+    const Neighborhood::Move move = neighborhood.propose(x, rng);
+    const jtora::Assignment before = x;
+    neighborhood.apply_move(x, move);
+    if (move.kind != Kind::kOffload && move.kind != Kind::kMakeLocal) continue;
+    for (std::size_t u = 0; u < scenario.num_users(); ++u) {
+      if (u != move.user) {
+        EXPECT_EQ(x.slot_of(u), before.slot_of(u));
+      }
+    }
+    if (move.kind == Kind::kOffload) {
+      EXPECT_EQ(x.slot_of(move.user),
+                (jtora::Slot{move.server, move.subchannel}));
+    } else {
+      EXPECT_FALSE(x.is_offloaded(move.user));
+    }
+    if (x.is_offloaded(move.user) != before.is_offloaded(move.user)) {
+      ++flips;
+      EXPECT_EQ(std::max(x.num_offloaded(), before.num_offloaded()) -
+                    std::min(x.num_offloaded(), before.num_offloaded()),
+                1u);
+    }
   }
+  EXPECT_GT(flips, 0u);
 }
 
 TEST(NeighborhoodTest, SwapOnlyConfigPreservesOffloadCount) {
-  NeighborhoodConfig config;
-  config.toggle_prob = 0.0;
-  config.swap_prob = 1.0;
+  // Filtered from the paper's mix: a kSwap move exchanges two users' slots
+  // and keeps the offload count.
   const mec::Scenario scenario = make_scenario(6, 3, 2, 17);
-  const Neighborhood neighborhood(scenario, config);
+  const Neighborhood neighborhood(scenario);
   Rng rng(6);
   jtora::Assignment x = random_feasible_assignment(scenario, rng, 0.5);
-  const std::size_t count = x.num_offloaded();
-  for (int i = 0; i < 500; ++i) {
-    neighborhood.step(x, rng);
-    EXPECT_EQ(x.num_offloaded(), count);
+  std::size_t swaps = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const Neighborhood::Move move = neighborhood.propose(x, rng);
+    const jtora::Assignment before = x;
+    neighborhood.apply_move(x, move);
     x.check_consistency();
+    if (move.kind != Neighborhood::Move::Kind::kSwap) continue;
+    ++swaps;
+    EXPECT_EQ(x.num_offloaded(), before.num_offloaded());
+    EXPECT_EQ(x.slot_of(move.user), before.slot_of(move.other));
+    EXPECT_EQ(x.slot_of(move.other), before.slot_of(move.user));
   }
+  EXPECT_GT(swaps, 0u);
 }
 
 }  // namespace

@@ -128,16 +128,10 @@ TEST(TsajsTest, LongerChainDoesNotHurtOnAverage) {
 
 TEST(TsajsTest, ConfigValidation) {
   TsajsConfig config;
-  config.alpha_slow = 1.0;
-  EXPECT_THROW(TsajsScheduler{config}, InvalidArgumentError);
-  config = TsajsConfig{};
-  config.alpha_fast = 0.99;  // faster than slow=0.97
-  EXPECT_THROW(TsajsScheduler{config}, InvalidArgumentError);
-  config = TsajsConfig{};
   config.chain_length = 0;
   EXPECT_THROW(TsajsScheduler{config}, InvalidArgumentError);
   config = TsajsConfig{};
-  config.initial_temperature = -1.0;
+  config.warm_reheat = 1e-9;  // must exceed T_min = 1e-9
   EXPECT_THROW(TsajsScheduler{config}, InvalidArgumentError);
 }
 
@@ -222,16 +216,15 @@ TEST(GreedyTest, EachUserGetsItsStrongestAvailableSlot) {
 
 TEST(LocalSearchTest, ImprovesOverItsRandomStart) {
   const mec::Scenario scenario = small_scenario(19);
-  LocalSearchConfig config;
-  config.initial_offload_prob = 0.5;
   Rng rng_init(5);
   const jtora::Assignment start =
       random_feasible_assignment(scenario, rng_init, 0.5);
   const jtora::CompiledProblem problem(scenario);
   const jtora::UtilityEvaluator evaluator(problem);
   const double start_utility = evaluator.system_utility(start);
-  Rng rng(5);  // same stream: the scheduler draws the same start
-  const auto result = test::solve(LocalSearchScheduler(config), scenario, rng);
+  Rng rng(5);
+  const auto result =
+      test::solve(LocalSearchScheduler(), scenario, rng, &start);
   EXPECT_GE(result.system_utility, start_utility);
 }
 

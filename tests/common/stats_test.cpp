@@ -53,36 +53,6 @@ TEST(Accumulator, KnownSampleStatistics) {
   EXPECT_DOUBLE_EQ(acc.sum(), 40.0);
 }
 
-TEST(Accumulator, MergeMatchesSequential) {
-  Rng rng(99);
-  Accumulator whole;
-  Accumulator left;
-  Accumulator right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    whole.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(Accumulator, MergeWithEmpty) {
-  Accumulator a;
-  a.add(1.0);
-  a.add(3.0);
-  Accumulator empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
 TEST(StudentT, TabulatedValues) {
   EXPECT_NEAR(student_t_critical(1, 0.95), 12.706, 1e-3);
   EXPECT_NEAR(student_t_critical(9, 0.95), 2.262, 1e-3);
@@ -194,51 +164,6 @@ TEST(P2QuantileTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a, b);  // bitwise: pure function of the sample sequence
 }
 
-TEST(P2QuantileTest, MergeApproximatesPooledQuantile) {
-  Rng rng(42);
-  P2Quantile left(0.5);
-  P2Quantile right(0.5);
-  std::vector<double> all;
-  for (int i = 0; i < 10000; ++i) {
-    const double x = rng.uniform(0.0, 10.0);
-    all.push_back(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), 10000u);
-  EXPECT_NEAR(left.value(), quantile(all, 0.5), 0.2);
-}
-
-TEST(P2QuantileTest, MergeWithSmallSideReplaysExactly) {
-  Rng rng(5);
-  P2Quantile big(0.5);
-  P2Quantile sequential(0.5);
-  std::vector<double> tail;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal();
-    big.add(x);
-    sequential.add(x);
-  }
-  P2Quantile small(0.5);
-  for (int i = 0; i < 3; ++i) {
-    const double x = rng.normal();
-    tail.push_back(x);
-    small.add(x);
-    sequential.add(x);
-  }
-  big.merge(small);
-  // A warm-up-sized side holds its raw samples, so the merge replays the
-  // actual values (in sorted order — P² is sequence-dependent, so this is
-  // close to, not bitwise equal to, sequential insertion).
-  EXPECT_EQ(big.count(), sequential.count());
-  EXPECT_NEAR(big.value(), sequential.value(), 0.05);
-
-  P2Quantile empty(0.5);
-  const double before = big.value();
-  big.merge(empty);
-  EXPECT_EQ(big.value(), before);
-}
-
 TEST(AccumulatorQuantiles, FeedsP2Sketches) {
   Rng rng(2024);
   Accumulator acc;
@@ -250,12 +175,6 @@ TEST(AccumulatorQuantiles, FeedsP2Sketches) {
   }
   EXPECT_NEAR(acc.p50(), quantile(samples, 0.5), 0.05);
   EXPECT_NEAR(acc.p99(), quantile(samples, 0.99), 0.30);
-
-  Accumulator other;
-  other.add(100.0);  // outlier shard
-  acc.merge(other);
-  EXPECT_EQ(acc.count(), 10001u);
-  EXPECT_DOUBLE_EQ(acc.max(), 100.0);
 }
 
 TEST(Quantile, Interpolates) {

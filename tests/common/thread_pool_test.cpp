@@ -12,18 +12,6 @@
 namespace tsajs {
 namespace {
 
-TEST(ThreadPoolTest, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesException) {
-  ThreadPool pool(2);
-  auto future = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW((void)future.get(), std::runtime_error);
-}
-
 TEST(ThreadPoolTest, ParallelForRunsAllIndices) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);
@@ -146,11 +134,9 @@ TEST(ThreadPoolTest, ZeroThreadsUsesHardwareConcurrency) {
 TEST(ThreadPoolTest, ManyTasksComplete) {
   ThreadPool pool(3);
   std::atomic<long> sum{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 1; i <= 500; ++i) {
-    futures.push_back(pool.submit([&sum, i] { sum.fetch_add(i); }));
-  }
-  for (auto& f : futures) f.get();
+  pool.parallel_for(500, [&sum](std::size_t i) {
+    sum.fetch_add(static_cast<long>(i) + 1);
+  });
   EXPECT_EQ(sum.load(), 500L * 501L / 2);
 }
 

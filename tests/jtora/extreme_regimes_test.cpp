@@ -135,19 +135,15 @@ TEST(ExtremeRegimes, ManyMoreSlotsThanUsers) {
 }
 
 TEST(ExtremeRegimes, HeavyInterferenceNeverBreaksFeasibility) {
-  // All users jammed into one sub-channel's worth of slots with Rayleigh
-  // fading on: the decision machinery must stay consistent under violent
-  // gain differences.
-  radio::ChannelConfig config;
-  config.rayleigh_fading = true;
+  // All users jammed into one sub-channel's worth of slots, with the
+  // paper's 8 dB shadowing spreading the gains: the decision machinery must
+  // stay consistent under heavy co-channel interference.
   Rng rng(12);
-  const mec::Scenario scenario =
-      mec::ScenarioBuilder()
-          .num_users(12)
-          .num_servers(6)
-          .num_subchannels(1)
-          .channel(radio::ChannelModel(radio::make_paper_pathloss(), config))
-          .build(rng);
+  const mec::Scenario scenario = mec::ScenarioBuilder()
+                                     .num_users(12)
+                                     .num_servers(6)
+                                     .num_subchannels(1)
+                                     .build(rng);
   Rng r(13);
   const auto result = test::solve(*algo::make_scheduler("tsajs"), scenario, r);
   result.assignment.check_consistency();

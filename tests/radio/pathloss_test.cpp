@@ -9,65 +9,33 @@ namespace {
 
 TEST(LogDistancePathLossTest, PaperModelAtOneKm) {
   // L[dB] = 140.7 + 36.7 log10(d[km]) => exactly 140.7 dB at 1 km.
-  const auto model = make_paper_pathloss();
-  EXPECT_NEAR(model->loss_db(1000.0), 140.7, 1e-9);
+  EXPECT_NEAR(paper_pathloss_db(1000.0), 140.7, 1e-9);
 }
 
 TEST(LogDistancePathLossTest, PaperModelSlope) {
-  const auto model = make_paper_pathloss();
   // One decade of distance adds 36.7 dB.
-  EXPECT_NEAR(model->loss_db(10000.0) - model->loss_db(1000.0), 36.7, 1e-9);
-  EXPECT_NEAR(model->loss_db(1000.0) - model->loss_db(100.0), 36.7, 1e-9);
+  EXPECT_NEAR(paper_pathloss_db(10000.0) - paper_pathloss_db(1000.0), 36.7,
+              1e-9);
+  EXPECT_NEAR(paper_pathloss_db(1000.0) - paper_pathloss_db(100.0), 36.7,
+              1e-9);
 }
 
 TEST(LogDistancePathLossTest, MonotoneInDistance) {
-  const auto model = make_paper_pathloss();
-  double prev = model->loss_db(20.0);
+  double prev = paper_pathloss_db(20.0);
   for (double d = 50.0; d < 5000.0; d += 50.0) {
-    const double cur = model->loss_db(d);
+    const double cur = paper_pathloss_db(d);
     EXPECT_GT(cur, prev);
     prev = cur;
   }
 }
 
 TEST(LogDistancePathLossTest, ClampsTinyDistances) {
-  const LogDistancePathLoss model(140.7, 3.67, /*min_distance_m=*/10.0);
-  EXPECT_DOUBLE_EQ(model.loss_db(0.0), model.loss_db(10.0));
-  EXPECT_DOUBLE_EQ(model.loss_db(5.0), model.loss_db(10.0));
+  EXPECT_DOUBLE_EQ(paper_pathloss_db(0.0), paper_pathloss_db(10.0));
+  EXPECT_DOUBLE_EQ(paper_pathloss_db(5.0), paper_pathloss_db(10.0));
 }
 
 TEST(LogDistancePathLossTest, RejectsBadParameters) {
-  EXPECT_THROW(LogDistancePathLoss(140.7, 0.0), InvalidArgumentError);
-  EXPECT_THROW(LogDistancePathLoss(140.7, 3.67, 0.0), InvalidArgumentError);
-  const LogDistancePathLoss model(140.7, 3.67);
-  EXPECT_THROW((void)model.loss_db(-1.0), InvalidArgumentError);
-}
-
-TEST(LogDistancePathLossTest, CloneIsIndependentCopy) {
-  const LogDistancePathLoss model(140.7, 3.67);
-  const auto copy = model.clone();
-  EXPECT_DOUBLE_EQ(copy->loss_db(700.0), model.loss_db(700.0));
-}
-
-TEST(FreeSpacePathLossTest, KnownValue) {
-  // FSPL at 1 km, 2.4 GHz ~ 100.05 dB.
-  const FreeSpacePathLoss model(2.4e9);
-  EXPECT_NEAR(model.loss_db(1000.0), 100.05, 0.1);
-}
-
-TEST(FreeSpacePathLossTest, TwentyDbPerDecade) {
-  const FreeSpacePathLoss model(2.0e9);
-  EXPECT_NEAR(model.loss_db(2000.0) - model.loss_db(200.0), 20.0, 1e-9);
-}
-
-TEST(FreeSpacePathLossTest, LowerThanUmaNlosModel) {
-  // Free space is an optimistic bound; the paper's NLOS model must exceed it
-  // at macro distances.
-  const FreeSpacePathLoss fspl(2.0e9);
-  const auto uma = make_paper_pathloss();
-  for (const double d : {200.0, 500.0, 1000.0, 2000.0}) {
-    EXPECT_GT(uma->loss_db(d), fspl.loss_db(d));
-  }
+  EXPECT_THROW((void)paper_pathloss_db(-1.0), InvalidArgumentError);
 }
 
 }  // namespace
