@@ -40,8 +40,8 @@ std::string json_of_point(const Point& point) {
   os << "{\"scheme\":\"" << point.scheme << "\",\"rate_hz\":" << point.rate_hz
      << ",\"decisions\":" << point.report.decisions
      << ",\"decisions_per_sec\":" << point.report.decisions_per_sec()
-     << ",\"solve_p50_ms\":" << point.report.solve_seconds.p50() * 1e3
-     << ",\"solve_p99_ms\":" << point.report.solve_seconds.p99() * 1e3
+     << ",\"solve_p50_ms\":" << point.report.solve_p50.value() * 1e3
+     << ",\"solve_p99_ms\":" << point.report.solve_p99.value() * 1e3
      << ",\"solve_mean_ms\":" << point.report.solve_seconds.mean() * 1e3
      << ",\"utility_mean\":" << point.report.utility.mean()
      << ",\"arrivals\":" << point.report.arrivals
@@ -111,8 +111,8 @@ int main(int argc, char** argv) {
     table.add_row(
         {format_double(point.rate_hz, 1), point.scheme,
          std::to_string(r.decisions), format_double(r.decisions_per_sec(), 0),
-         format_double(r.solve_seconds.p50() * 1e3, 3),
-         format_double(r.solve_seconds.p99() * 1e3, 3),
+         format_double(r.solve_p50.value() * 1e3, 3),
+         format_double(r.solve_p99.value() * 1e3, 3),
          format_double(r.utility.mean(), 3),
          std::to_string(r.admitted) + "/" + std::to_string(r.queued) + "/" +
              std::to_string(r.rejected)});

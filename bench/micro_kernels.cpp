@@ -4,7 +4,6 @@
 // solves of each scheme on the default network.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "common/thread_pool.h"
 #include "algo/registry.h"
 #include "algo/scheduler.h"
-#include "jtora/batch_kernels.h"
 #include "jtora/compiled_problem.h"
 #include "jtora/incremental.h"
 #include "jtora/utility.h"
@@ -202,83 +200,6 @@ BENCHMARK_CAPTURE(BM_SchedulerSolve, tsajs_u30, "tsajs", 30);
 BENCHMARK_CAPTURE(BM_SchedulerSolve, hjtora_u30, "hjtora", 30);
 BENCHMARK_CAPTURE(BM_SchedulerSolve, local_search_u30, "local-search", 30);
 BENCHMARK_CAPTURE(BM_SchedulerSolve, greedy_u30, "greedy", 30);
-
-// --- batch interference kernels (jtora::batch) -----------------------------
-// The acceptance pair for the SIMD batch path: co-channel interference for
-// every offloaded user, batch (CSR occupant lists + contiguous signal-table
-// sums) vs the historical per-user occupant() walk. Same outputs bit for
-// bit; only the traversal differs.
-
-void BM_InterferenceSums_Batch(benchmark::State& state) {
-  const mec::Scenario scenario =
-      default_scenario(static_cast<std::size_t>(state.range(0)));
-  const jtora::CompiledProblem problem(scenario);
-  Rng rng(9);
-  const jtora::Assignment x =
-      algo::random_feasible_assignment(scenario, rng, 0.7);
-  std::vector<double> sums;
-  for (auto _ : state) {
-    jtora::batch::interference_sums(problem, x, sums);
-    benchmark::DoNotOptimize(sums.data());
-  }
-}
-BENCHMARK(BM_InterferenceSums_Batch)->Arg(30)->Arg(90);
-
-void BM_InterferenceSums_Scalar(benchmark::State& state) {
-  const mec::Scenario scenario =
-      default_scenario(static_cast<std::size_t>(state.range(0)));
-  const jtora::CompiledProblem problem(scenario);
-  Rng rng(9);
-  const jtora::Assignment x =
-      algo::random_feasible_assignment(scenario, rng, 0.7);
-  std::vector<double> sums;
-  for (auto _ : state) {
-    jtora::batch::interference_sums_scalar(problem, x, sums);
-    benchmark::DoNotOptimize(sums.data());
-  }
-}
-BENCHMARK(BM_InterferenceSums_Scalar)->Arg(30)->Arg(90);
-
-// Received-power accumulation over pre-gathered signal rows: the blocked
-// multi-row kernel (destination lanes hoisted across blocks of 8 rows) vs
-// one read-modify-write pass per row (what IncrementalEvaluator::rebuild
-// amounts to without batching).
-void BM_ChannelPowerAccumulate_Batch(benchmark::State& state) {
-  const mec::Scenario scenario = default_scenario(90);
-  const jtora::CompiledProblem problem(scenario);
-  const std::size_t num_servers = scenario.num_servers();
-  std::vector<const double*> rows;
-  for (std::size_t u = 0; u < scenario.num_users(); ++u) {
-    rows.push_back(problem.signal_row(u, 0));
-  }
-  std::vector<double> power(num_servers);
-  for (auto _ : state) {
-    std::fill(power.begin(), power.end(), 0.0);
-    jtora::batch::accumulate_rows(power.data(), rows.data(), rows.size(),
-                                  num_servers);
-    benchmark::DoNotOptimize(power.data());
-  }
-}
-BENCHMARK(BM_ChannelPowerAccumulate_Batch);
-
-void BM_ChannelPowerAccumulate_Scalar(benchmark::State& state) {
-  const mec::Scenario scenario = default_scenario(90);
-  const jtora::CompiledProblem problem(scenario);
-  const std::size_t num_servers = scenario.num_servers();
-  std::vector<const double*> rows;
-  for (std::size_t u = 0; u < scenario.num_users(); ++u) {
-    rows.push_back(problem.signal_row(u, 0));
-  }
-  std::vector<double> power(num_servers);
-  for (auto _ : state) {
-    std::fill(power.begin(), power.end(), 0.0);
-    for (const double* row : rows) {
-      jtora::batch::add_row_scaled(power.data(), row, 1.0, num_servers);
-    }
-    benchmark::DoNotOptimize(power.data());
-  }
-}
-BENCHMARK(BM_ChannelPowerAccumulate_Scalar);
 
 // Batch preview scoring: one sub-channel row of candidate utilities (the
 // co-channel occupant deltas hoisted once) vs one preview_offload call per

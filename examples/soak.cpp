@@ -245,8 +245,8 @@ int main(int argc, char** argv) {
             << report.queued << " queued, " << report.rejected
             << " rejected, " << report.departed << " departed\n";
   std::cout << "      solve latency p50 "
-            << report.solve_seconds.p50() * 1e3 << " ms, p99 "
-            << report.solve_seconds.p99() * 1e3 << " ms; "
+            << report.solve_p50.value() * 1e3 << " ms, p99 "
+            << report.solve_p99.value() * 1e3 << " ms; "
             << report.decisions_per_sec() << " decisions/sec\n";
   if (config.breaker.enabled()) {
     std::cout << "      breaker: " << report.breaker_trips << " trips, "

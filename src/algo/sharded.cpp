@@ -110,66 +110,6 @@ void build_fixup_plan(const geo::InterferencePartition& partition,
   }
 }
 
-/// Largest-remainder apportionment of `total` units over integer weights:
-/// floor the exact share, then hand the leftover units to the largest
-/// fractional parts (lowest shard id on ties). With `at_least_one`, every
-/// positive-weight shard gets >= 1 unit — a SolveBudget slice of 0 would
-/// mean "unlimited", the opposite of a small share.
-std::vector<std::size_t> split_units(std::size_t total,
-                                     const std::vector<std::uint64_t>& weights,
-                                     bool at_least_one) {
-  const std::size_t n = weights.size();
-  std::vector<std::size_t> alloc(n, 0);
-  // Deterministically downscale the weights until their sum fits in 32
-  // bits: the apportionment below forms remainder x weight products, and
-  // bounding the sum bounds both factors, so no product can overflow.
-  // Halving preserves the proportions to within the resolution the split
-  // can express anyway.
-  std::vector<std::uint64_t> scaled(weights);
-  std::uint64_t weight_sum = 0;
-  for (const std::uint64_t w : scaled) weight_sum += w;
-  while (weight_sum >= (std::uint64_t{1} << 32)) {
-    weight_sum = 0;
-    for (std::uint64_t& w : scaled) {
-      if (w != 0) w = std::max<std::uint64_t>(std::uint64_t{1}, w / 2);
-      weight_sum += w;
-    }
-  }
-  if (weight_sum == 0 || total == 0) return alloc;
-  const std::uint64_t quotient = total / weight_sum;
-  const std::uint64_t residue = total % weight_sum;
-  std::uint64_t assigned = 0;
-  std::vector<std::pair<std::uint64_t, std::size_t>> remainders;
-  remainders.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    if (scaled[k] == 0) continue;
-    // total * w / sum, split as q*w + r*w/sum so every product stays
-    // within 64 bits (q*w <= total, r*w < sum^2 < 2^64).
-    alloc[k] = static_cast<std::size_t>(quotient * scaled[k] +
-                                        (residue * scaled[k]) / weight_sum);
-    assigned += alloc[k];
-    remainders.emplace_back((residue * scaled[k]) % weight_sum, k);
-  }
-  std::sort(remainders.begin(), remainders.end(),
-            [](const std::pair<std::uint64_t, std::size_t>& a,
-               const std::pair<std::uint64_t, std::size_t>& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  std::uint64_t leftover = total > assigned ? total - assigned : 0;
-  for (const auto& [remainder, k] : remainders) {
-    if (leftover == 0) break;
-    ++alloc[k];
-    --leftover;
-  }
-  if (at_least_one) {
-    for (std::size_t k = 0; k < n; ++k) {
-      if (weights[k] != 0 && alloc[k] == 0) alloc[k] = 1;
-    }
-  }
-  return alloc;
-}
-
 /// One accepted boundary-user placement from a shard sweep, in the global
 /// frame. Replayed verbatim on the master evaluator at commit time.
 struct UserMove {
@@ -374,7 +314,7 @@ ScheduleResult ShardedScheduler::sharded_solve(
   }
   std::vector<std::size_t> iter_slice(num_shards, 0);
   if (capped_inner && budget.max_iterations != 0) {
-    iter_slice = split_units(budget.max_iterations, weights, true);
+    iter_slice = jtora::split_units(budget.max_iterations, weights, true);
   }
   std::vector<double> sec_slice(num_shards, 0.0);
   if (capped_inner && budget.max_seconds > 0.0 && weight_sum > 0) {
@@ -530,7 +470,7 @@ ScheduleResult ShardedScheduler::sharded_solve(
       // No >=1 clamp here: a shard whose reclaimed share rounds to nothing
       // simply keeps its phase-1 result.
       const std::vector<std::size_t> iter_extra =
-          split_units(iter_pool, reclaim_weights, false);
+          jtora::split_units(iter_pool, reclaim_weights, false);
       const auto resolve_shard = [&](std::size_t k) {
         if (reclaim_weights[k] == 0) return;
         SolveBudget slice;

@@ -32,9 +32,12 @@ void CliParser::add_switch(const std::string& name,
 bool CliParser::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    // No program reads positional arguments, so a stray one is a typo
+    // (say, a second list value after a space) that must not pass silently.
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      throw InvalidArgumentError("unexpected argument '" + arg +
+                                 "': every argument is a --flag or its value"
+                                 " (lists are comma-separated)");
     }
     std::string name = arg.substr(2);
     std::optional<std::string> inline_value;
@@ -134,12 +137,15 @@ std::vector<double> CliParser::get_double_list(const std::string& name) const {
   std::string item;
   while (std::getline(in, item, ',')) {
     if (item.empty()) continue;
+    std::size_t consumed = 0;
     double value = 0.0;
     try {
-      value = std::stod(item);
+      value = std::stod(item, &consumed);
     } catch (const std::exception&) {
       throw InvalidArgumentError("--" + name + ": not a number: " + item);
     }
+    TSAJS_REQUIRE(consumed == item.size(),
+                  "--" + name + ": trailing characters in number: " + item);
     TSAJS_REQUIRE(std::isfinite(value),
                   "--" + name + ": must be finite, got " + item);
     values.push_back(value);

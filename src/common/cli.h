@@ -25,7 +25,8 @@ class CliParser {
   void add_switch(const std::string& name, const std::string& description);
 
   /// Parses argv. Returns false (after printing help) when --help was given.
-  /// Throws InvalidArgumentError on unknown flags or malformed input.
+  /// Throws InvalidArgumentError on unknown flags, malformed input, or any
+  /// argument that is neither a flag nor a flag's value.
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get_string(const std::string& name) const;
@@ -39,11 +40,6 @@ class CliParser {
   /// Parses a comma-separated list of doubles, e.g. "1000,2000,3000".
   [[nodiscard]] std::vector<double> get_double_list(
       const std::string& name) const;
-
-  /// Positional arguments (anything not starting with --).
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
 
   [[nodiscard]] std::string help_text() const;
 
@@ -59,7 +55,6 @@ class CliParser {
 
   std::string summary_;
   std::map<std::string, Flag> flags_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace tsajs

@@ -113,8 +113,6 @@ void Accumulator::add(double x) {
   m2_ += delta * (x - mean_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-  p50_.add(x);
-  p99_.add(x);
 }
 
 double Accumulator::variance() const noexcept {

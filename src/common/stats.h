@@ -4,8 +4,8 @@
 // repeated random drops (Fig. 3). `Accumulator` implements Welford's
 // numerically stable online mean/variance; `confidence_interval` applies the
 // Student-t quantile for small trial counts. For the streaming service's
-// latency telemetry the accumulator additionally tracks p50/p99 via the P²
-// algorithm — constant memory, deterministic, no sample retention.
+// latency telemetry `P2Quantile` tracks one quantile via the P² algorithm —
+// constant memory, deterministic, no sample retention.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +51,7 @@ class P2Quantile {
   double increments_[5] = {0, 0, 0, 0, 0};
 };
 
-/// Welford online accumulator for mean / variance / min / max, plus P²
-/// streaming p50/p99 for latency-style telemetry.
+/// Welford online accumulator for mean / variance / min / max.
 class Accumulator {
  public:
   /// Adds one sample. Throws InternalError on NaN — a single NaN would
@@ -76,10 +75,6 @@ class Accumulator {
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
   [[nodiscard]] double sum() const noexcept;
-  /// Streaming median estimate (P²; exact below five samples, 0.0 empty).
-  [[nodiscard]] double p50() const noexcept { return p50_.value(); }
-  /// Streaming 99th-percentile estimate (P²; exact below five samples).
-  [[nodiscard]] double p99() const noexcept { return p99_.value(); }
 
  private:
   std::size_t count_ = 0;
@@ -87,8 +82,6 @@ class Accumulator {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-  P2Quantile p50_{0.5};
-  P2Quantile p99_{0.99};
 };
 
 /// A symmetric confidence interval [mean - half_width, mean + half_width].

@@ -79,26 +79,6 @@ void CompiledProblem::compile(const mec::Scenario& scenario) {
   compile_cloud(scenario);
 }
 
-void CompiledProblem::recompile_channel(const mec::Scenario& scenario) {
-  TSAJS_REQUIRE(compiled(), "recompile_channel requires a prior compile");
-  TSAJS_REQUIRE(scenario.num_users() == num_users_ &&
-                    scenario.num_servers() == num_servers_ &&
-                    scenario.num_subchannels() == num_subchannels_,
-                "recompile_channel cannot change problem dimensions");
-  scenario_ = &scenario;
-  noise_w_ = scenario.noise_w();
-  has_downlink_ = false;
-  for (std::size_t u = 0; u < num_users_; ++u) {
-    if (scenario.user(u).task.output_bits > 0.0) {
-      has_downlink_ = true;
-      break;
-    }
-  }
-  compile_tables(scenario);
-  compile_availability(scenario);
-  compile_cloud(scenario);
-}
-
 void CompiledProblem::compile_availability(const mec::Scenario& scenario) {
   all_available_ = scenario.fully_available();
   if (all_available_) {

@@ -22,8 +22,8 @@
 //
 // Lifetime: a CompiledProblem holds a pointer to its Scenario and must not
 // outlive it. It is immutable through the evaluator-facing API; `compile`
-// and `recompile_channel` rebind/refresh it in place (buffer-reusing, for
-// the staging loop of sim::GridState).
+// rebinds/refreshes it in place (buffer-reusing, for the staging loop of
+// sim::GridState).
 #pragma once
 
 #include <cstddef>
@@ -48,14 +48,6 @@ class CompiledProblem {
   /// the previous compile (cheap churn in the dynamic epoch loop); the
   /// gain-dependent tables are always rebuilt.
   void compile(const mec::Scenario& scenario);
-
-  /// Rebuilds only the gain-dependent tables (signal and downlink) against
-  /// `scenario`. Precondition: the problem is compiled and `scenario` has
-  /// the same users (parameters and count) and grid as the last compile —
-  /// only the channel gains may differ. Dimension changes are rejected;
-  /// silently-changed user parameters leave the constants stale, which
-  /// `IncrementalEvaluator::self_check` detects via `bitwise_equal`.
-  void recompile_channel(const mec::Scenario& scenario);
 
   [[nodiscard]] bool compiled() const noexcept { return scenario_ != nullptr; }
 

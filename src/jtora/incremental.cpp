@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/error.h"
-#include "jtora/batch_kernels.h"
 
 namespace tsajs::jtora {
 
@@ -32,29 +31,18 @@ void IncrementalEvaluator::rebuild() {
   channel_power_.assign(num_servers_ * num_subchannels_, 0.0);
   const std::vector<std::size_t> offloaded = x_.offloaded_users();
   for (const std::size_t u : offloaded) {
+    const Slot slot = *x_.slot_of(u);
+    // Every offloaded user transmits, forwarded ones included, so each
+    // received-power lane gets the chain 0.0 + r_1 + r_2 + ... in ascending
+    // user order (offloaded_users() is ascending).
+    add_channel_power(u, slot.subchannel, +1.0);
     if (x_.is_forwarded(u)) {
       cloud_sqrt_eta_ += problem_->sqrt_eta(u);
       ++cloud_count_;
       continue;
     }
-    const Slot slot = *x_.slot_of(u);
     server_sqrt_eta_[slot.server] += problem_->sqrt_eta(u);
     ++server_count_[slot.server];
-  }
-  // The received-power cache is folded one sub-channel at a time with the
-  // multi-row kernel: each lane receives its additions in ascending user
-  // order (offloaded_users() is ascending), the order add_channel_power
-  // would apply them one row at a time.
-  thread_local std::vector<const double*> rows;
-  for (std::size_t j = 0; j < num_subchannels_; ++j) {
-    rows.clear();
-    for (const std::size_t u : offloaded) {
-      if (x_.slot_of(u)->subchannel == j) {
-        rows.push_back(problem_->signal_row(u, j));
-      }
-    }
-    batch::accumulate_rows(channel_power_.data() + j * num_servers_,
-                           rows.data(), rows.size(), num_servers_);
   }
   for (const std::size_t u : offloaded) {
     refresh_user_cost(u);
@@ -74,8 +62,11 @@ void IncrementalEvaluator::rebuild() {
 void IncrementalEvaluator::add_channel_power(std::size_t u, std::size_t j,
                                              double sign) {
   // Elementwise AXPY against the server-contiguous signal row.
-  batch::add_row_scaled(channel_power_.data() + j * num_servers_,
-                        problem_->signal_row(u, j), sign, num_servers_);
+  double* power = channel_power_.data() + j * num_servers_;
+  const double* row = problem_->signal_row(u, j);
+  for (std::size_t s = 0; s < num_servers_; ++s) {
+    power[s] += sign * row[s];
+  }
 }
 
 double IncrementalEvaluator::gain_of(std::size_t u, std::size_t s,
@@ -552,8 +543,8 @@ void IncrementalEvaluator::self_check(double tolerance) const {
                   tolerance * std::max(1.0, std::fabs(reference)),
               "incremental utility drifted from the reference evaluator");
   // Stale-cache guard: recompiling the bound scenario from scratch must
-  // reproduce the shared problem bit for bit. A partial recompile (e.g.
-  // recompile_channel after user parameters changed) fails here.
+  // reproduce the shared problem bit for bit. A scenario restaged in place
+  // without a matching compile() fails here.
   const CompiledProblem fresh(problem_->scenario());
   TSAJS_CHECK(problem_->bitwise_equal(fresh),
               "shared CompiledProblem is stale w.r.t. its scenario");

@@ -109,8 +109,8 @@ class IncrementalEvaluator {
   [[nodiscard]] double preview_set_forwarded(std::size_t u,
                                              bool forwarded) const;
 
-  /// Batch preview row (jtora::batch): candidate utilities of offloading
-  /// *local* user `u` onto sub-channel `j` at each server of `candidates`.
+  /// Batch preview row: candidate utilities of offloading *local* user `u`
+  /// onto sub-channel `j` at each server of `candidates`.
   /// out[i] == preview_offload(u, candidates[i], j) bit for bit where that
   /// slot is free and available; NaN elsewhere. The co-channel occupants'
   /// gain deltas are independent of the candidate server (u's interference
@@ -157,7 +157,7 @@ class IncrementalEvaluator {
 
   /// Verifies the cached utility against a fresh UtilityEvaluator run, and
   /// the shared problem's tables against a freshly recompiled
-  /// CompiledProblem (catches stale caches after a partial recompile);
+  /// CompiledProblem (catches a scenario restaged without a recompile);
   /// throws InternalError on drift beyond tolerance. For tests/debugging.
   void self_check(double tolerance = 1e-6) const;
 

@@ -26,11 +26,8 @@ double RateEvaluator::interference_w(const Assignment& x, std::size_t s,
 double RateEvaluator::sinr(const Assignment& x, std::size_t u) const {
   const auto slot = x.slot_of(u);
   TSAJS_REQUIRE(slot.has_value(), "sinr() requires an offloaded user");
-  return hypothetical_sinr(x, u, slot->server, slot->subchannel);
-}
-
-double RateEvaluator::hypothetical_sinr(const Assignment& x, std::size_t u,
-                                        std::size_t s, std::size_t j) const {
+  const std::size_t s = slot->server;
+  const std::size_t j = slot->subchannel;
   const double signal = problem_->signal(u, j, s);
   const double denom =
       interference_w(x, s, j, /*exclude=*/u) + problem_->noise_w();
@@ -52,14 +49,6 @@ LinkMetrics RateEvaluator::link(const Assignment& x, std::size_t u) const {
   const Slot slot = *x.slot_of(u);
   m.download_s = downlink_time_s(u, slot.server, slot.subchannel);
   return m;
-}
-
-std::vector<LinkMetrics> RateEvaluator::all_links(const Assignment& x) const {
-  std::vector<LinkMetrics> links(problem_->num_users());
-  for (std::size_t u = 0; u < problem_->num_users(); ++u) {
-    if (x.is_offloaded(u)) links[u] = link(x, u);
-  }
-  return links;
 }
 
 }  // namespace tsajs::jtora

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "jtora/assignment.h"
 #include "jtora/compiled_problem.h"
@@ -48,15 +47,6 @@ class RateEvaluator {
 
   /// Full link metrics for user `u` (requires `u` offloaded in `x`).
   [[nodiscard]] LinkMetrics link(const Assignment& x, std::size_t u) const;
-
-  /// Link metrics for every user; entries of local users are all-zero.
-  [[nodiscard]] std::vector<LinkMetrics> all_links(const Assignment& x) const;
-
-  /// Hypothetical SINR user `u` would get on slot (s, j) given the *current*
-  /// interference pattern of `x` (i.e. ignoring the interference u itself
-  /// would add to others). Used by the Greedy and hJTORA admission steps.
-  [[nodiscard]] double hypothetical_sinr(const Assignment& x, std::size_t u,
-                                         std::size_t s, std::size_t j) const;
 
   /// Time to return task results over the downlink from server `s` to user
   /// `u` on sub-channel `j` (precompiled into the problem's downlink table;

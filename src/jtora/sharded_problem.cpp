@@ -8,6 +8,61 @@
 
 namespace tsajs::jtora {
 
+std::vector<std::size_t> split_units(std::size_t total,
+                                     const std::vector<std::uint64_t>& weights,
+                                     bool at_least_one) {
+  const std::size_t n = weights.size();
+  std::vector<std::size_t> alloc(n, 0);
+  // Deterministically downscale the weights until their sum fits in 32
+  // bits: the apportionment below forms remainder x weight products, and
+  // bounding the sum bounds both factors, so no product can overflow.
+  // Halving preserves the proportions to within the resolution the split
+  // can express anyway.
+  std::vector<std::uint64_t> scaled(weights);
+  std::uint64_t weight_sum = 0;
+  for (const std::uint64_t w : scaled) weight_sum += w;
+  while (weight_sum >= (std::uint64_t{1} << 32)) {
+    weight_sum = 0;
+    for (std::uint64_t& w : scaled) {
+      if (w != 0) w = std::max<std::uint64_t>(std::uint64_t{1}, w / 2);
+      weight_sum += w;
+    }
+  }
+  if (weight_sum == 0 || total == 0) return alloc;
+  const std::uint64_t quotient = total / weight_sum;
+  const std::uint64_t residue = total % weight_sum;
+  std::uint64_t assigned = 0;
+  std::vector<std::pair<std::uint64_t, std::size_t>> remainders;
+  remainders.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    if (scaled[k] == 0) continue;
+    // total * w / sum, split as q*w + r*w/sum so every product stays
+    // within 64 bits (q*w <= total, r*w < sum^2 < 2^64).
+    alloc[k] = static_cast<std::size_t>(quotient * scaled[k] +
+                                        (residue * scaled[k]) / weight_sum);
+    assigned += alloc[k];
+    remainders.emplace_back((residue * scaled[k]) % weight_sum, k);
+  }
+  std::sort(remainders.begin(), remainders.end(),
+            [](const std::pair<std::uint64_t, std::size_t>& a,
+               const std::pair<std::uint64_t, std::size_t>& b) {
+              if (a.first != b.first) return a.first > b.first;
+              return a.second < b.second;
+            });
+  std::uint64_t leftover = total > assigned ? total - assigned : 0;
+  for (const auto& [remainder, k] : remainders) {
+    if (leftover == 0) break;
+    ++alloc[k];
+    --leftover;
+  }
+  if (at_least_one) {
+    for (std::size_t k = 0; k < n; ++k) {
+      if (weights[k] != 0 && alloc[k] == 0) alloc[k] = 1;
+    }
+  }
+  return alloc;
+}
+
 ShardedProblem::ShardedProblem(const CompiledProblem& problem,
                                const geo::InterferencePartition& partition) {
   compile(problem, partition);
@@ -112,39 +167,20 @@ void ShardedProblem::compile(const CompiledProblem& problem,
   // Cloud tier apportionment: the cloud is one shared global resource, so
   // each populated shard receives a deterministic slice — compute capacity
   // proportional to its user count, and the admission cap split by largest
-  // remainder (lowest shard id on ties; the SolveBudget apportionment
-  // style). A shard whose cap share rounds to zero has the tier disabled
-  // outright: a CloudTier cap of 0 means "unlimited", the opposite of a
-  // zero share — so the per-shard caps always sum to at most the global
-  // cap and the merged assignment can never over-admit.
+  // remainder over the shard user counts (split_units). A shard whose cap
+  // share rounds to zero has the tier disabled outright: a CloudTier cap of
+  // 0 means "unlimited", the opposite of a zero share — so the per-shard
+  // caps always sum to at most the global cap and the merged assignment can
+  // never over-admit.
   std::vector<mec::CloudTier> shard_cloud(num_shards);
   if (scenario.has_cloud()) {
     const mec::CloudTier& cloud = scenario.cloud();
-    std::vector<std::size_t> cap(num_shards, 0);
-    if (cloud.max_forwarded > 0) {
-      std::size_t assigned = 0;
-      std::vector<std::pair<std::size_t, std::size_t>> remainders;
-      for (std::size_t k = 0; k < num_shards; ++k) {
-        const std::size_t shard_users = staged_users_[k].size();
-        if (shard_users == 0) continue;
-        cap[k] = cloud.max_forwarded * shard_users / num_users;
-        assigned += cap[k];
-        remainders.emplace_back(cloud.max_forwarded * shard_users % num_users,
-                                k);
-      }
-      std::sort(remainders.begin(), remainders.end(),
-                [](const std::pair<std::size_t, std::size_t>& a,
-                   const std::pair<std::size_t, std::size_t>& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return a.second < b.second;
-                });
-      std::size_t leftover = cloud.max_forwarded - assigned;
-      for (const auto& [remainder, k] : remainders) {
-        if (leftover == 0) break;
-        ++cap[k];
-        --leftover;
-      }
+    std::vector<std::uint64_t> shard_sizes(num_shards);
+    for (std::size_t k = 0; k < num_shards; ++k) {
+      shard_sizes[k] = staged_users_[k].size();
     }
+    const std::vector<std::size_t> cap =
+        split_units(cloud.max_forwarded, shard_sizes, false);
     for (std::size_t k = 0; k < num_shards; ++k) {
       const std::size_t shard_users = staged_users_[k].size();
       if (shard_users == 0) continue;

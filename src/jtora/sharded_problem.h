@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -42,6 +43,17 @@
 #include "mec/scenario_workspace.h"
 
 namespace tsajs::jtora {
+
+/// Largest-remainder apportionment of `total` units over integer weights:
+/// floor the exact share, then hand the leftover units to the largest
+/// fractional parts (lowest shard id on ties). Zero-weight shards get
+/// nothing. With `at_least_one`, every positive-weight shard gets >= 1 unit
+/// — a SolveBudget slice of 0 would mean "unlimited", the opposite of a
+/// small share. Splits the cloud cap across shards (ShardedProblem::compile)
+/// and the iteration budget across shard solves (algo::ShardedScheduler).
+[[nodiscard]] std::vector<std::size_t> split_units(
+    std::size_t total, const std::vector<std::uint64_t>& weights,
+    bool at_least_one);
 
 class ShardedProblem {
  public:

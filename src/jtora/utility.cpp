@@ -1,11 +1,71 @@
 #include "jtora/utility.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.h"
-#include "jtora/batch_kernels.h"
 
 namespace tsajs::jtora {
+
+namespace {
+
+/// Per-sub-channel occupant lists of an assignment in CSR form, gathered
+/// once per system_utility call so each user's interference sum runs over
+/// plain arrays instead of repeated Assignment::occupant() lookups.
+/// Occupants of each sub-channel appear in ascending server order (the
+/// summation order of RateEvaluator::interference_w).
+struct OccupantLists {
+  /// CSR offsets, one per sub-channel plus the terminating total.
+  std::vector<std::uint32_t> start;
+  std::vector<std::uint32_t> user;    ///< occupant user index
+  std::vector<std::uint32_t> server;  ///< occupant's server
+
+  void gather(const Assignment& x, std::size_t num_servers,
+              std::size_t num_subchannels) {
+    start.assign(num_subchannels + 1, 0);
+    user.clear();
+    server.clear();
+    user.reserve(x.num_offloaded());
+    server.reserve(x.num_offloaded());
+    // One flat scan of the slot -> user map, no per-slot accessor calls.
+    const auto& slot_user = x.slot_users();
+    for (std::size_t j = 0; j < num_subchannels; ++j) {
+      for (std::size_t s = 0; s < num_servers; ++s) {
+        const auto& occ = slot_user[s * num_subchannels + j];
+        if (!occ.has_value()) continue;
+        user.push_back(static_cast<std::uint32_t>(*occ));
+        server.push_back(static_cast<std::uint32_t>(s));
+      }
+      start[j + 1] = static_cast<std::uint32_t>(user.size());
+    }
+  }
+};
+
+/// Co-channel interference (Eq. 3 denominator, noise excluded) seen by user
+/// `u` offloaded at (s, j): the ascending-server-order sum of the other
+/// occupants' signals at server s — bit-identical to
+/// RateEvaluator::interference_w(x, s, j, u).
+double interference_at(const CompiledProblem& problem,
+                       const OccupantLists& lists, std::size_t u,
+                       std::size_t s, std::size_t j) noexcept {
+  double total = 0.0;
+  const std::uint32_t begin = lists.start[j];
+  const std::uint32_t end = lists.start[j + 1];
+  const std::size_t num_servers = problem.num_servers();
+  const std::size_t num_subchannels = problem.num_subchannels();
+  const double* table = problem.signal_table().data();
+  for (std::uint32_t i = begin; i < end; ++i) {
+    const std::uint32_t k = lists.user[i];
+    // r == s is u's own slot (one occupant per slot, and u holds (s, j));
+    // any other occupant k == u is impossible, so this is interference_w's
+    // exclude check in full.
+    if (lists.server[i] == s || k == u) continue;
+    total += table[(k * num_subchannels + j) * num_servers + s];
+  }
+  return total;
+}
+
+}  // namespace
 
 UtilityEvaluator::UtilityEvaluator(const CompiledProblem& problem)
     : problem_(&problem), rate_(problem), cra_(problem) {}
@@ -13,7 +73,7 @@ UtilityEvaluator::UtilityEvaluator(const CompiledProblem& problem)
 double UtilityEvaluator::system_utility(const Assignment& x) const {
   // Ascending-user gain/gamma adds, ascending-server interference sums (the
   // order RateEvaluator::interference_w walks); golden tests pin the bits.
-  thread_local batch::OccupantLists lists;
+  thread_local OccupantLists lists;
   lists.gather(x, problem_->num_servers(), problem_->num_subchannels());
   const double noise = problem_->noise_w();
   double gain = 0.0;
@@ -22,8 +82,7 @@ double UtilityEvaluator::system_utility(const Assignment& x) const {
     const Slot slot = *x.slot_of(u);
     gain += problem_->gain_const(u);
     const double interference =
-        batch::interference_at(*problem_, lists, u, slot.server,
-                               slot.subchannel);
+        interference_at(*problem_, lists, u, slot.server, slot.subchannel);
     const double signal = problem_->signal(u, slot.subchannel, slot.server);
     const double sinr = signal / (interference + noise);
     const double log_term = std::log2(1.0 + sinr);

@@ -53,7 +53,7 @@ class UtilityEvaluator {
   /// already compiled.
   explicit UtilityEvaluator(const CompiledProblem& problem);
 
-  /// J*(X) per Eq. 24. Gathers the occupant lists once (jtora::batch) and
+  /// J*(X) per Eq. 24. Gathers per-sub-channel occupant lists once and
   /// sums each offloaded user's interference over them: O(S*N + U_off*K)
   /// for K co-channel occupants instead of O(U_off * S) occupant() walks.
   [[nodiscard]] double system_utility(const Assignment& x) const;

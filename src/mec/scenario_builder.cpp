@@ -8,6 +8,18 @@
 
 namespace tsajs::mec {
 
+namespace {
+
+// The paper's fixed evaluation constants (Sec. V).
+constexpr double kInterSiteDistanceM = 1000.0;
+constexpr double kBandwidthHz = 20e6;
+constexpr double kTxPowerDbm = 10.0;
+constexpr double kUserCpuHz = 1e9;
+constexpr double kKappa = 5e-27;
+constexpr double kLambda = 1.0;
+
+}  // namespace
+
 ScenarioBuilder::ScenarioBuilder() = default;
 
 ScenarioBuilder& ScenarioBuilder::num_users(std::size_t n) {
@@ -28,25 +40,8 @@ ScenarioBuilder& ScenarioBuilder::num_subchannels(std::size_t n) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::inter_site_distance_m(double isd) {
-  TSAJS_REQUIRE(isd > 0.0, "inter-site distance must be positive");
-  inter_site_distance_m_ = isd;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::bandwidth_hz(double b) {
-  TSAJS_REQUIRE(b > 0.0, "bandwidth must be positive");
-  bandwidth_hz_ = b;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::noise_dbm(double dbm) {
   noise_dbm_ = dbm;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::tx_power_dbm(double dbm) {
-  tx_power_dbm_ = dbm;
   return *this;
 }
 
@@ -63,18 +58,6 @@ ScenarioBuilder& ScenarioBuilder::fractional_power_control(double p0_dbm,
 ScenarioBuilder& ScenarioBuilder::server_cpu_hz(double f) {
   TSAJS_REQUIRE(f > 0.0, "server CPU capacity must be positive");
   server_cpu_hz_ = f;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::user_cpu_hz(double f) {
-  TSAJS_REQUIRE(f > 0.0, "user CPU speed must be positive");
-  user_cpu_hz_ = f;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::kappa(double k) {
-  TSAJS_REQUIRE(k > 0.0, "kappa must be positive");
-  kappa_ = k;
   return *this;
 }
 
@@ -111,12 +94,6 @@ ScenarioBuilder& ScenarioBuilder::beta_time(double b) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::lambda(double l) {
-  TSAJS_REQUIRE(l > 0.0 && l <= 1.0, "lambda must lie in (0,1]");
-  lambda_ = l;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::customize_users(
     std::function<void(std::size_t, UserEquipment&)> fn) {
   customize_ = std::move(fn);
@@ -124,7 +101,7 @@ ScenarioBuilder& ScenarioBuilder::customize_users(
 }
 
 Scenario ScenarioBuilder::build(Rng& rng) const {
-  const geo::HexLayout layout(num_servers_, inter_site_distance_m_);
+  const geo::HexLayout layout(num_servers_, kInterSiteDistanceM);
 
   std::vector<EdgeServer> servers(num_servers_);
   for (std::size_t s = 0; s < num_servers_; ++s) {
@@ -137,12 +114,12 @@ Scenario ScenarioBuilder::build(Rng& rng) const {
     UserEquipment& ue = users[u];
     ue.task = Task(units::kilobytes_to_bits(task_input_kb_),
                    units::megacycles_to_cycles(task_megacycles_));
-    ue.local_cpu_hz = user_cpu_hz_;
-    ue.tx_power_w = units::dbm_to_watts(tx_power_dbm_);
-    ue.kappa = kappa_;
+    ue.local_cpu_hz = kUserCpuHz;
+    ue.tx_power_w = units::dbm_to_watts(kTxPowerDbm);
+    ue.kappa = kKappa;
     ue.beta_time = beta_time_;
     ue.beta_energy = 1.0 - beta_time_;
-    ue.lambda = lambda_;
+    ue.lambda = kLambda;
     ue.position = layout.sample_in_network(rng);
     if (customize_) customize_(u, ue);
   }
@@ -185,7 +162,7 @@ Scenario ScenarioBuilder::build(Rng& rng) const {
                                cloud_->max_forwarded);
   }
   return Scenario(std::move(users), std::move(servers),
-                  radio::Spectrum(bandwidth_hz_, num_subchannels_),
+                  radio::Spectrum(kBandwidthHz, num_subchannels_),
                   units::dbm_to_watts(noise_dbm_), std::move(gains),
                   Availability{}, std::move(cloud));
 }

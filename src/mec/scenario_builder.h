@@ -6,8 +6,10 @@
 // beta = (0.5, 0.5), lambda_u = 1, path loss 140.7 + 36.7 log10(d[km]) with
 // 8 dB log-normal shadowing, users uniform over the network area.
 //
-// Every knob but the channel is settable; `build(rng)` draws one random drop
-// (placement + shadowing) and returns an immutable Scenario.
+// The inter-site distance, bandwidth, transmit power, local CPU speed,
+// kappa and lambda are fixed at the paper's values; the other knobs are
+// settable. `build(rng)` draws one random drop (placement + shadowing) and
+// returns an immutable Scenario.
 #pragma once
 
 #include <cstddef>
@@ -27,12 +29,9 @@ class ScenarioBuilder {
   ScenarioBuilder& num_users(std::size_t n);
   ScenarioBuilder& num_servers(std::size_t n);
   ScenarioBuilder& num_subchannels(std::size_t n);
-  ScenarioBuilder& inter_site_distance_m(double isd);
 
   // --- radio --------------------------------------------------------------
-  ScenarioBuilder& bandwidth_hz(double b);
   ScenarioBuilder& noise_dbm(double dbm);
-  ScenarioBuilder& tx_power_dbm(double dbm);
 
   /// Extension: 3GPP-style fractional uplink power control instead of the
   /// paper's fixed transmit power. Each user transmits at
@@ -44,8 +43,6 @@ class ScenarioBuilder {
 
   // --- compute ------------------------------------------------------------
   ScenarioBuilder& server_cpu_hz(double f);
-  ScenarioBuilder& user_cpu_hz(double f);
-  ScenarioBuilder& kappa(double k);
 
   /// Extension: a cloud tier behind the edge servers with uniform backhaul
   /// characteristics (see mec/cloud.h). cpu_hz = 0 keeps the tier disabled
@@ -58,7 +55,6 @@ class ScenarioBuilder {
   ScenarioBuilder& task_input_kb(double kb);
   ScenarioBuilder& task_megacycles(double mc);
   ScenarioBuilder& beta_time(double b);  // beta_energy := 1 - beta_time
-  ScenarioBuilder& lambda(double l);
 
   /// Optional per-user customization hook, applied after defaults and
   /// placement (e.g. heterogeneous tasks in the smart-city example).
@@ -87,17 +83,11 @@ class ScenarioBuilder {
   std::size_t num_users_ = 30;
   std::size_t num_servers_ = 9;
   std::size_t num_subchannels_ = 3;
-  double inter_site_distance_m_ = 1000.0;
-  double bandwidth_hz_ = 20e6;
   double noise_dbm_ = -100.0;
-  double tx_power_dbm_ = 10.0;
   double server_cpu_hz_ = 20e9;
-  double user_cpu_hz_ = 1e9;
-  double kappa_ = 5e-27;
   double task_input_kb_ = 420.0;
   double task_megacycles_ = 1000.0;
   double beta_time_ = 0.5;
-  double lambda_ = 1.0;
   std::function<void(std::size_t, UserEquipment&)> customize_;
 
   struct CloudSpec {

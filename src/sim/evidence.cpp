@@ -436,8 +436,8 @@ void EvidenceWriter::finish(const StreamReport& report,
   out << "- utility per decision: " << buffer << "\n";
   std::snprintf(buffer, sizeof(buffer),
                 "p50 %.3f ms, p99 %.3f ms, mean %.3f ms",
-                report.solve_seconds.p50() * 1e3,
-                report.solve_seconds.p99() * 1e3,
+                report.solve_p50.value() * 1e3,
+                report.solve_p99.value() * 1e3,
                 report.solve_seconds.mean() * 1e3);
   out << "- solve latency: " << buffer << "\n";
   std::snprintf(buffer, sizeof(buffer), "%.1f decisions/sec (%.2f s wall)",

@@ -325,6 +325,8 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
     ++report.decisions;
     report.utility.add(result.system_utility);
     report.solve_seconds.add(result.solve_seconds);
+    report.solve_p50.add(result.solve_seconds);
+    report.solve_p99.add(result.solve_seconds);
     report.active_sessions.add(static_cast<double>(sessions.size()));
     report.backlog_depth.add(static_cast<double>(backlog.size()));
   };

@@ -252,11 +252,14 @@ struct StreamReport {
   double sim_time_s = 0.0;
   /// Wall-clock time spent inside the loop (drives decisions_per_sec).
   double wall_seconds = 0.0;
-  /// Per-decision samples; solve_seconds carries streaming p50/p99.
+  /// Per-decision samples.
   Accumulator utility;
   Accumulator solve_seconds;
   Accumulator active_sessions;
   Accumulator backlog_depth;
+  /// Streaming p50/p99 (P²) of the solve_seconds samples.
+  P2Quantile solve_p50{0.5};
+  P2Quantile solve_p99{0.99};
 
   [[nodiscard]] double decisions_per_sec() const noexcept {
     return wall_seconds > 0.0

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 
 namespace tsajs {
@@ -136,12 +138,47 @@ TEST(CliTest, DoubleListParsing) {
             (std::vector<double>{1000.0, 2000.0, 3000.0}));
 }
 
-TEST(CliTest, PositionalArgumentsCollected) {
+/// what() of the InvalidArgumentError `fn` throws; fails the test when it
+/// throws nothing.
+template <typename Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const InvalidArgumentError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected InvalidArgumentError";
+  return {};
+}
+
+TEST(CliTest, StrayPositionalArgumentThrows) {
   CliParser cli("test");
-  const auto argv = argv_of({"prog", "input.csv", "out.csv"});
+  const auto argv = argv_of({"prog", "input.csv"});
+  const std::string message = invalid_argument_message(
+      [&] { (void)cli.parse(static_cast<int>(argv.size()), argv.data()); });
+  EXPECT_NE(message.find("'input.csv'"), std::string::npos) << message;
+}
+
+TEST(CliTest, SpaceSeparatedListValueThrows) {
+  // `--data-sizes 100 200` once swept only 100 and dropped 200 unread.
+  CliParser cli("test");
+  cli.add_flag("data-sizes", "task input sizes [KB]", "420");
+  const auto argv = argv_of({"prog", "--data-sizes", "100", "200"});
+  const std::string message = invalid_argument_message(
+      [&] { (void)cli.parse(static_cast<int>(argv.size()), argv.data()); });
+  EXPECT_NE(message.find("'200'"), std::string::npos) << message;
+}
+
+TEST(CliTest, DoubleListTrailingCharactersThrow) {
+  // `100,2x00` once parsed as {100, 2}.
+  CliParser cli("test");
+  cli.add_flag("data-sizes", "task input sizes [KB]", "420");
+  const auto argv = argv_of({"prog", "--data-sizes", "100,2x00"});
   ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_EQ(cli.positional().size(), 2u);
-  EXPECT_EQ(cli.positional()[0], "input.csv");
+  const std::string message = invalid_argument_message(
+      [&] { (void)cli.get_double_list("data-sizes"); });
+  EXPECT_NE(message.find("--data-sizes"), std::string::npos) << message;
+  EXPECT_NE(message.find("2x00"), std::string::npos) << message;
 }
 
 TEST(CliTest, UnregisteredAccessThrows) {

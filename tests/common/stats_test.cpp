@@ -164,19 +164,6 @@ TEST(P2QuantileTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a, b);  // bitwise: pure function of the sample sequence
 }
 
-TEST(AccumulatorQuantiles, FeedsP2Sketches) {
-  Rng rng(2024);
-  Accumulator acc;
-  std::vector<double> samples;
-  for (int i = 0; i < 10000; ++i) {
-    const double x = rng.exponential(2.0);
-    samples.push_back(x);
-    acc.add(x);
-  }
-  EXPECT_NEAR(acc.p50(), quantile(samples, 0.5), 0.05);
-  EXPECT_NEAR(acc.p99(), quantile(samples, 0.99), 0.30);
-}
-
 TEST(Quantile, Interpolates) {
   std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);

@@ -15,6 +15,7 @@
 #include "jtora/rate.h"
 #include "jtora/utility.h"
 #include "mec/scenario_builder.h"
+#include "mec/scenario_workspace.h"
 #include "support/solve.h"
 
 namespace tsajs::jtora {
@@ -256,16 +257,6 @@ TEST(CompiledProblemTest, RecompileIsIdenticalToFreshCompile) {
             UtilityEvaluator(fresh).system_utility(x));
 }
 
-TEST(CompiledProblemTest, RecompileChannelMatchesFreshCompile) {
-  const mec::Scenario first = plain_scenario(31, 8, 3, 2);
-  const mec::Scenario second = plain_scenario(32, 8, 3, 2);
-
-  CompiledProblem reused(first);
-  reused.recompile_channel(second);
-  const CompiledProblem fresh(second);
-  EXPECT_TRUE(reused.bitwise_equal(fresh));
-}
-
 TEST(CompiledProblemTest, RecompileTracksChangedUserParameters) {
   // Same dims, different task loads: the per-user key cache must miss and
   // the constants must come out as if compiled from scratch.
@@ -287,41 +278,35 @@ TEST(CompiledProblemTest, RecompileTracksChangedUserParameters) {
   EXPECT_TRUE(reused.bitwise_equal(fresh));
 }
 
-TEST(CompiledProblemTest, RecompileChannelRejectsDimensionChange) {
-  const mec::Scenario small = plain_scenario(51, 6, 3, 2);
-  const mec::Scenario large = plain_scenario(52, 7, 3, 2);
-  CompiledProblem problem(small);
-  EXPECT_THROW(problem.recompile_channel(large), Error);
-}
-
 TEST(CompiledProblemTest, SelfCheckDetectsStaleConstants) {
-  // recompile_channel only refreshes the gain-dependent tables; sneaking in
-  // a scenario whose *task parameters* changed leaves the per-user constants
-  // stale. The incremental evaluator's self_check must catch that by
-  // recompiling from the bound scenario and comparing bitwise.
+  // A problem compiled from a ScenarioWorkspace's commit stays bound to the
+  // workspace's scenario. Restaging the workspace with heavier tasks and
+  // committing again, without a matching compile(), leaves the per-user
+  // constants stale. The incremental evaluator's self_check must catch that
+  // by recompiling from the bound scenario and comparing bitwise.
   const mec::Scenario base = plain_scenario(61, 8, 3, 2);
-  Rng rng(61);  // same drop, so only the task parameters differ below
-  const mec::Scenario changed =
-      mec::ScenarioBuilder()
-          .num_users(8)
-          .num_servers(3)
-          .num_subchannels(2)
-          .customize_users([](std::size_t, mec::UserEquipment& ue) {
-            ue.task = mec::Task(ue.task.input_bits, 3.0 * ue.task.cycles);
-          })
-          .build(rng);
+  mec::ScenarioWorkspace ws(base.servers(), base.spectrum(), base.noise_w());
+  const auto stage = [&](double cycle_scale) -> const mec::Scenario& {
+    ws.begin_epoch();
+    for (std::size_t u = 0; u < base.num_users(); ++u) {
+      mec::UserEquipment ue = base.user(u);
+      ue.task = mec::Task(ue.task.input_bits, cycle_scale * ue.task.cycles);
+      ws.users().push_back(ue);
+    }
+    ws.gains() = base.gains();
+    return ws.commit();
+  };
 
-  CompiledProblem problem(base);
-  problem.recompile_channel(changed);  // misuse: constants now stale
+  CompiledProblem problem(stage(1.0));
+  const Assignment x(base);
+  EXPECT_NO_THROW(IncrementalEvaluator(problem, x).self_check());
 
-  const Assignment x(changed);
-  const IncrementalEvaluator evaluator(problem, x);
-  EXPECT_THROW(evaluator.self_check(), Error);
+  const mec::Scenario& restaged = stage(3.0);  // misuse: no compile()
+  EXPECT_THROW(IncrementalEvaluator(problem, x).self_check(), Error);
 
-  // The properly maintained problem passes the same check.
-  const CompiledProblem good(changed);
-  const IncrementalEvaluator ok(good, x);
-  EXPECT_NO_THROW(ok.self_check());
+  // Recompiling against the restaged scenario passes the same check.
+  problem.compile(restaged);
+  EXPECT_NO_THROW(IncrementalEvaluator(problem, x).self_check());
 }
 
 }  // namespace

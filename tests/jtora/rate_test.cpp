@@ -99,36 +99,6 @@ TEST(RateTest, RateMatchesShannonFormula) {
               1e-15);
 }
 
-TEST(RateTest, HypotheticalSinrMatchesActualAfterPlacement) {
-  const mec::Scenario scenario = make_scenario(8, 4, 2);
-  Assignment x(scenario);
-  x.offload(1, 0, 0);
-  x.offload(2, 3, 1);
-  const CompiledProblem problem(scenario);
-  const RateEvaluator rates(problem);
-  const double hypothetical = rates.hypothetical_sinr(x, 5, 2, 0);
-  x.offload(5, 2, 0);
-  EXPECT_DOUBLE_EQ(rates.sinr(x, 5), hypothetical);
-}
-
-TEST(RateTest, AllLinksZeroForLocalUsers) {
-  const mec::Scenario scenario = make_scenario();
-  Assignment x(scenario);
-  x.offload(3, 0, 0);
-  const CompiledProblem problem(scenario);
-  const RateEvaluator rates(problem);
-  const auto links = rates.all_links(x);
-  ASSERT_EQ(links.size(), scenario.num_users());
-  for (std::size_t u = 0; u < links.size(); ++u) {
-    if (u == 3) {
-      EXPECT_GT(links[u].rate_bps, 0.0);
-    } else {
-      EXPECT_EQ(links[u].rate_bps, 0.0);
-      EXPECT_EQ(links[u].sinr, 0.0);
-    }
-  }
-}
-
 TEST(RateTest, MoreInterferersMonotonicallyDegradeSinr) {
   // Property: adding same-sub-channel interferers never raises user 0's SINR.
   const mec::Scenario scenario = make_scenario(10, 5, 2, 7);

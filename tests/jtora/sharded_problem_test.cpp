@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "geo/partition.h"
 #include "geo/point.h"
-#include "jtora/batch_kernels.h"
 #include "jtora/compiled_problem.h"
 #include "mec/availability.h"
 #include "mec/scenario_builder.h"
@@ -195,18 +194,20 @@ TEST(ShardedProblemTest, CrossShardInterferenceAccounting) {
     sharded.merge_into(k, locals.back(), merged);
   }
 
-  // Global interference per offloaded user, from the batch kernel.
-  std::vector<double> global_sums;
-  batch::interference_sums(problem, merged, global_sums);
-  const std::vector<std::size_t> offloaded = merged.offloaded_users();
-  ASSERT_EQ(global_sums.size(), offloaded.size());
-
   std::size_t checked = 0;
-  for (std::size_t i = 0; i < offloaded.size(); ++i) {
-    const std::size_t u = offloaded[i];
+  for (const std::size_t u : merged.offloaded_users()) {
     const std::size_t k = sharded.shard_of_user(u);
     const auto slot = merged.slot_of(u);
     ASSERT_TRUE(slot.has_value());
+    // Global interference: every other occupant of u's sub-channel, walked
+    // server by server in ascending order.
+    double global = 0.0;
+    for (std::size_t r = 0; r < problem.num_servers(); ++r) {
+      if (r == slot->server) continue;
+      const auto occupant = merged.occupant(r, slot->subchannel);
+      if (!occupant.has_value()) continue;
+      global += problem.signal(*occupant, slot->subchannel, slot->server);
+    }
     // In-shard part: interference the shard solve could see.
     double in_shard = 0.0;
     double foreign = 0.0;
@@ -223,9 +224,8 @@ TEST(ShardedProblemTest, CrossShardInterferenceAccounting) {
         foreign += signal;
       }
     }
-    const double tol =
-        1e-12 * std::max(std::fabs(global_sums[i]), 1e-300);
-    EXPECT_NEAR(global_sums[i], in_shard + foreign, tol);
+    const double tol = 1e-12 * std::max(std::fabs(global), 1e-300);
+    EXPECT_NEAR(global, in_shard + foreign, tol);
     if (foreign > 0.0) ++checked;
   }
   // The drop is dense enough that cross-shard interference actually occurs.

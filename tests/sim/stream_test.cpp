@@ -170,6 +170,20 @@ TEST(StreamDriver, BoundedBacklogOverflowsIntoRejections) {
             report.admitted + report.queued + report.rejected);
 }
 
+// The report's P² sketches see every decision's solve time: the p50/p99
+// that summary.md, soak and bench_stream print cover the whole run.
+TEST(StreamDriver, SolveTimeSketchesSeeEveryDecision) {
+  const StreamDriver driver(4, 3, small_config());
+  const auto scheduler = algo::make_scheduler("greedy");
+  const StreamReport report = driver.run(*scheduler, 5, nullptr);
+  ASSERT_GT(report.decisions, 5u);  // past the sketches' exact warm-up
+  EXPECT_EQ(report.solve_p50.count(), report.decisions);
+  EXPECT_EQ(report.solve_p99.count(), report.decisions);
+  EXPECT_LE(report.solve_seconds.min(), report.solve_p50.value());
+  EXPECT_LE(report.solve_p50.value(), report.solve_p99.value());
+  EXPECT_LE(report.solve_p99.value(), report.solve_seconds.max());
+}
+
 TEST(StreamDriver, ZeroCapacityQueuesEverything) {
   StreamConfig config = small_config();
   config.duration_s = 4.0;
