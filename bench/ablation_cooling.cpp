@@ -7,7 +7,9 @@
 
 using namespace tsajs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CliParser cli(
       "ablation_cooling — threshold-triggered vs geometric cooling, with "
       "local search as the no-annealing reference");
@@ -41,3 +43,7 @@ int main(int argc, char** argv) {
       options.csv_prefix.empty() ? "" : options.csv_prefix + "_runtime");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

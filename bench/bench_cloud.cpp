@@ -29,7 +29,9 @@
 
 using namespace tsajs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CliParser cli(
       "bench_cloud — two-tier vs three-tier utility under edge overload "
       "(cloud forwarding on identical drops)");
@@ -137,3 +139,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

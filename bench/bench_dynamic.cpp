@@ -89,9 +89,7 @@ double utility_drop(const sim::DynamicReport& report) {
   return report.healthy_utility.mean() - report.faulted_utility.mean();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli(
       "bench_dynamic — warm-start vs cold-start per-epoch solve time in the "
       "dynamic simulator, over identical timelines");
@@ -256,3 +254,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

@@ -84,9 +84,7 @@ struct Point {
   }
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli(
       "bench_scale — city-scale sharded solves: population sweep into the "
       "tens of thousands of users under an anytime wall-clock budget, "
@@ -305,3 +303,7 @@ int main(int argc, char** argv) {
   }
   return all_within ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

@@ -53,9 +53,7 @@ std::string json_of_point(const Point& point) {
   return os.str();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli(
       "bench_stream — streaming-service throughput and solve-latency "
       "percentiles across arrival rates and schemes");
@@ -133,3 +131,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

@@ -14,7 +14,9 @@
 
 using namespace tsajs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CliParser cli(
       "fig3_suboptimality — reproduces paper Fig. 3 (avg system utility of "
       "five schemes vs task workload, small network, 95% CI)");
@@ -65,3 +67,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

@@ -9,7 +9,9 @@
 
 using namespace tsajs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CliParser cli(
       "fig4_user_scaling — reproduces paper Fig. 4 (utility vs #users for "
       "three workloads x two chain lengths)");
@@ -63,3 +65,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

@@ -7,7 +7,9 @@
 
 using namespace tsajs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CliParser cli(
       "fig5_data_size — reproduces paper Fig. 5 (utility vs task input "
       "size)");
@@ -36,3 +38,7 @@ int main(int argc, char** argv) {
       "d_u [KB]", labels, rows, exp::metric_utility(), options.csv_prefix);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

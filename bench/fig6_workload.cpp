@@ -7,7 +7,9 @@
 
 using namespace tsajs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CliParser cli(
       "fig6_workload — reproduces paper Fig. 6 (utility vs workload at fixed "
       "user counts)");
@@ -44,3 +46,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

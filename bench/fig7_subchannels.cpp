@@ -9,7 +9,9 @@
 
 using namespace tsajs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CliParser cli(
       "fig7_subchannels — reproduces paper Fig. 7 (utility vs #sub-channels "
       "at two chain lengths)");
@@ -50,3 +52,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

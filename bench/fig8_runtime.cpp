@@ -9,7 +9,9 @@
 
 using namespace tsajs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CliParser cli(
       "fig8_runtime — reproduces paper Fig. 8 (mean solve time vs "
       "#sub-channels at two chain lengths)");
@@ -58,3 +60,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

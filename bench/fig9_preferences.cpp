@@ -10,7 +10,9 @@
 
 using namespace tsajs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CliParser cli(
       "fig9_preferences — reproduces paper Fig. 9 (avg energy and delay vs "
       "beta_time at three user scales, TSAJS)");
@@ -61,3 +63,7 @@ int main(int argc, char** argv) {
                                               : options.csv_prefix + "_b");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

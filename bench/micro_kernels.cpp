@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "algo/registry.h"
 #include "algo/scheduler.h"
+#include "algo/tsajs.h"
 #include "jtora/compiled_problem.h"
 #include "jtora/incremental.h"
 #include "jtora/utility.h"
@@ -200,6 +201,43 @@ BENCHMARK_CAPTURE(BM_SchedulerSolve, tsajs_u30, "tsajs", 30);
 BENCHMARK_CAPTURE(BM_SchedulerSolve, hjtora_u30, "hjtora", 30);
 BENCHMARK_CAPTURE(BM_SchedulerSolve, local_search_u30, "local-search", 30);
 BENCHMARK_CAPTURE(BM_SchedulerSolve, greedy_u30, "greedy", 30);
+
+// One warm TTSA proposal on the converged state of a full 16x4 cell (64
+// users, a cold TSAJS solve then a warm one): propose, then preview with the
+// annealer's rejection floor at T = 1e-6 (Floored) or with none (Exact).
+// Both draw the same seeded proposal stream, so the pair's within-run ratio
+// is what the floor saves per warm proposal, with no machine normalization.
+void run_warm_proposals(benchmark::State& state, double rejection_floor) {
+  Rng rng(5);
+  const mec::Scenario scenario = mec::ScenarioBuilder()
+                                     .num_users(64)
+                                     .num_servers(16)
+                                     .num_subchannels(4)
+                                     .build(rng);
+  const jtora::CompiledProblem problem(scenario);
+  const algo::TsajsScheduler tsajs;
+  const algo::ScheduleResult cold =
+      tsajs.solve({.problem = &problem, .rng = &rng});
+  const algo::ScheduleResult warm = tsajs.solve(
+      {.problem = &problem, .hint = &cold.assignment, .rng = &rng});
+  const jtora::IncrementalEvaluator inc(problem, warm.assignment);
+  const algo::Neighborhood neighborhood(scenario);
+  Rng proposals(9);
+  for (auto _ : state) {
+    const algo::Neighborhood::Move move = neighborhood.propose(inc, proposals);
+    benchmark::DoNotOptimize(neighborhood.preview(inc, move, rejection_floor));
+  }
+}
+
+void BM_WarmProposal_Exact(benchmark::State& state) {
+  run_warm_proposals(state, jtora::IncrementalEvaluator::kNoFloor);
+}
+BENCHMARK(BM_WarmProposal_Exact);
+
+void BM_WarmProposal_Floored(benchmark::State& state) {
+  run_warm_proposals(state, -750.0 * 1e-6);
+}
+BENCHMARK(BM_WarmProposal_Floored);
 
 // Batch preview scoring: one sub-channel row of candidate utilities (the
 // co-channel occupant deltas hoisted once) vs one preview_offload call per

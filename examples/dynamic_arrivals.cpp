@@ -31,7 +31,9 @@
 
 using namespace tsajs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CliParser cli(
       "dynamic_arrivals — multi-epoch online scheduling with mobility and "
       "task arrivals");
@@ -128,3 +130,7 @@ int main(int argc, char** argv) {
                "per-epoch re-planning.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

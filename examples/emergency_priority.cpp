@@ -20,7 +20,9 @@
 
 using namespace tsajs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CliParser cli(
       "emergency_priority — provider preferences steer contention toward "
       "public-safety users");
@@ -102,3 +104,7 @@ int main(int argc, char** argv) {
                "CPU shares when co-scheduled.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

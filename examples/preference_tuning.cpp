@@ -18,7 +18,9 @@
 
 using namespace tsajs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CliParser cli(
       "preference_tuning — sweep the time/energy preference and watch the "
       "achieved delay-energy trade-off move");
@@ -80,3 +82,7 @@ int main(int argc, char** argv) {
                "top of the table, a deadline-driven one at the bottom.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

@@ -25,7 +25,9 @@
 
 using namespace tsajs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   CliParser cli("quickstart — solve one MEC offloading instance with TSAJS");
   cli.add_flag("users", "number of mobile users", "30");
   cli.add_flag("seed", "RNG seed for the drop", "1");
@@ -84,3 +86,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

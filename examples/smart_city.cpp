@@ -54,9 +54,7 @@ mec::ScenarioBuilder make_builder(std::size_t users) {
   return builder;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("smart_city — heterogeneous device mix on the MEC network");
   cli.add_flag("users", "number of devices", "45");
   cli.add_flag("trials", "random drops to average over", "10");
@@ -136,3 +134,7 @@ int main(int argc, char** argv) {
                "headsets for latency.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

@@ -119,9 +119,7 @@ int verify_resume(const sim::StreamDriver& driver,
   return 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("soak — streaming scheduler service with evidence bundle");
   cli.add_flag("duration", "simulated horizon [s]", "30");
   cli.add_flag("rate", "Poisson arrival rate [1/s]", "2");
@@ -262,3 +260,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(argc, argv, run); }

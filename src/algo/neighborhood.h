@@ -33,7 +33,8 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <limits>
+#include <optional>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -88,23 +89,28 @@ class Neighborhood {
   }
 
   /// Candidate utility of `move` from a read-only evaluator (anything with
-  /// the IncrementalEvaluator preview surface). Does not mutate.
+  /// the IncrementalEvaluator preview surface). Does not mutate. A slot move
+  /// whose utility change provably lies below `rejection_floor` may return
+  /// -infinity instead (IncrementalEvaluator::preview_offload); the tier
+  /// moves are O(1) and always exact.
   template <typename Evaluator>
-  [[nodiscard]] double preview(const Evaluator& evaluator,
-                               const Move& move) const {
+  [[nodiscard]] double preview(
+      const Evaluator& evaluator, const Move& move,
+      double rejection_floor = -std::numeric_limits<double>::infinity())
+      const {
     switch (move.kind) {
       case Move::Kind::kNone:
         return evaluator.utility();
       case Move::Kind::kOffload:
         return evaluator.preview_offload(move.user, move.server,
-                                         move.subchannel);
+                                         move.subchannel, rejection_floor);
       case Move::Kind::kMakeLocal:
-        return evaluator.preview_make_local(move.user);
+        return evaluator.preview_make_local(move.user, rejection_floor);
       case Move::Kind::kSwap:
-        return evaluator.preview_swap(move.user, move.other);
+        return evaluator.preview_swap(move.user, move.other, rejection_floor);
       case Move::Kind::kReplace:
         return evaluator.preview_replace(move.user, move.server,
-                                         move.subchannel);
+                                         move.subchannel, rejection_floor);
       case Move::Kind::kForward:
         return evaluator.preview_set_forwarded(move.user, true);
       case Move::Kind::kRecall:
@@ -177,22 +183,25 @@ class Neighborhood {
     }
     // No free sub-channel: evict a random occupant (Alg. 2 "allocate one
     // randomly if none are free", feasibility-preserving reading).
-    if (scenario_->fully_available()) {
-      // Healthy fast path — every sub-channel is occupied, draw directly.
-      // (Identical RNG consumption to the pre-fault-mask implementation.)
-      const auto j = static_cast<std::size_t>(
-          rng.uniform_index(scenario_->num_subchannels()));
-      return {Move::Kind::kReplace, u, 0, s, j};
+    if (const auto j = random_evictable(s, std::nullopt, rng); j.has_value()) {
+      return {Move::Kind::kReplace, u, 0, s, *j};
     }
-    // Masked slots carry no occupant and are unassignable, so the eviction
-    // pool is the server's *available* sub-channels (all occupied here).
-    std::vector<std::size_t> evictable;
-    for (std::size_t j = 0; j < scenario_->num_subchannels(); ++j) {
-      if (scenario_->slot_available(s, j)) evictable.push_back(j);
-    }
-    if (evictable.empty()) return {};  // server fully masked: no-op
-    return {Move::Kind::kReplace, u, 0, s,
-            evictable[rng.uniform_index(evictable.size())]};
+    return {};  // server fully masked: no-op
+  }
+
+  /// A uniformly random available sub-channel of the full server `s` other
+  /// than `keep`: every such sub-channel is occupied, so the pick names an
+  /// occupant to evict. One uniform_index draw over their number (N, or
+  /// N - 1 with `keep`, on an unmasked server); nullopt, with no draw, when
+  /// there is none. Masked slots carry no occupant and are unassignable, so
+  /// they are never picked.
+  std::optional<std::size_t> random_evictable(std::size_t s,
+                                              std::optional<std::size_t> keep,
+                                              Rng& rng) const {
+    return uniform_index_where(
+        rng, scenario_->num_subchannels(), [&](std::size_t j) {
+          return j != keep && scenario_->slot_available(s, j);
+        });
   }
 
   template <typename Decision>
@@ -226,30 +235,18 @@ class Neighborhood {
       return propose_place(decision, u, s, rng);
     }
     const std::size_t s = slot->server;
-    // Prefer a free sub-channel different from the current one.
-    const std::vector<std::size_t> free = decision.free_subchannels(s);
-    if (!free.empty()) {
-      const std::size_t j = free[rng.uniform_index(free.size())];
-      return {Move::Kind::kOffload, u, 0, s, j};
+    // A free sub-channel of the current server (never the user's own,
+    // which it occupies) ...
+    if (const auto j = decision.random_free_subchannel(s, rng);
+        j.has_value()) {
+      return {Move::Kind::kOffload, u, 0, s, *j};
     }
-    // Server full: pick a random other sub-channel and evict its occupant.
-    if (scenario_->fully_available()) {
-      // Healthy fast path (identical RNG consumption to pre-fault-mask).
-      auto j = rng.uniform_index(num_subchannels - 1);
-      if (j >= slot->subchannel) ++j;
-      return {Move::Kind::kReplace, u, 0, s, static_cast<std::size_t>(j)};
+    // ... else the server is full: evict the occupant of another one.
+    if (const auto j = random_evictable(s, slot->subchannel, rng);
+        j.has_value()) {
+      return {Move::Kind::kReplace, u, 0, s, *j};
     }
-    // Constrained: only available sub-channels (they are the occupied ones)
-    // other than the user's current slot are evictable.
-    std::vector<std::size_t> evictable;
-    for (std::size_t j = 0; j < num_subchannels; ++j) {
-      if (j != slot->subchannel && scenario_->slot_available(s, j)) {
-        evictable.push_back(j);
-      }
-    }
-    if (evictable.empty()) return {};
-    return {Move::Kind::kReplace, u, 0, s,
-            evictable[rng.uniform_index(evictable.size())]};
+    return {};
   }
 
   /// Cloud tier toggle for `u`: recall when forwarded, forward when the
@@ -284,15 +281,10 @@ class Neighborhood {
       return {Move::Kind::kMakeLocal, u, 0, 0, 0};
     }
     // Offload to a random server with a free sub-channel, if any.
-    std::vector<std::size_t> candidates;
-    for (std::size_t s = 0; s < scenario_->num_servers(); ++s) {
-      if (!decision.free_subchannels(s).empty()) candidates.push_back(s);
+    if (const auto slot = decision.random_free_slot(rng); slot.has_value()) {
+      return {Move::Kind::kOffload, u, 0, slot->server, slot->subchannel};
     }
-    if (candidates.empty()) return {};
-    const std::size_t s = candidates[rng.uniform_index(candidates.size())];
-    const auto j = decision.random_free_subchannel(s, rng);
-    TSAJS_CHECK(j.has_value(), "candidate server must have a free channel");
-    return {Move::Kind::kOffload, u, 0, s, *j};
+    return {};
   }
 
   const mec::Scenario* scenario_;

@@ -231,16 +231,10 @@ jtora::Assignment random_feasible_assignment(const mec::Scenario& scenario,
   jtora::Assignment x(scenario);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
     if (!rng.bernoulli(offload_prob)) continue;
-    // Pick among servers that still have a free sub-channel.
-    std::vector<std::size_t> candidates;
-    for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
-      if (!x.free_subchannels(s).empty()) candidates.push_back(s);
+    // A random server that still has a free sub-channel, then one of those.
+    if (const auto slot = x.random_free_slot(rng); slot.has_value()) {
+      x.offload(u, slot->server, slot->subchannel);
     }
-    if (candidates.empty()) continue;
-    const std::size_t s = candidates[rng.uniform_index(candidates.size())];
-    const auto j = x.random_free_subchannel(s, rng);
-    TSAJS_CHECK(j.has_value(), "candidate server must have a free channel");
-    x.offload(u, s, *j);
   }
   return x;
 }

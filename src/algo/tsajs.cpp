@@ -16,6 +16,12 @@ constexpr double kMinTemperature = 1e-9;  ///< T_min: the search stops below
 constexpr double kAlphaSlow = 0.97;       ///< alpha1
 constexpr double kAlphaFast = 0.90;       ///< alpha2
 constexpr double kThresholdFactor = 1.75;  ///< maxCount = 1.75 L
+/// Worse proposals with Delta <= -kRejectExponent * T are rejected whatever
+/// the uniform draw: exp(-750) lies more than 100x below half the smallest
+/// subnormal, so exp(Delta / T) rounds to exactly +0 and never exceeds
+/// u in [0, 1). Previews may decide them without pricing every user they
+/// touch (DESIGN.md §8).
+constexpr double kRejectExponent = 750.0;
 
 }  // namespace
 
@@ -39,11 +45,14 @@ std::string TsajsScheduler::name() const {
 namespace {
 
 // The annealing loop, generic over the evaluation strategy. `Propose` takes
-// (rng) and returns the candidate utility without changing the current
-// state; `Commit` realizes the last proposal and returns the utility
-// actually reached (the evaluation strategy's own bookkeeping value);
-// `Snapshot` returns the current assignment by value. Rejection is free by
-// construction: an unrealized proposal leaves no trace.
+// (rng, rejection floor) and returns the candidate utility without changing
+// the current state — or -infinity for a proposal whose utility change it
+// proved to lie below the floor, which takes the same reject branch, with
+// the same uniform draw, as its exact value would; `Commit` realizes the
+// last proposal and returns the utility actually reached (the evaluation
+// strategy's own bookkeeping value); `Snapshot` returns the current
+// assignment by value. Rejection is free by construction: an unrealized
+// proposal leaves no trace.
 template <typename Propose, typename Commit, typename Snapshot>
 ScheduleResult anneal(const TsajsConfig& config, const SolveBudget& budget,
                       Rng& rng, double initial_temperature,
@@ -67,9 +76,10 @@ ScheduleResult anneal(const TsajsConfig& config, const SolveBudget& budget,
 
   std::size_t worse_accept_count = 0;  // Algorithm 1's `count`.
   while (temperature > kMinTemperature) {
+    const double rejection_floor = -kRejectExponent * temperature;
     for (std::size_t i = 0; i < config.chain_length; ++i) {
       // Lines 10-12: neighbor + closed-form CRA folded into the objective.
-      const double candidate_utility = propose(rng);
+      const double candidate_utility = propose(rng, rejection_floor);
       ++result.evaluations;
 
       const double delta = candidate_utility - current_utility;
@@ -171,9 +181,9 @@ ScheduleResult TsajsScheduler::anneal_solve(
     return anneal(
         config_, budget, rng, initial_temperature, state.utility(),
         /*propose=*/
-        [&](Rng& r) {
+        [&](Rng& r, double rejection_floor) {
           move = neighborhood.propose(state, r);
-          return neighborhood.preview(state, move);
+          return neighborhood.preview(state, move, rejection_floor);
         },
         /*commit=*/
         [&] {
@@ -191,7 +201,7 @@ ScheduleResult TsajsScheduler::anneal_solve(
       config_, budget, rng, initial_temperature,
       evaluator.system_utility(current),
       /*propose=*/
-      [&](Rng& r) {
+      [&](Rng& r, double /*rejection_floor*/) {
         candidate = current;
         neighborhood.step(candidate, r);
         candidate_utility = evaluator.system_utility(candidate);

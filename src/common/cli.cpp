@@ -1,7 +1,10 @@
 #include "common/cli.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <filesystem>
 #include <iostream>
 #include <sstream>
 
@@ -162,6 +165,19 @@ std::string CliParser::help_text() const {
     os << "\n      " << flag.description << '\n';
   }
   return os.str();
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& error) {
+    std::fflush(stdout);
+    const std::string program =
+        argc > 0 ? std::filesystem::path(argv[0]).filename().string()
+                 : "tsajs";
+    std::cerr << program << ": " << error.what() << '\n';
+    return 2;
+  }
 }
 
 }  // namespace tsajs

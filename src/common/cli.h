@@ -57,4 +57,10 @@ class CliParser {
   std::map<std::string, Flag> flags_;
 };
 
+/// Runs a command-line program's `body` and returns its exit code. An
+/// exception that escapes it (a flag or value the parser rejects, a failed
+/// precondition) is reported as "<program>: <message>" on stderr, after
+/// flushing stdout, with exit code 2, instead of reaching std::terminate.
+int run_main(int argc, char** argv, int (*body)(int, char**));
+
 }  // namespace tsajs

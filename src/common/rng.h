@@ -10,8 +10,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 namespace tsajs {
 
@@ -84,5 +86,28 @@ class Rng {
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
 };
+
+/// A uniformly random index in [0, n) among those satisfying `pred`,
+/// without building the candidate list: counts them, draws one
+/// rng.uniform_index(count) and returns the k-th in ascending order — the
+/// draw `candidates[rng.uniform_index(candidates.size())]` makes. When no
+/// index qualifies, returns nullopt and draws nothing. `pred` is called up
+/// to twice per index and must give the same answer both times.
+template <typename Pred>
+std::optional<std::size_t> uniform_index_where(Rng& rng, std::size_t n,
+                                               Pred&& pred) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pred(i)) ++count;
+  }
+  if (count == 0) return std::nullopt;
+  std::uint64_t k = rng.uniform_index(count);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!pred(i)) continue;
+    if (k == 0) return i;
+    --k;
+  }
+  return std::nullopt;  // unreachable while `pred` is consistent
+}
 
 }  // namespace tsajs

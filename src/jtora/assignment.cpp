@@ -159,22 +159,28 @@ std::vector<std::size_t> Assignment::offloaded_users() const {
   return users;
 }
 
-std::vector<std::size_t> Assignment::free_subchannels(std::size_t s) const {
+std::size_t Assignment::num_free_subchannels(std::size_t s) const {
   TSAJS_REQUIRE(s < num_servers_, "server index out of range");
-  std::vector<std::size_t> free;
+  std::size_t count = 0;
   for (std::size_t j = 0; j < num_subchannels_; ++j) {
-    if (slot_user_[slot_index(s, j)].has_value()) continue;
-    if (!blocked_.empty() && blocked_[slot_index(s, j)] != 0) continue;
-    free.push_back(j);
+    if (slot_free(s, j)) ++count;
   }
-  return free;
+  return count;
 }
 
 std::optional<std::size_t> Assignment::random_free_subchannel(
     std::size_t s, Rng& rng) const {
-  const std::vector<std::size_t> free = free_subchannels(s);
-  if (free.empty()) return std::nullopt;
-  return free[rng.uniform_index(free.size())];
+  TSAJS_REQUIRE(s < num_servers_, "server index out of range");
+  return uniform_index_where(rng, num_subchannels_,
+                             [&](std::size_t j) { return slot_free(s, j); });
+}
+
+std::optional<Slot> Assignment::random_free_slot(Rng& rng) const {
+  const auto s = uniform_index_where(rng, num_servers_, [&](std::size_t i) {
+    return num_free_subchannels(i) > 0;
+  });
+  if (!s.has_value()) return std::nullopt;
+  return Slot{*s, *random_free_subchannel(*s, rng)};
 }
 
 void Assignment::check_consistency() const {

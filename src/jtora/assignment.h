@@ -8,8 +8,9 @@
 //
 // When the scenario carries a constrained mec::Availability mask, the
 // masked slots are additionally *unassignable*: offload() rejects them and
-// free_subchannels()/random_free_subchannel() never report them, so every
-// scheduler built on these queries is fault-mask-safe without changes.
+// the free-slot queries (num_free_subchannels, random_free_subchannel,
+// random_free_slot) never report them, so every scheduler built on these
+// queries is fault-mask-safe without changes.
 //
 // When the scenario carries a mec::CloudTier, each offloaded user
 // additionally carries a *forwarding bit*: the edge server holding its
@@ -154,13 +155,19 @@ class Assignment {
   /// All forwarded users, ascending user index.
   [[nodiscard]] std::vector<std::size_t> forwarded_users() const;
 
-  /// Free *and available* sub-channels of server `s`, ascending.
-  [[nodiscard]] std::vector<std::size_t> free_subchannels(std::size_t s) const;
+  /// Number of free *and available* sub-channels of server `s`.
+  [[nodiscard]] std::size_t num_free_subchannels(std::size_t s) const;
 
   /// A free sub-channel of server `s` chosen uniformly at random, or nullopt
-  /// when the server is full.
+  /// when the server is full. Counts in place and draws one
+  /// uniform_index(num_free_subchannels(s)); a full server draws nothing.
   [[nodiscard]] std::optional<std::size_t> random_free_subchannel(
       std::size_t s, Rng& rng) const;
+
+  /// A uniformly random server among those with a free sub-channel, then a
+  /// random free sub-channel of it (random_free_subchannel): two
+  /// uniform_index draws, none when every available slot is taken.
+  [[nodiscard]] std::optional<Slot> random_free_slot(Rng& rng) const;
 
   /// Re-derives the slot->user map from the user->slot map and checks the
   /// two are consistent; throws InternalError on corruption. O(U + S*N).
@@ -171,6 +178,12 @@ class Assignment {
  private:
   [[nodiscard]] std::size_t slot_index(std::size_t s, std::size_t j) const {
     return s * num_subchannels_ + j;
+  }
+  /// Unoccupied and not masked; no bounds check.
+  [[nodiscard]] bool slot_free(std::size_t s, std::size_t j) const {
+    const std::size_t slot = slot_index(s, j);
+    return !slot_user_[slot].has_value() &&
+           (blocked_.empty() || blocked_[slot] == 0);
   }
   void require_user(std::size_t u) const;
   void require_slot(std::size_t s, std::size_t j) const;

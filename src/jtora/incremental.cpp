@@ -8,6 +8,19 @@
 
 namespace tsajs::jtora {
 
+namespace {
+
+/// Relative rounding margin of the rejection bound. The exact preview sums
+/// at most 4S + 2 gain terms (S servers) in its own order, then rounds
+/// three more times in `utility + sum - lambda` and the annealer's
+/// difference; each slack is an S-term sum. The exact change can exceed
+/// the bound by at most about (5S + 10) * 2^-53 times the magnitudes the
+/// margin multiplies: about 1e-12 at S = 2,000, three orders of magnitude
+/// inside this factor (DESIGN.md §8).
+constexpr double kBoundMargin = 1e-9;
+
+}  // namespace
+
 IncrementalEvaluator::IncrementalEvaluator(const CompiledProblem& problem,
                                            const Assignment& initial)
     : problem_(&problem),
@@ -28,10 +41,14 @@ void IncrementalEvaluator::rebuild() {
   cloud_sqrt_eta_ = 0.0;
   cloud_count_ = 0;
   user_gain_.assign(problem_->num_users(), 0.0);
+  user_ceiling_.assign(problem_->num_users(), 0.0);
   channel_power_.assign(num_servers_ * num_subchannels_, 0.0);
   const std::vector<std::size_t> offloaded = x_.offloaded_users();
   for (const std::size_t u : offloaded) {
     const Slot slot = *x_.slot_of(u);
+    user_ceiling_[u] =
+        gain_of(u, slot.server, slot.subchannel,
+                signal_at(u, slot.subchannel, slot.server));
     // Every offloaded user transmits, forwarded ones included, so each
     // received-power lane gets the chain 0.0 + r_1 + r_2 + ... in ascending
     // user order (offloaded_users() is ascending).
@@ -47,6 +64,8 @@ void IncrementalEvaluator::rebuild() {
   for (const std::size_t u : offloaded) {
     refresh_user_cost(u);
   }
+  channel_slack_.assign(num_subchannels_, 0.0);
+  for (std::size_t j = 0; j < num_subchannels_; ++j) refresh_slack(j);
   for (std::size_t s = 0; s < num_servers_; ++s) {
     if (server_count_[s] > 0) {
       lambda_cost_ += server_sqrt_eta_[s] * server_sqrt_eta_[s] /
@@ -100,6 +119,23 @@ void IncrementalEvaluator::refresh_cochannel(std::size_t j,
     if (skip.has_value() && *occupant == *skip) continue;
     refresh_user_cost(*occupant);
   }
+}
+
+void IncrementalEvaluator::refresh_slack(std::size_t j) {
+  const std::vector<std::optional<std::size_t>>& slot_users = x_.slot_users();
+  const bool cloud = x_.cloud_enabled();
+  double slack = 0.0;
+  for (std::size_t s = 0; s < num_servers_; ++s) {
+    const std::optional<std::size_t>& occupant =
+        slot_users[s * num_subchannels_ + j];
+    if (!occupant.has_value()) continue;
+    double ceiling = user_ceiling_[*occupant];
+    if (cloud && x_.is_forwarded(*occupant)) {
+      ceiling -= forward_cost(*occupant, s);
+    }
+    slack += ceiling - user_gain_[*occupant];
+  }
+  channel_slack_[j] = slack;
 }
 
 void IncrementalEvaluator::server_add(std::size_t s, double sqrt_eta) {
@@ -160,8 +196,10 @@ void IncrementalEvaluator::do_make_local(std::size_t u) {
   }
   add_channel_power(u, slot->subchannel, -1.0);
   x_.make_local(u);
+  user_ceiling_[u] = 0.0;
   // Users sharing the old sub-channel lost an interferer.
   refresh_cochannel(slot->subchannel, std::nullopt);
+  refresh_slack(slot->subchannel);
   utility_ = gain_minus_gamma_ - lambda_cost_;
 }
 
@@ -183,6 +221,8 @@ void IncrementalEvaluator::do_offload(std::size_t u, std::size_t s,
   // cost is computed fresh.
   refresh_cochannel(j, u);
   refresh_user_cost(u);
+  user_ceiling_[u] = gain_of(u, s, j, signal_at(u, j, s));
+  refresh_slack(j);
   utility_ = gain_minus_gamma_ - lambda_cost_;
 }
 
@@ -232,6 +272,7 @@ void IncrementalEvaluator::do_set_forwarded(std::size_t u, bool forwarded) {
   // Interference is untouched (the uplink slot is unchanged), so only the
   // user's own cost moves: refresh picks the forward penalty up or drops it.
   refresh_user_cost(u);
+  refresh_slack(slot->subchannel);
   utility_ = gain_minus_gamma_ - lambda_cost_;
 }
 
@@ -243,7 +284,8 @@ double IncrementalEvaluator::apply_set_forwarded(std::size_t u,
 }
 
 double IncrementalEvaluator::preview_changes(const SlotChange* changes,
-                                             std::size_t n) const {
+                                             std::size_t n,
+                                             double rejection_floor) const {
   TSAJS_CHECK(n >= 1 && n <= 2, "previews cover one- and two-user moves");
 
   // ---- Lambda (Eq. 23) delta over the affected pools (≤ 4). ----
@@ -308,6 +350,7 @@ double IncrementalEvaluator::preview_changes(const SlotChange* changes,
   };
 
   double gain_delta = 0.0;
+  double mover_magnitude = 0.0;  // sum of |mover term|, for the margin
   // Moved users: new gain at the target slot (or zero when going local).
   for (std::size_t c = 0; c < n; ++c) {
     const SlotChange& change = changes[c];
@@ -316,9 +359,37 @@ double IncrementalEvaluator::preview_changes(const SlotChange* changes,
       const std::size_t j = change.to->subchannel;
       const double power =
           channel_power_[j * num_servers_ + s] + power_delta(j, s);
-      gain_delta += gain_of(change.user, s, j, power) - user_gain_[change.user];
+      const double term =
+          gain_of(change.user, s, j, power) - user_gain_[change.user];
+      gain_delta += term;
+      mover_magnitude += std::fabs(term);
     } else {
       gain_delta -= user_gain_[change.user];
+      mover_magnitude += std::fabs(user_gain_[change.user]);
+    }
+  }
+  // ---- Rejection bound: decide without pricing the occupants. ----
+  // A standing occupant's interference can only grow on a sub-channel that
+  // movers only join, so its gain cannot rise there; on a sub-channel a
+  // mover leaves it rises at most to its ceiling. The occupants therefore
+  // add at most the slack of the left sub-channels (DESIGN.md §8).
+  if (rejection_floor > kNoFloor) {
+    double slack = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (!changes[c].from.has_value()) continue;
+      const std::size_t j = changes[c].from->subchannel;
+      if (c == 1 && changes[0].from.has_value() &&
+          changes[0].from->subchannel == j) {
+        continue;  // both movers leave j: count its slack once
+      }
+      slack += channel_slack_[j];
+    }
+    const double bound = gain_delta + slack - lambda_delta;
+    const double margin =
+        kBoundMargin * (1.0 + std::fabs(utility_) + mover_magnitude + slack +
+                        std::fabs(lambda_delta));
+    if (bound + margin < rejection_floor) {
+      return -std::numeric_limits<double>::infinity();
     }
   }
   // Affected sub-channels, deduplicated (≤ 4).
@@ -363,7 +434,8 @@ double IncrementalEvaluator::preview_changes(const SlotChange* changes,
 }
 
 double IncrementalEvaluator::preview_offload(std::size_t u, std::size_t s,
-                                             std::size_t j) const {
+                                             std::size_t j,
+                                             double rejection_floor) const {
   const auto old_slot = x_.slot_of(u);
   if (old_slot.has_value() && old_slot->server == s &&
       old_slot->subchannel == j) {
@@ -373,24 +445,25 @@ double IncrementalEvaluator::preview_offload(std::size_t u, std::size_t s,
   TSAJS_CHECK(!holder.has_value() || *holder == u,
               "preview_offload target slot must be free");
   const SlotChange change{u, old_slot, Slot{s, j}};
-  return preview_changes(&change, 1);
+  return preview_changes(&change, 1, rejection_floor);
 }
 
-double IncrementalEvaluator::preview_make_local(std::size_t u) const {
+double IncrementalEvaluator::preview_make_local(
+    std::size_t u, double rejection_floor) const {
   const auto slot = x_.slot_of(u);
   if (!slot.has_value()) return utility_;
   const SlotChange change{u, slot, std::nullopt};
-  return preview_changes(&change, 1);
+  return preview_changes(&change, 1, rejection_floor);
 }
 
-double IncrementalEvaluator::preview_swap(std::size_t u1,
-                                          std::size_t u2) const {
+double IncrementalEvaluator::preview_swap(std::size_t u1, std::size_t u2,
+                                          double rejection_floor) const {
   if (u1 == u2) return utility_;
   const auto slot1 = x_.slot_of(u1);
   const auto slot2 = x_.slot_of(u2);
   if (!slot1.has_value() && !slot2.has_value()) return utility_;
   const SlotChange changes[2] = {{u1, slot1, slot2}, {u2, slot2, slot1}};
-  return preview_changes(changes, 2);
+  return preview_changes(changes, 2, rejection_floor);
 }
 
 void IncrementalEvaluator::preview_offload_subchannel(
@@ -498,13 +571,14 @@ double IncrementalEvaluator::preview_set_forwarded(std::size_t u,
 }
 
 double IncrementalEvaluator::preview_replace(std::size_t u, std::size_t s,
-                                             std::size_t j) const {
+                                             std::size_t j,
+                                             double rejection_floor) const {
   const auto occupant = x_.occupant(s, j);
   TSAJS_CHECK(occupant.has_value() && *occupant != u,
               "preview_replace needs a different occupant to evict");
   const SlotChange changes[2] = {{*occupant, Slot{s, j}, std::nullopt},
                                  {u, x_.slot_of(u), Slot{s, j}}};
-  return preview_changes(changes, 2);
+  return preview_changes(changes, 2, rejection_floor);
 }
 
 void IncrementalEvaluator::rollback(std::size_t mark) {

@@ -30,6 +30,17 @@
 // change are never recomputed: their cached `user_gain_` entry stands, and a
 // preview skips any server whose received-power delta is exactly zero.
 //
+// Rejection floor: at the annealer's warm temperatures nearly every worse
+// proposal is rejected whatever its uniform draw, so the slot previews take
+// an optional floor on the utility change and return -infinity, after
+// pricing only the movers and the Lambda delta, for a proposal whose upper
+// bound lies below it. The bound replaces each co-channel occupant's exact
+// gain change by zero (a sub-channel it only gains interferers on) or by
+// the per-sub-channel *slack* (one a mover leaves): the sum over the
+// occupants of their interference-free ceiling minus their cached gain.
+// Every proposal the bound does not decide gets the exact value, bit for
+// bit (DESIGN.md §8).
+//
 // Floating-point drift: the running sums `gain_minus_gamma_` / `lambda_cost_`
 // accumulate rounding error over long move chains. Every `rebuild_interval()`
 // committed operations (default 4096, 0 disables) the evaluator transparently
@@ -43,6 +54,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -90,19 +102,32 @@ class IncrementalEvaluator {
   // Each returns the utility the corresponding apply_* would yield, without
   // touching any state. A rejected proposal therefore costs one pass over
   // the co-channel users of the affected sub-channels and nothing else.
+  //
+  // The four slot previews take a `rejection_floor` on the utility change
+  // Delta = preview - utility(). When an upper bound on Delta, rounding
+  // margin included, lies below it, they return -infinity without pricing
+  // the co-channel occupants; the exact Delta then lies below the floor too.
+  // Otherwise, and always at kNoFloor, they return the exact utility.
+
+  /// The rejection floor that never prunes: every preview is exact.
+  static constexpr double kNoFloor = -std::numeric_limits<double>::infinity();
 
   /// Utility if user `u` moved to (s, j). The slot must be free or held
   /// by `u`.
   [[nodiscard]] double preview_offload(std::size_t u, std::size_t s,
-                                       std::size_t j) const;
+                                       std::size_t j,
+                                       double rejection_floor = kNoFloor) const;
   /// Utility if user `u` went local.
-  [[nodiscard]] double preview_make_local(std::size_t u) const;
+  [[nodiscard]] double preview_make_local(
+      std::size_t u, double rejection_floor = kNoFloor) const;
   /// Utility if users `u1` and `u2` exchanged slots.
-  [[nodiscard]] double preview_swap(std::size_t u1, std::size_t u2) const;
+  [[nodiscard]] double preview_swap(std::size_t u1, std::size_t u2,
+                                    double rejection_floor = kNoFloor) const;
   /// Utility if the occupant of (s, j) were evicted to local execution and
   /// user `u` took the slot. Requires an occupant other than `u`.
   [[nodiscard]] double preview_replace(std::size_t u, std::size_t s,
-                                       std::size_t j) const;
+                                       std::size_t j,
+                                       double rejection_floor = kNoFloor) const;
   /// Utility if offloaded user `u` were forwarded to / recalled from the
   /// cloud tier. Interference is unaffected, so this is O(1): a two-pool
   /// Lambda transfer plus the user's own forward-penalty delta.
@@ -182,9 +207,8 @@ class IncrementalEvaluator {
       std::size_t s, Rng& rng) const {
     return x_.random_free_subchannel(s, rng);
   }
-  [[nodiscard]] std::vector<std::size_t> free_subchannels(
-      std::size_t s) const {
-    return x_.free_subchannels(s);
+  [[nodiscard]] std::optional<Slot> random_free_slot(Rng& rng) const {
+    return x_.random_free_slot(rng);
   }
   [[nodiscard]] std::size_t num_offloaded() const noexcept {
     return x_.num_offloaded();
@@ -226,9 +250,11 @@ class IncrementalEvaluator {
   void do_set_forwarded(std::size_t u, bool forwarded);
 
   /// Candidate utility after the (≤ 2) slot changes, computed purely from
-  /// the flattened caches. The preview_* entry points funnel here.
+  /// the flattened caches, or -infinity when the bound on the change lies
+  /// below `rejection_floor`. The slot preview_* entry points funnel here.
   [[nodiscard]] double preview_changes(const SlotChange* changes,
-                                       std::size_t n) const;
+                                       std::size_t n,
+                                       double rejection_floor) const;
 
   /// p_u * h_us^j from the problem's flattened signal table.
   [[nodiscard]] double signal_at(std::size_t u, std::size_t j,
@@ -274,6 +300,9 @@ class IncrementalEvaluator {
   /// Refreshes every offloaded user on sub-channel `j` except `skip`
   /// (their interference changed).
   void refresh_cochannel(std::size_t j, std::optional<std::size_t> skip);
+  /// Recomputes channel_slack_[j] from scratch over its occupants (O(S)).
+  /// Called for every sub-channel a commit touches, after its gains.
+  void refresh_slack(std::size_t j);
   /// Adjusts a server's sqrt(eta) sum and the Lambda total.
   void server_add(std::size_t s, double sqrt_eta);
   void server_remove(std::size_t s, double sqrt_eta);
@@ -301,6 +330,14 @@ class IncrementalEvaluator {
   // Cached per-user Gamma-side cost: lambda_u*(bt+be) - (phi+psi p)/log2(..)
   // i.e. the user's net gain term; zero when local.
   std::vector<double> user_gain_;
+  // Per-user ceiling: gain_of on the user's slot at zero interference
+  // (forward penalty not applied), the most its gain term can reach while
+  // it keeps that slot; zero when local. One log2 per slot change.
+  std::vector<double> user_ceiling_;
+  // Per sub-channel j: the sum over its occupants of ceiling (less the
+  // forward penalty, as refresh_user_cost applies it) minus user_gain_ —
+  // the most their gains can rise together when interferers leave j.
+  std::vector<double> channel_slack_;
   // Per-server sum of sqrt(eta_u) over its users, and the matching user
   // count (so the sum can snap to exact 0 when the last user leaves).
   // Forwarded users count toward the cloud pool instead of their server's.

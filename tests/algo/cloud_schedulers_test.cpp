@@ -151,9 +151,10 @@ TEST(CloudShardHintTest, SlicingKeepsInShardForwardingOnly) {
   jtora::Assignment global(scenario);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
     const std::size_t s = sharded.home_server(u);
-    const auto free = global.free_subchannels(s);
-    if (free.empty()) continue;
-    global.offload(u, s, free.front());
+    if (global.num_free_subchannels(s) == 0) continue;
+    std::size_t j = 0;
+    while (global.occupant(s, j).has_value()) ++j;
+    global.offload(u, s, j);
     global.set_forwarded(u, true);
   }
   ASSERT_GT(global.num_forwarded(), 0u);

@@ -195,5 +195,18 @@ TEST(CliTest, HelpTextListsFlags) {
   EXPECT_NE(help.find("number of users"), std::string::npos);
 }
 
+TEST(CliTest, RunMainTurnsAnEscapingErrorIntoUsageExit) {
+  char program[] = "build/bench/fig5_data_size";
+  char* argv[] = {program, nullptr};
+  ::testing::internal::CaptureStderr();
+  const int code = run_main(1, argv, [](int, char**) -> int {
+    throw InvalidArgumentError("unexpected argument '200'");
+  });
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "fig5_data_size: unexpected argument '200'\n");
+  EXPECT_EQ(code, 2);
+  EXPECT_EQ(run_main(1, argv, [](int, char**) { return 7; }), 7);
+}
+
 }  // namespace
 }  // namespace tsajs

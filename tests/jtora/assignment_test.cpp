@@ -27,7 +27,7 @@ TEST(AssignmentTest, StartsAllLocal) {
     EXPECT_FALSE(x.slot_of(u).has_value());
   }
   for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
-    EXPECT_EQ(x.free_subchannels(s).size(), scenario.num_subchannels());
+    EXPECT_EQ(x.num_free_subchannels(s), scenario.num_subchannels());
   }
 }
 
@@ -147,9 +147,11 @@ TEST(AssignmentTest, FreeSubchannelsTracksOccupancy) {
   const mec::Scenario scenario = make_scenario();
   Assignment x(scenario);
   x.offload(0, 0, 1);
-  EXPECT_EQ(x.free_subchannels(0), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(x.num_free_subchannels(0), 1u);
+  EXPECT_FALSE(x.occupant(0, 0).has_value());  // the free one is 0
+  EXPECT_EQ(x.num_free_subchannels(1), 2u);
   x.offload(1, 0, 0);
-  EXPECT_TRUE(x.free_subchannels(0).empty());
+  EXPECT_EQ(x.num_free_subchannels(0), 0u);
 }
 
 TEST(AssignmentTest, RandomFreeSubchannelRespectsOccupancy) {
