@@ -134,11 +134,9 @@ struct ShardSweep {
 ShardSweep sweep_shard(const jtora::IncrementalEvaluator& master,
                        const std::vector<std::size_t>& boundary_users,
                        const std::vector<std::size_t>& halo,
-                       std::size_t num_subchannels, const Stopwatch& timer,
-                       double deadline) {
+                       const Stopwatch& timer, double deadline) {
   ShardSweep out;
   jtora::IncrementalEvaluator eval = master;  // flat arrays, shared problem
-  std::vector<double> preview(halo.size());  // preview[i] scores halo[i]
   std::size_t scanned = 0;
   for (const std::size_t u : boundary_users) {
     // Honor the anytime deadline inside the sweep, not just between
@@ -152,27 +150,17 @@ ShardSweep sweep_shard(const jtora::IncrementalEvaluator& master,
     // would silently recall it. Tier decisions stay with the shard solves.
     if (eval.is_forwarded(u)) continue;
     const std::optional<jtora::Slot> orig = eval.slot_of(u);
-    // Lift the user out so the batch previews (which require a local
-    // mover) can score the halo's slots of each sub-channel; the user's own
-    // slot becomes free and is re-scored on equal terms with every
-    // alternative.
+    // Lift the user out so its own slot becomes free and is re-scored on
+    // equal terms with every halo slot; priced first, it also starts the
+    // argmax's pruning floor.
     if (orig.has_value()) eval.apply_make_local(u);
-    double best_utility = eval.utility();  // staying local
-    std::optional<jtora::Slot> best;
-    ++out.evaluations;
-    for (std::size_t j = 0; j < num_subchannels; ++j) {
-      eval.preview_offload_subchannel(u, j, halo, preview.data());
-      for (std::size_t i = 0; i < halo.size(); ++i) {
-        if (std::isnan(preview[i])) continue;
-        ++out.evaluations;
-        if (preview[i] > best_utility) {
-          best_utility = preview[i];
-          best = jtora::Slot{halo[i], j};
-        }
-      }
+    const jtora::IncrementalEvaluator::BestSlot best =
+        eval.best_offload(u, halo, orig);
+    out.evaluations += best.evaluations;
+    if (best.slot.has_value()) {
+      eval.apply_offload(u, best.slot->server, best.slot->subchannel);
     }
-    if (best.has_value()) eval.apply_offload(u, best->server, best->subchannel);
-    if (orig != best) out.moves.push_back(UserMove{u, orig, best});
+    if (orig != best.slot) out.moves.push_back(UserMove{u, orig, best.slot});
   }
   return out;
 }
@@ -528,7 +516,6 @@ ScheduleResult ShardedScheduler::sharded_solve(
 
   jtora::IncrementalEvaluator master(problem, merged);
   master.set_undo_logging(false);
-  const std::size_t num_subchannels = scenario.num_subchannels();
   std::vector<ShardSweep> sweeps;
   for (std::size_t pass = 0; pass < kFixupPasses; ++pass) {
     if (deadline > 0.0 && timer.elapsed_seconds() >= deadline) break;
@@ -540,8 +527,8 @@ ScheduleResult ShardedScheduler::sharded_solve(
         const std::size_t k = color_class[i];
         const std::vector<std::size_t>& users = sharded.boundary_users_of(k);
         if (users.empty()) return;
-        sweeps[i] = sweep_shard(master, users, cache.halo_servers[k],
-                                num_subchannels, timer, deadline);
+        sweeps[i] =
+            sweep_shard(master, users, cache.halo_servers[k], timer, deadline);
       };
       if (pool.has_value()) {
         pool->parallel_for(color_class.size(), sweep_one);

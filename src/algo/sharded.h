@@ -8,8 +8,9 @@
 // common::ThreadPool. Afterwards a deterministic *boundary fixup*
 // re-scores every user homed in a boundary cell against the full global
 // problem — the one place the decomposition neglected cross-shard
-// interference — using the IncrementalEvaluator's batch sub-channel
-// previews and keeping only strict improvements.
+// interference — using the IncrementalEvaluator's bound-pruned argmax
+// (best_offload, the same pick as scoring every halo slot) and keeping
+// only strict improvements.
 //
 // Parallelism & determinism (see DESIGN.md "Parallel sharded solving"):
 //   * Shard solves: child seeds derive from the caller Rng up front in

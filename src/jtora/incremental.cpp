@@ -16,7 +16,10 @@ namespace {
 /// difference; each slack is an S-term sum. The exact change can exceed
 /// the bound by at most about (5S + 10) * 2^-53 times the magnitudes the
 /// margin multiplies: about 1e-12 at S = 2,000, three orders of magnitude
-/// inside this factor (DESIGN.md §8).
+/// inside this factor (DESIGN.md §8). The fixup argmax's bounds share the
+/// exact chain's order, so only a log2 that is not monotone can put an
+/// exact value above them, by a few ulps of the Gamma terms; the same
+/// factor covers that with room to spare.
 constexpr double kBoundMargin = 1e-9;
 
 }  // namespace
@@ -66,6 +69,10 @@ void IncrementalEvaluator::rebuild() {
   }
   channel_slack_.assign(num_subchannels_, 0.0);
   for (std::size_t j = 0; j < num_subchannels_; ++j) refresh_slack(j);
+  gain_const_total_ = 0.0;
+  for (std::size_t u = 0; u < problem_->num_users(); ++u) {
+    gain_const_total_ += problem_->gain_const(u);
+  }
   for (std::size_t s = 0; s < num_servers_; ++s) {
     if (server_count_[s] > 0) {
       lambda_cost_ += server_sqrt_eta_[s] * server_sqrt_eta_[s] /
@@ -468,7 +475,7 @@ double IncrementalEvaluator::preview_swap(std::size_t u1, std::size_t u2,
 
 void IncrementalEvaluator::preview_offload_subchannel(
     std::size_t u, std::size_t j, std::span<const std::size_t> candidates,
-    double* out) const {
+    double* out, double floor) const {
   TSAJS_REQUIRE(!x_.is_offloaded(u),
                 "preview_offload_subchannel previews a local user");
   TSAJS_REQUIRE(j < num_subchannels_, "sub-channel index out of range");
@@ -482,9 +489,65 @@ void IncrementalEvaluator::preview_offload_subchannel(
   // then replays the scalar addition order exactly. Occupancy and the mask
   // are read through the assignment's flat slot maps.
   const std::vector<std::optional<std::size_t>>& slot_users = x_.slot_users();
-  const std::vector<std::uint8_t>& blocked = x_.blocked_slots();
   const double* power_row = channel_power_.data() + j * num_servers_;
   const double* urow = problem_->signal_row(u, j);
+  // Free, available candidates stage the mover's log2 argument (u's own
+  // signal joins the cached power) into contiguous scratch, so the log2
+  // calls run back to back; `open` maps each entry to its candidate.
+  thread_local std::vector<double> mover;
+  thread_local std::vector<double> lambda;
+  thread_local std::vector<std::size_t> open;
+  mover.clear();
+  lambda.clear();
+  open.clear();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const std::size_t s = candidates[i];
+    TSAJS_REQUIRE(s < num_servers_, "candidate server index out of range");
+    if (!slot_open(s * num_subchannels_ + j)) {
+      out[i] = nan;
+      continue;
+    }
+    mover.push_back(rate_arg(u, s, j, power_row[s] + urow[s]));
+    open.push_back(i);
+  }
+  for (double& term : mover) term = std::log2(term);
+  // Mover terms and Lambda deltas, then the floor. The occupants only join
+  // interferers here, so each delta_occ is <= 0 and the chain cannot end
+  // above utility + mover term - lambda: that is the bound, computed in the
+  // exact path's own order. Without occupants it *is* the exact value; with
+  // them the margin covers a log2 that is not monotone (DESIGN.md §8).
+  const bool floored = floor > kNoFloor;
+  bool occupied = false;
+  for (std::size_t r = 0; floored && !occupied && r < num_servers_; ++r) {
+    occupied = slot_users[r * num_subchannels_ + j].has_value();
+  }
+  const double occupant_cost =
+      occupied ? gain_const_total_ - gain_minus_gamma_ : 0.0;
+  const double sqrt_eta_u = problem_->sqrt_eta(u);
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < open.size(); ++k) {
+    const std::size_t i = open[k];
+    const std::size_t s = candidates[i];
+    const double lambda_delta = join_lambda_delta(s, sqrt_eta_u);
+    const double term = gain_from_log(u, s, j, mover[k]) - user_gain_[u];
+    if (floored) {
+      const double margin =
+          occupied ? kBoundMargin * (1.0 + std::fabs(utility_) +
+                                     std::fabs(term) +
+                                     std::fabs(lambda_delta) + occupant_cost)
+                   : 0.0;
+      if (utility_ + term - lambda_delta + margin < floor) {
+        out[i] = -std::numeric_limits<double>::infinity();
+        continue;
+      }
+    }
+    open[kept] = i;
+    mover[kept] = term;
+    lambda.push_back(lambda_delta);
+    ++kept;
+  }
+  if (kept == 0) return;  // the occupants' log2s are not needed
   thread_local std::vector<double> occ_delta;
   occ_delta.clear();
   for (std::size_t r = 0; r < num_servers_; ++r) {
@@ -495,40 +558,85 @@ void IncrementalEvaluator::preview_offload_subchannel(
     if (x_.is_forwarded(*occ)) occ_gain -= forward_cost(*occ, r);
     occ_delta.push_back(occ_gain - user_gain_[*occ]);
   }
-  // Free, available candidates stage the mover's log2 argument (u's own
-  // signal joins the cached power) into contiguous scratch, so the log2
-  // calls run back to back; `open` maps each entry to its candidate.
-  thread_local std::vector<double> log_term;
-  thread_local std::vector<std::size_t> open;
-  log_term.clear();
-  open.clear();
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const std::size_t s = candidates[i];
-    TSAJS_REQUIRE(s < num_servers_, "candidate server index out of range");
-    const std::size_t slot = s * num_subchannels_ + j;
-    if (slot_users[slot].has_value() ||
-        (!blocked.empty() && blocked[slot] != 0)) {
-      out[i] = nan;
-      continue;
-    }
-    log_term.push_back(rate_arg(u, s, j, power_row[s] + urow[s]));
-    open.push_back(i);
-  }
-  for (double& term : log_term) term = std::log2(term);
-  const double sqrt_eta_u = problem_->sqrt_eta(u);
-  for (std::size_t k = 0; k < open.size(); ++k) {
-    const std::size_t i = open[k];
-    const std::size_t s = candidates[i];
-    // Lambda delta (count goes 0/k -> k+1, never zero: no snap branch).
-    const double before = server_sqrt_eta_[s];
-    const double after = before + sqrt_eta_u;
-    const double lambda_delta =
-        (after * after - before * before) / problem_->server_cpu_hz(s);
-    double gain_delta = gain_from_log(u, s, j, log_term[k]) - user_gain_[u];
+  for (std::size_t k = 0; k < kept; ++k) {
+    double gain_delta = mover[k];
     for (const double delta : occ_delta) gain_delta += delta;
-    out[i] = utility_ + gain_delta - lambda_delta;
+    out[open[k]] = utility_ + gain_delta - lambda[k];
   }
+}
+
+IncrementalEvaluator::BestSlot IncrementalEvaluator::best_offload(
+    std::size_t u, std::span<const std::size_t> candidates,
+    std::optional<Slot> seed) const {
+  TSAJS_REQUIRE(!x_.is_offloaded(u), "best_offload places a local user");
+  BestSlot best{std::nullopt, utility_, 1};
+  // The floor is the utility a candidate must reach to matter. The seed
+  // slot's exact value is one the scan will meet, so anything below it
+  // cannot win; one equal to it still can, if it comes first.
+  double floor = utility_;
+  if (seed.has_value() && std::find(candidates.begin(), candidates.end(),
+                                    seed->server) != candidates.end()) {
+    double value = kNoFloor;
+    preview_offload_subchannel(u, seed->subchannel, {&seed->server, 1},
+                               &value, floor);
+    floor = std::max(floor, value);  // NaN (taken, masked) leaves it
+  }
+  // Per server, an interference-free ceiling on u's term: the strongest
+  // signal and the shortest downlink over its free, available sub-channels.
+  // gain_of falls as interference or downlink time grows and rises with
+  // the signal, step by step in floating point too, so none of its slots
+  // prices above it, and a server whose ceiling cannot reach the floor is
+  // dropped for every row. Its free, available slots still count as scored.
+  thread_local std::vector<std::size_t> live;
+  live.clear();
+  const double occupant_cost = gain_const_total_ - gain_minus_gamma_;
+  const double sqrt_eta_u = problem_->sqrt_eta(u);
+  for (const std::size_t s : candidates) {
+    TSAJS_REQUIRE(s < num_servers_, "candidate server index out of range");
+    std::size_t free = 0;
+    double signal = 0.0;
+    double downlink = std::numeric_limits<double>::infinity();
+    for (std::size_t j = 0; j < num_subchannels_; ++j) {
+      if (!slot_open(s * num_subchannels_ + j)) continue;
+      ++free;
+      signal = std::max(signal, signal_at(u, j, s));
+      downlink = std::min(downlink, problem_->downlink_time_s(u, s, j));
+    }
+    best.evaluations += free;
+    if (free == 0) continue;
+    double ceiling = problem_->gain_const(u) -
+                     problem_->gamma_coef(u) / std::log2(1.0 + signal / noise_w_);
+    if (has_downlink_) ceiling -= problem_->time_cost_scale(u) * downlink;
+    const double lambda_delta = join_lambda_delta(s, sqrt_eta_u);
+    const double margin =
+        kBoundMargin * (1.0 + std::fabs(utility_) + std::fabs(ceiling) +
+                        std::fabs(lambda_delta) + occupant_cost);
+    if (utility_ + ceiling - lambda_delta + margin < floor) continue;
+    live.push_back(s);
+  }
+  // The scan itself, rows in order, each floored at the incumbent. A
+  // pruned candidate (-infinity) and a taken one (NaN) never improve.
+  thread_local std::vector<double> row;
+  row.resize(live.size());
+  for (std::size_t j = 0; j < num_subchannels_ && !live.empty(); ++j) {
+    preview_offload_subchannel(u, j, live, row.data(), floor);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (row[i] > best.utility) {
+        best.utility = row[i];
+        best.slot = Slot{live[i], j};
+      }
+    }
+    floor = std::max(floor, best.utility);
+  }
+  return best;
+}
+
+double IncrementalEvaluator::join_lambda_delta(std::size_t s,
+                                               double sqrt_eta) const {
+  // The server's count goes k -> k + 1, never to zero: no snap branch.
+  const double before = server_sqrt_eta_[s];
+  const double after = before + sqrt_eta;
+  return (after * after - before * before) / problem_->server_cpu_hz(s);
 }
 
 double IncrementalEvaluator::preview_set_forwarded(std::size_t u,

@@ -41,6 +41,14 @@
 // Every proposal the bound does not decide gets the exact value, bit for
 // bit (DESIGN.md §8).
 //
+// Fixup argmax: `best_offload` finds a local user's best slot among a list
+// of candidate servers, as the sharded boundary fixup needs it. A mover
+// that only joins a sub-channel can only lower its occupants' terms, so a
+// candidate is bounded by its mover term less its Lambda delta, and a
+// server by its interference-free ceiling. Candidates whose bound cannot
+// reach the incumbent are never priced; the answer, its utility bits and
+// the scored-slot count are those of the exact scan.
+//
 // Floating-point drift: the running sums `gain_minus_gamma_` / `lambda_cost_`
 // accumulate rounding error over long move chains. Every `rebuild_interval()`
 // committed operations (default 4096, 0 disables) the evaluator transparently
@@ -144,9 +152,36 @@ class IncrementalEvaluator {
   /// O(C * K_j) of C scalar previews. Only the listed servers are scored
   /// (a caller wanting the whole row passes every server); `out` must hold
   /// candidates.size() slots.
+  ///
+  /// `floor` is a floor on the candidate utility itself (not a change):
+  /// a candidate whose mover-only bound, utility + mover term - Lambda
+  /// delta (rounding margin included), lies below it comes back -infinity
+  /// before its addition chain; its exact utility lies below the floor
+  /// too. A row with no candidate left skips its occupants' log2s.
   void preview_offload_subchannel(std::size_t u, std::size_t j,
                                   std::span<const std::size_t> candidates,
-                                  double* out) const;
+                                  double* out, double floor = kNoFloor) const;
+
+  /// The best move of *local* user `u` onto a free, available slot of the
+  /// `candidates` servers: what scanning every sub-channel's row in order
+  /// (j ascending, then candidate order) and keeping the first strict
+  /// improvement on staying local picks, ties included.
+  struct BestSlot {
+    std::optional<Slot> slot;  ///< empty when staying local is best
+    double utility = 0.0;      ///< the utility after the move, bit-exact
+    /// 1 (staying local) + the free, available candidate slots the scan
+    /// scores; counted, whether or not the bound spared a slot its log2.
+    std::size_t evaluations = 0;
+  };
+  /// Same answer as that exact scan, but every candidate whose upper bound
+  /// cannot reach the incumbent is skipped: a server whose interference-
+  /// free ceiling loses is dropped for every row, and each row runs with
+  /// the incumbent as its floor. `seed` (typically the slot `u` held before
+  /// it was made local) is priced first when it is a candidate slot, so its
+  /// value starts the floor. DESIGN.md §8 has the bound and the tie rule.
+  [[nodiscard]] BestSlot best_offload(std::size_t u,
+                                      std::span<const std::size_t> candidates,
+                                      std::optional<Slot> seed) const;
 
   // --- proposal protocol --------------------------------------------------
   // The annealer wraps each proposal in checkpoint()/rollback(): apply the
@@ -256,6 +291,13 @@ class IncrementalEvaluator {
                                        std::size_t n,
                                        double rejection_floor) const;
 
+  /// Slot s * N + j is free and not masked: one the fixup argmax scores.
+  /// Read through the assignment's flat slot maps.
+  [[nodiscard]] bool slot_open(std::size_t slot) const {
+    const std::vector<std::uint8_t>& blocked = x_.blocked_slots();
+    return !x_.slot_users()[slot].has_value() &&
+           (blocked.empty() || blocked[slot] == 0);
+  }
   /// p_u * h_us^j from the problem's flattened signal table.
   [[nodiscard]] double signal_at(std::size_t u, std::size_t j,
                                  std::size_t s) const noexcept {
@@ -303,6 +345,9 @@ class IncrementalEvaluator {
   /// Recomputes channel_slack_[j] from scratch over its occupants (O(S)).
   /// Called for every sub-channel a commit touches, after its gains.
   void refresh_slack(std::size_t j);
+  /// Lambda delta of a local user with `sqrt_eta` joining server `s`'s
+  /// pool, as the batch row prices it.
+  [[nodiscard]] double join_lambda_delta(std::size_t s, double sqrt_eta) const;
   /// Adjusts a server's sqrt(eta) sum and the Lambda total.
   void server_add(std::size_t s, double sqrt_eta);
   void server_remove(std::size_t s, double sqrt_eta);
@@ -338,6 +383,10 @@ class IncrementalEvaluator {
   // forward penalty, as refresh_user_cost applies it) minus user_gain_ —
   // the most their gains can rise together when interferers leave j.
   std::vector<double> channel_slack_;
+  // Sum of gain_const over every user. Less gain_minus_gamma_ it bounds the
+  // offloaded users' Gamma-side costs (gain_const - user_gain_), the scale
+  // of best_offload's rounding margin.
+  double gain_const_total_ = 0.0;
   // Per-server sum of sqrt(eta_u) over its users, and the matching user
   // count (so the sum can snap to exact 0 when the last user leaves).
   // Forwarded users count toward the cloud pool instead of their server's.
