@@ -7,14 +7,9 @@
 
 namespace tsajs::algo {
 
-void LocalSearchConfig::validate() const {
-  TSAJS_REQUIRE(max_iterations >= 1, "need at least one iteration");
-  TSAJS_REQUIRE(patience >= 1, "patience must be at least 1");
-}
-
-LocalSearchScheduler::LocalSearchScheduler(LocalSearchConfig config)
-    : config_(config) {
-  config_.validate();
+LocalSearchScheduler::LocalSearchScheduler(std::size_t chain_length)
+    : max_iterations_(100 * chain_length), patience_(20 * chain_length) {
+  TSAJS_REQUIRE(chain_length >= 1, "chain length must be at least 1");
 }
 
 ScheduleResult LocalSearchScheduler::solve(const SolveRequest& request) const {
@@ -39,7 +34,7 @@ ScheduleResult LocalSearchScheduler::climb(
   ScheduleResult result{current, current_utility, 0.0, 1};
 
   std::size_t since_improvement = 0;
-  for (std::size_t it = 0; it < config_.max_iterations; ++it) {
+  for (std::size_t it = 0; it < max_iterations_; ++it) {
     jtora::Assignment candidate = current;
     neighborhood.step(candidate, rng);
     const double candidate_utility = evaluator.system_utility(candidate);
@@ -48,7 +43,7 @@ ScheduleResult LocalSearchScheduler::climb(
       current = std::move(candidate);
       current_utility = candidate_utility;
       since_improvement = 0;
-    } else if (++since_improvement >= config_.patience) {
+    } else if (++since_improvement >= patience_) {
       break;
     }
   }

@@ -14,19 +14,14 @@
 
 namespace tsajs::algo {
 
-struct LocalSearchConfig {
-  /// Hard iteration cap (the fixed budget that makes its runtime flat in
-  /// the paper's Fig. 8).
-  std::size_t max_iterations = 2000;
-  /// Convergence: stop after this many consecutive non-improving proposals.
-  std::size_t patience = 400;
-
-  void validate() const;
-};
-
 class LocalSearchScheduler final : public Scheduler {
  public:
-  explicit LocalSearchScheduler(LocalSearchConfig config = {});
+  /// Budget proportional to TSAJS's effort knob L (`chain_length`), as a
+  /// fixed multiple: a hard cap of 100·L iterations and convergence after
+  /// 20·L consecutive non-improving proposals. The budget does not depend
+  /// on the instance size, so its runtime stays flat (paper Fig. 8).
+  /// Requires L >= 1.
+  explicit LocalSearchScheduler(std::size_t chain_length = 20);
 
   [[nodiscard]] std::string name() const override { return "local-search"; }
 
@@ -47,7 +42,8 @@ class LocalSearchScheduler final : public Scheduler {
                                      jtora::Assignment initial,
                                      Rng& rng) const;
 
-  LocalSearchConfig config_;
+  std::size_t max_iterations_;
+  std::size_t patience_;
 };
 
 }  // namespace tsajs::algo

@@ -27,13 +27,7 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
   if (name == "hjtora") return std::make_unique<HjtoraScheduler>();
   if (name == "greedy") return std::make_unique<GreedyScheduler>();
   if (name == "local-search") {
-    LocalSearchConfig config;
-    // Keep LocalSearch's budget proportional to the TSAJS effort knob, as a
-    // fixed multiple; its runtime stays flat in N (paper Fig. 8) because the
-    // budget does not depend on the instance size.
-    config.max_iterations = 100 * options.chain_length;
-    config.patience = 20 * options.chain_length;
-    return std::make_unique<LocalSearchScheduler>(config);
+    return std::make_unique<LocalSearchScheduler>(options.chain_length);
   }
   if (name == "exhaustive") return std::make_unique<ExhaustiveScheduler>();
   // "sharded:<inner>" wraps any registered scheme in the interference-

@@ -10,9 +10,7 @@ namespace tsajs::mec {
 
 namespace {
 
-// The paper's fixed evaluation constants (Sec. V).
-constexpr double kInterSiteDistanceM = 1000.0;
-constexpr double kBandwidthHz = 20e6;
+// The paper's other fixed evaluation constants (Sec. V).
 constexpr double kTxPowerDbm = 10.0;
 constexpr double kUserCpuHz = 1e9;
 constexpr double kKappa = 5e-27;

@@ -21,6 +21,12 @@
 
 namespace tsajs::mec {
 
+/// The paper's fixed layout and radio constants (Sec. V), shared by the
+/// builder and the online simulators (sim::Grid).
+inline constexpr double kInterSiteDistanceM = 1000.0;
+inline constexpr double kBandwidthHz = 20e6;
+inline constexpr double kNoiseDbm = -100.0;
+
 class ScenarioBuilder {
  public:
   ScenarioBuilder();
@@ -83,7 +89,7 @@ class ScenarioBuilder {
   std::size_t num_users_ = 30;
   std::size_t num_servers_ = 9;
   std::size_t num_subchannels_ = 3;
-  double noise_dbm_ = -100.0;
+  double noise_dbm_ = kNoiseDbm;
   double server_cpu_hz_ = 20e9;
   double task_input_kb_ = 420.0;
   double task_megacycles_ = 1000.0;

@@ -12,22 +12,16 @@ void DynamicConfig::validate() const {
   TSAJS_REQUIRE(epochs >= 1, "need at least one epoch");
   TSAJS_REQUIRE(activity_prob > 0.0 && activity_prob <= 1.0,
                 "activity probability must lie in (0,1]");
-  TSAJS_REQUIRE(std::isfinite(mobility_step_m) && mobility_step_m >= 0.0,
-                "mobility step must be finite and >= 0");
   GridConfig::validate();
 }
 
 DynamicSimulator::DynamicSimulator(std::size_t population,
                                    std::size_t num_servers,
                                    std::size_t num_subchannels,
-                                   DynamicConfig config,
-                                   mec::UserEquipment prototype,
-                                   mec::EdgeServer server_prototype,
-                                   double bandwidth_hz, double noise_dbm)
+                                   DynamicConfig config)
     : population_(population),
       config_(config),
-      grid_(num_servers, num_subchannels, prototype, server_prototype,
-            bandwidth_hz, noise_dbm) {
+      grid_(num_servers, num_subchannels) {
   TSAJS_REQUIRE(population >= 1, "need at least one user");
   config_.validate();
 }
@@ -84,9 +78,8 @@ DynamicReport DynamicSimulator::run(const algo::Scheduler& scheduler,
     for (auto& p : positions) {
       for (int attempt = 0; attempt < 8; ++attempt) {
         const double angle = rng.uniform(0.0, 2.0 * M_PI);
-        const geo::Point candidate{
-            p.x + config_.mobility_step_m * std::cos(angle),
-            p.y + config_.mobility_step_m * std::sin(angle)};
+        const geo::Point candidate{p.x + kMobilityStepM * std::cos(angle),
+                                   p.y + kMobilityStepM * std::sin(angle)};
         if (layout.contains(layout.nearest_cell(candidate), candidate)) {
           p = candidate;
           break;
@@ -103,9 +96,9 @@ DynamicReport DynamicSimulator::run(const algo::Scheduler& scheduler,
       // The cycles are drawn before the input size, in two statements: the
       // evaluation order of a call's arguments is unspecified.
       const double cycles = units::megacycles_to_cycles(
-          rng.uniform(config_.min_megacycles, config_.max_megacycles));
-      const double input_bits = units::kilobytes_to_bits(
-          rng.uniform(config_.min_input_kb, config_.max_input_kb));
+          rng.uniform(kMinMegacycles, kMaxMegacycles));
+      const double input_bits =
+          units::kilobytes_to_bits(rng.uniform(kMinInputKb, kMaxInputKb));
       env.stage(mec::Task(input_bits, cycles), positions[g], g, carried[g]);
       active.push_back(g);
     }

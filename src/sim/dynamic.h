@@ -4,9 +4,10 @@
 // scheduler re-runs on every scheduling epoch as tasks arrive and users
 // move. This module provides that loop as a library feature:
 //
-//   epoch e: 1. each user moves one random-walk step inside the network,
+//   epoch e: 1. each user moves one kMobilityStepM random-walk step inside
+//               the network,
 //            2. each user draws a task with probability `activity_prob`
-//               (task size/load sampled from configurable ranges),
+//               (task size/load sampled from the grid's task ranges),
 //            3. channel gains are re-drawn for the new geometry,
 //            4. the scheduler solves the snapshot of *active* users,
 //            5. per-epoch utility / delay / energy / runtime are recorded.
@@ -37,16 +38,17 @@
 
 namespace tsajs::sim {
 
-/// Task ranges, cloud tier, faults and breaker: see GridConfig.
+/// Per-epoch random-walk step [m]: each user moves this far in a uniform
+/// direction; a step leaving the network is retried.
+inline constexpr double kMobilityStepM = 30.0;
+
+/// Cloud tier, faults and breaker: see GridConfig.
 struct DynamicConfig : GridConfig {
   std::size_t epochs = 50;
   /// Probability that a user has a task to schedule in a given epoch.
   double activity_prob = 0.6;
-  /// Per-epoch random-walk step [m]: each user moves this far in a uniform
-  /// direction; a step leaving the network is retried.
-  double mobility_step_m = 30.0;
 
-  /// Also requires a finite step and a valid GridConfig.
+  /// Also requires a valid GridConfig.
   void validate() const;
 };
 
@@ -70,7 +72,7 @@ struct EpochStats {
   double mean_energy_j = 0.0;  ///< over active users
   double solve_seconds = 0.0;
   // Degradation telemetry (all zero/false when faults are disabled).
-  bool faulted = false;  ///< any outage, blackout, or noise burst this epoch
+  bool faulted = false;  ///< any outage or blackout this epoch
   std::size_t servers_down = 0;
   std::size_t backhauls_down = 0;  ///< cloud backhaul links currently down
   std::size_t slots_unavailable = 0;  ///< masked slots (outages + blackouts)
@@ -122,13 +124,9 @@ struct DynamicReport {
 
 class DynamicSimulator {
  public:
-  /// `population` users on `num_servers` hexagonal cells; static per-user
-  /// parameters (CPU, power, preferences) come from `prototype`.
+  /// `population` users on `num_servers` hexagonal cells (see Grid).
   DynamicSimulator(std::size_t population, std::size_t num_servers,
-                   std::size_t num_subchannels, DynamicConfig config = {},
-                   mec::UserEquipment prototype = {},
-                   mec::EdgeServer server_prototype = {},
-                   double bandwidth_hz = 20e6, double noise_dbm = -100.0);
+                   std::size_t num_subchannels, DynamicConfig config = {});
 
   /// Runs the timeline, scheduling every epoch with `scheduler`. The warm
   /// policy only changes how solves are *seeded* — the simulated

@@ -343,13 +343,7 @@ void EvidenceWriter::write_run_json(const StreamConfig& config,
   put("arrival_rate_hz", config.arrival_rate_hz);
   put("lifetime_min_s", config.lifetime_min_s);
   put("lifetime_max_s", config.lifetime_max_s);
-  put("min_megacycles", config.min_megacycles);
-  put("max_megacycles", config.max_megacycles);
-  put("min_input_kb", config.min_input_kb);
-  put("max_input_kb", config.max_input_kb);
   put("cloud_cpu_hz", config.cloud_cpu_hz);
-  put("cloud_backhaul_bps", config.cloud_backhaul_bps);
-  put("cloud_backhaul_latency_s", config.cloud_backhaul_latency_s);
   out << "    \"cloud_max_forwarded\": " << config.cloud_max_forwarded
       << ",\n";
   put("server_mtbf_epochs", config.fault.server_mtbf_epochs);
@@ -362,9 +356,7 @@ void EvidenceWriter::write_run_json(const StreamConfig& config,
       << config.decision_budget.max_iterations << ",\n";
   put("checkpoint_interval_s", config.checkpoint_interval_s);
   out << "    \"warm\": " << (config.warm ? "true" : "false") << ",\n"
-      << "    \"max_active\": " << config.admission.max_active << ",\n"
-      << "    \"max_backlog\": " << config.admission.max_backlog << ",\n"
-      << "    \"headroom\": " << config.admission.headroom << "\n"
+      << "    \"max_backlog\": " << config.admission.max_backlog << "\n"
       << "  }\n}\n";
   TSAJS_REQUIRE(out.good(), "failed writing run.json in " + dir_);
 }

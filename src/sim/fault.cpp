@@ -16,11 +16,6 @@ void FaultConfig::validate() const {
   TSAJS_REQUIRE(
       subchannel_blackout_prob >= 0.0 && subchannel_blackout_prob <= 1.0,
       "sub-channel blackout probability must lie in [0,1]");
-  TSAJS_REQUIRE(noise_burst_prob >= 0.0 && noise_burst_prob <= 1.0,
-                "noise burst probability must lie in [0,1]");
-  TSAJS_REQUIRE(
-      std::isfinite(noise_burst_sigma_db) && noise_burst_sigma_db >= 0.0,
-      "noise burst sigma must be finite and >= 0 dB");
   TSAJS_REQUIRE(
       std::isfinite(backhaul_mtbf_epochs) && backhaul_mtbf_epochs >= 0.0,
       "backhaul MTBF must be finite and >= 0 (0 disables backhaul outages)");
@@ -51,8 +46,8 @@ FaultInjector::FaultInjector(std::size_t num_servers,
 
 void FaultInjector::advance_epoch() {
   // Fixed draw order so one seed reproduces one fault schedule: server
-  // fail/repair coins (ascending), blackout coins (ascending slots), burst
-  // coin; backhaul fail/repair coins (ascending) on their own substream so
+  // fail/repair coins (ascending), blackout coins (ascending slots);
+  // backhaul fail/repair coins (ascending) on their own substream so
   // enabling them leaves the other schedules untouched. Disabled fault
   // classes draw nothing.
   if (config_.server_mtbf_epochs > 0.0) {
@@ -74,9 +69,6 @@ void FaultInjector::advance_epoch() {
       blacked = rng_.bernoulli(config_.subchannel_blackout_prob) ? 1 : 0;
       if (blacked != 0) ++slots_blacked_out_;
     }
-  }
-  if (config_.noise_burst_prob > 0.0) {
-    burst_active_ = rng_.bernoulli(config_.noise_burst_prob);
   }
   if (config_.backhaul_mtbf_epochs > 0.0) {
     const double fail_prob = 1.0 / config_.backhaul_mtbf_epochs;
@@ -106,19 +98,6 @@ mec::Availability FaultInjector::availability() const {
     }
   }
   return mask;
-}
-
-void FaultInjector::perturb_gains(Matrix3<double>& gains) {
-  if (!burst_active_ || config_.noise_burst_sigma_db <= 0.0) return;
-  for (std::size_t u = 0; u < gains.dim0(); ++u) {
-    for (std::size_t s = 0; s < gains.dim1(); ++s) {
-      for (std::size_t j = 0; j < gains.dim2(); ++j) {
-        // Log-normal estimation error: gain * 10^(N(0, sigma)/10).
-        const double error_db = rng_.normal(0.0, config_.noise_burst_sigma_db);
-        gains(u, s, j) *= std::pow(10.0, error_db / 10.0);
-      }
-    }
-  }
 }
 
 }  // namespace tsajs::sim

@@ -1,40 +1,35 @@
 // Fault injection for the online simulators.
 //
 // A deployed MEC controller sees edge servers crash and recover, individual
-// sub-channels black out, and channel estimates degrade in bursts. The
-// paper's evaluation is fully healthy; `FaultInjector` adds those hazards to
-// both simulators (stepped by sim::GridState) as a seeded, reproducible
-// per-epoch schedule:
+// sub-channels black out, and backhaul links fail. The paper's evaluation
+// is fully healthy; `FaultInjector` adds those hazards to both simulators
+// (stepped by sim::GridState) as a seeded, reproducible per-epoch schedule:
 //
 //   * server outages — a geometric MTBF/MTTR model: each epoch an up server
 //     fails with probability 1/MTBF and a down server repairs with
 //     probability 1/MTTR, so outages last MTTR epochs in expectation;
 //   * sub-channel blackouts — each (server, sub-channel) slot is
 //     independently unusable for the epoch with a fixed probability;
-//   * noise bursts — with a per-epoch probability, every channel-gain
-//     estimate of the epoch is perturbed by log-normal noise of a
-//     configurable dB sigma (a transient estimation error, not an outage);
 //   * backhaul outages — the same geometric MTBF/MTTR model applied to each
 //     edge server's cloud backhaul link: the server keeps serving, but
 //     tasks cannot be forwarded through it while the link is down (only
 //     meaningful for cloud-enabled scenarios).
 //
 // All draws come from the injector's own dedicated RNG streams, seeded once
-// by the caller, in a fixed order (servers ascending, then slots ascending,
-// then the burst coin; backhaul coins ascending on their own substream).
+// by the caller, in a fixed order (servers ascending, then slots ascending;
+// backhaul coins ascending on their own substream).
 // The simulator's environment stream is never touched, so with faults
 // disabled the whole timeline stays bit-identical to the pre-fault
 // implementation, and with faults enabled the same seed reproduces the same
 // fault schedule for every scheduler under test. Backhaul coins draw from a
 // separate substream derived from the same seed, so enabling them never
-// reshuffles an existing server/blackout/burst schedule — in any epoch.
+// reshuffles an existing server/blackout schedule — in any epoch.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/matrix.h"
 #include "common/rng.h"
 #include "mec/availability.h"
 
@@ -50,10 +45,6 @@ struct FaultConfig {
   /// Per-epoch probability that an individual (server, sub-channel) slot is
   /// blacked out; 0 disables blackouts.
   double subchannel_blackout_prob = 0.0;
-  /// Per-epoch probability of a channel-estimate noise burst; 0 disables.
-  double noise_burst_prob = 0.0;
-  /// Log-normal sigma [dB] applied to every gain during a burst.
-  double noise_burst_sigma_db = 3.0;
   /// Mean epochs between cloud-backhaul failures per edge server
   /// (geometric); 0 disables backhaul outages. Only affects cloud-enabled
   /// scenarios — a masked backhaul forbids forwarding through that server.
@@ -65,7 +56,7 @@ struct FaultConfig {
   /// True when any fault class can fire.
   [[nodiscard]] bool enabled() const noexcept {
     return server_mtbf_epochs > 0.0 || subchannel_blackout_prob > 0.0 ||
-           noise_burst_prob > 0.0 || backhaul_mtbf_epochs > 0.0;
+           backhaul_mtbf_epochs > 0.0;
   }
   void validate() const;
 };
@@ -86,14 +77,10 @@ class FaultInjector {
   /// scenario on its fully-available fast paths.
   [[nodiscard]] mec::Availability availability() const;
 
-  /// True when the current epoch has any active fault (outage, blackout,
-  /// noise burst, or backhaul outage).
+  /// True when the current epoch has any active fault (outage, blackout
+  /// or backhaul outage).
   [[nodiscard]] bool any_fault() const noexcept {
-    return servers_down_ > 0 || slots_blacked_out_ > 0 || burst_active_ ||
-           backhauls_down_ > 0;
-  }
-  [[nodiscard]] bool noise_burst_active() const noexcept {
-    return burst_active_;
+    return servers_down_ > 0 || slots_blacked_out_ > 0 || backhauls_down_ > 0;
   }
   [[nodiscard]] std::size_t servers_down() const noexcept {
     return servers_down_;
@@ -104,11 +91,6 @@ class FaultInjector {
   [[nodiscard]] std::size_t backhauls_down() const noexcept {
     return backhauls_down_;
   }
-
-  /// Applies the epoch's noise burst to a freshly drawn gain tensor:
-  /// every entry is multiplied by 10^(N(0, sigma_db)/10). No-op outside a
-  /// burst. Draws from the injector's stream.
-  void perturb_gains(Matrix3<double>& gains);
 
   [[nodiscard]] const FaultConfig& config() const noexcept { return config_; }
 
@@ -124,7 +106,6 @@ class FaultInjector {
   std::size_t servers_down_ = 0;
   std::size_t slots_blacked_out_ = 0;
   std::size_t backhauls_down_ = 0;
-  bool burst_active_ = false;
 };
 
 }  // namespace tsajs::sim

@@ -6,38 +6,23 @@
 #include "common/error.h"
 #include "common/units.h"
 #include "mec/cloud.h"
+#include "mec/scenario_builder.h"
 
 namespace tsajs::sim {
 
 void GridConfig::validate() const {
-  TSAJS_REQUIRE(min_megacycles > 0.0 && max_megacycles >= min_megacycles &&
-                    std::isfinite(max_megacycles),
-                "workload range must be positive, ordered and finite");
-  TSAJS_REQUIRE(min_input_kb > 0.0 && max_input_kb >= min_input_kb &&
-                    std::isfinite(max_input_kb),
-                "input-size range must be positive, ordered and finite");
   TSAJS_REQUIRE(std::isfinite(cloud_cpu_hz) && cloud_cpu_hz >= 0.0,
                 "cloud capacity must be finite and >= 0 (0 disables)");
-  if (has_cloud()) {
-    TSAJS_REQUIRE(std::isfinite(cloud_backhaul_bps) && cloud_backhaul_bps > 0.0,
-                  "cloud backhaul rate must be positive and finite");
-    TSAJS_REQUIRE(std::isfinite(cloud_backhaul_latency_s) &&
-                      cloud_backhaul_latency_s >= 0.0,
-                  "cloud backhaul latency must be non-negative and finite");
-  }
   fault.validate();
   breaker.validate();
 }
 
-Grid::Grid(std::size_t num_servers, std::size_t num_subchannels,
-           mec::UserEquipment prototype, mec::EdgeServer server_prototype,
-           double bandwidth_hz, double noise_dbm)
-    : prototype_(std::move(prototype)),
-      layout_(num_servers, 1000.0),
-      servers_(num_servers, server_prototype),
+Grid::Grid(std::size_t num_servers, std::size_t num_subchannels)
+    : layout_(num_servers, mec::kInterSiteDistanceM),
+      servers_(num_servers),
       channel_(radio::make_paper_channel()),
-      spectrum_(bandwidth_hz, num_subchannels),
-      noise_w_(units::dbm_to_watts(noise_dbm)) {
+      spectrum_(mec::kBandwidthHz, num_subchannels),
+      noise_w_(units::dbm_to_watts(mec::kNoiseDbm)) {
   for (std::size_t s = 0; s < num_servers; ++s) {
     servers_[s].position = layout_.site(s);
     bs_positions_.push_back(servers_[s].position);
@@ -53,9 +38,8 @@ GridState::GridState(const Grid& grid, const GridConfig& config,
     // The tier is static for the run; faults vary only the availability
     // mask, never the tier itself.
     workspace_.set_cloud(mec::CloudTier::uniform(
-        config.cloud_cpu_hz, config.cloud_backhaul_bps,
-        config.cloud_backhaul_latency_s, grid.num_servers(),
-        config.cloud_max_forwarded));
+        config.cloud_cpu_hz, kCloudBackhaulBps, kCloudBackhaulLatencyS,
+        grid.num_servers(), config.cloud_max_forwarded));
   }
   if (config.fault.enabled()) {
     injector_.emplace(grid.num_servers(), grid.num_subchannels(),
@@ -88,7 +72,7 @@ void GridState::begin_stage() {
 
 void GridState::stage(const mec::Task& task, geo::Point position,
                       std::size_t cache_id, CarriedSlot carried) {
-  mec::UserEquipment user = grid_.prototype_;
+  mec::UserEquipment user;
   user.task = task;
   user.position = position;
   workspace_.users().push_back(std::move(user));
@@ -103,11 +87,6 @@ const jtora::CompiledProblem& GridState::compile(Rng& rng) {
   grid_.channel_.regenerate_into(positions_, grid_.bs_positions_,
                                  grid_.num_subchannels(), rng,
                                  workspace_.gains(), &pathloss_, &cache_ids_);
-  if (injector_.has_value() && injector_->noise_burst_active()) {
-    // Transient estimation error on top of the fresh draws; it draws from
-    // the injector's stream, so the caller's stream stays untouched.
-    injector_->perturb_gains(workspace_.gains());
-  }
   compiled_.compile(workspace_.commit());
   return compiled_;
 }

@@ -5,8 +5,10 @@
 //
 //   * GridConfig — the configuration both loops share; DynamicConfig and
 //     StreamConfig derive from it;
+//   * the constants both loops share: the task ranges and the cloud
+//     tier's backhaul;
 //   * Grid — what is fixed for a simulator's lifetime: layout, servers,
-//     channel model, spectrum, noise floor and user prototype;
+//     channel model, spectrum and noise floor;
 //   * GridState — one run's mutable environment (workspace with its cloud
 //     tier, fault injector, breaker, path-loss cache, compiled problem) and
 //     the three policies the loops share: the fault step, the staging path
@@ -33,19 +35,22 @@
 
 namespace tsajs::sim {
 
+/// Task parameter ranges, sampled uniformly per task [Megacycles, KB].
+inline constexpr double kMinMegacycles = 500.0;
+inline constexpr double kMaxMegacycles = 4000.0;
+inline constexpr double kMinInputKb = 100.0;
+inline constexpr double kMaxInputKb = 800.0;
+/// Every server's backhaul to the cloud tier, when the tier is enabled.
+inline constexpr double kCloudBackhaulBps = 100e6;
+inline constexpr double kCloudBackhaulLatencyS = 0.02;
+
 struct GridConfig {
-  /// Task parameter ranges, sampled uniformly per task.
-  double min_megacycles = 500.0;
-  double max_megacycles = 4000.0;
-  double min_input_kb = 100.0;
-  double max_input_kb = 800.0;
   /// Cloud tier behind the edge (disabled by default). When `cloud_cpu_hz`
-  /// is positive every snapshot carries a uniform mec::CloudTier with these
-  /// parameters, and schedulers may forward admitted tasks to the cloud;
-  /// when zero no cloud branch runs.
+  /// is positive every snapshot carries a uniform mec::CloudTier of that
+  /// capacity behind kCloudBackhaulBps / kCloudBackhaulLatencyS links, and
+  /// schedulers may forward admitted tasks to the cloud; when zero no cloud
+  /// branch runs.
   double cloud_cpu_hz = 0.0;
-  double cloud_backhaul_bps = 100e6;
-  double cloud_backhaul_latency_s = 0.02;
   std::size_t cloud_max_forwarded = 0;  ///< 0 = unlimited
   /// Fault injection (disabled by default), on the injector's own RNG
   /// stream; when disabled no fault code runs.
@@ -57,8 +62,8 @@ struct GridConfig {
   mec::BreakerConfig breaker;
 
   [[nodiscard]] bool has_cloud() const noexcept { return cloud_cpu_hz > 0.0; }
-  /// Requires positive, ordered, finite task ranges and valid cloud, fault
-  /// and breaker settings.
+  /// Requires a finite, non-negative cloud capacity and valid fault and
+  /// breaker settings.
   void validate() const;
 };
 
@@ -82,12 +87,11 @@ struct RepairedHint {
 
 class Grid {
  public:
-  /// `num_servers` hexagonal cells with `num_subchannels` sub-channels of
-  /// `bandwidth_hz` / `num_subchannels` each; every server copies
-  /// `server_prototype` at its cell site, every user `prototype`.
-  Grid(std::size_t num_servers, std::size_t num_subchannels,
-       mec::UserEquipment prototype, mec::EdgeServer server_prototype,
-       double bandwidth_hz, double noise_dbm);
+  /// `num_servers` hexagonal cells at the paper's inter-site distance,
+  /// with `num_subchannels` sub-channels of its bandwidth and noise floor
+  /// (mec/scenario_builder.h). Servers and users take the mec structs'
+  /// defaults.
+  Grid(std::size_t num_servers, std::size_t num_subchannels);
 
   [[nodiscard]] std::size_t num_servers() const noexcept {
     return servers_.size();
@@ -102,7 +106,6 @@ class Grid {
  private:
   friend class GridState;
 
-  mec::UserEquipment prototype_;
   geo::HexLayout layout_;
   std::vector<mec::EdgeServer> servers_;
   std::vector<geo::Point> bs_positions_;
@@ -139,14 +142,14 @@ class GridState {
 
   /// Starts staging a snapshot; invalidates the previous one.
   void begin_stage();
-  /// Stages one user: the prototype with `task` at `position`. `cache_id`
+  /// Stages one user: a default user with `task` at `position`. `cache_id`
   /// names the user's path-loss cache row, which is reused while the id
   /// presents the same position; `carried` feeds repair_hint().
   void stage(const mec::Task& task, geo::Point position, std::size_t cache_id,
              CarriedSlot carried);
-  /// Redraws the staged users' channels from `rng`, perturbs them when a
-  /// noise burst is active, then commits and compiles the snapshot. The
-  /// problem stays valid until the next begin_stage().
+  /// Redraws the staged users' channels from `rng`, then commits and
+  /// compiles the snapshot. The problem stays valid until the next
+  /// begin_stage().
   const jtora::CompiledProblem& compile(Rng& rng);
 
   /// Walks the staged users' carried slots against the compiled snapshot,

@@ -48,12 +48,6 @@ void StreamConfig::validate() const {
                     lifetime_max_s >= lifetime_min_s &&
                     std::isfinite(lifetime_max_s),
                 "session lifetime range must be positive and ordered");
-  // Noise bursts perturb an epoch's gains from injector RNG state that a
-  // checkpoint does not capture; replaying them bit-identically would
-  // require serializing the injector mid-stream. Outages/blackouts replay
-  // fine (the injector is a pure function of seed + step count).
-  TSAJS_REQUIRE(fault.noise_burst_prob == 0.0,
-                "noise bursts are not supported in streaming mode");
   if (fault.enabled()) {
     TSAJS_REQUIRE(std::isfinite(fault_interval_s) && fault_interval_s > 0.0,
                   "fault interval must be positive when faults are enabled");
@@ -71,24 +65,27 @@ void StreamConfig::validate() const {
 }
 
 std::uint64_t StreamConfig::digest() const noexcept {
+  // A retired setting keeps its position and type, mixed at the value it
+  // was fixed at, so the digest of every config matches the one an older
+  // build stored in its bundle.
   Digest d;
   d.mix(duration_s);
   d.mix(arrival_rate_hz);
   d.mix(lifetime_min_s);
   d.mix(lifetime_max_s);
-  d.mix(min_megacycles);
-  d.mix(max_megacycles);
-  d.mix(min_input_kb);
-  d.mix(max_input_kb);
+  d.mix(kMinMegacycles);
+  d.mix(kMaxMegacycles);
+  d.mix(kMinInputKb);
+  d.mix(kMaxInputKb);
   d.mix(cloud_cpu_hz);
-  d.mix(cloud_backhaul_bps);
-  d.mix(cloud_backhaul_latency_s);
+  d.mix(kCloudBackhaulBps);
+  d.mix(kCloudBackhaulLatencyS);
   d.mix(cloud_max_forwarded);
   d.mix(fault.server_mtbf_epochs);
   d.mix(fault.server_mttr_epochs);
   d.mix(fault.subchannel_blackout_prob);
-  d.mix(fault.noise_burst_prob);
-  d.mix(fault.noise_burst_sigma_db);
+  d.mix(0.0);  // noise-burst probability
+  d.mix(3.0);  // noise-burst sigma [dB]
   d.mix(fault.backhaul_mtbf_epochs);
   d.mix(fault.backhaul_mttr_epochs);
   d.mix(fault_interval_s);
@@ -99,9 +96,9 @@ std::uint64_t StreamConfig::digest() const noexcept {
   d.mix(decision_budget.max_iterations);
   d.mix(checkpoint_interval_s);
   d.mix(warm);
-  d.mix(admission.max_active);
+  d.mix(std::size_t{0});  // active-session cap (0: admission_capacity)
   d.mix(admission.max_backlog);
-  d.mix(admission.headroom);
+  d.mix(std::size_t{0});  // capacity headroom
   return d.h;
 }
 
@@ -160,13 +157,8 @@ const char* stream_event_name(StreamEventType type) noexcept {
 }
 
 StreamDriver::StreamDriver(std::size_t num_servers,
-                           std::size_t num_subchannels, StreamConfig config,
-                           mec::UserEquipment prototype,
-                           mec::EdgeServer server_prototype,
-                           double bandwidth_hz, double noise_dbm)
-    : config_(config),
-      grid_(num_servers, num_subchannels, prototype, server_prototype,
-            bandwidth_hz, noise_dbm) {
+                           std::size_t num_subchannels, StreamConfig config)
+    : config_(config), grid_(num_servers, num_subchannels) {
   config_.validate();
 }
 
@@ -238,13 +230,10 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
   std::vector<std::size_t> free_pathloss_ids;
   std::size_t num_pathloss_ids = 0;
 
-  const auto capacity = [&]() -> std::size_t {
-    if (config_.admission.max_active > 0) return config_.admission.max_active;
-    const std::size_t cap = admission_capacity(
-        num_servers(), num_subchannels(), env.mask(), config_.has_cloud(),
-        config_.cloud_max_forwarded);
-    return cap > config_.admission.headroom ? cap - config_.admission.headroom
-                                            : 0;
+  const auto capacity = [&] {
+    return admission_capacity(num_servers(), num_subchannels(), env.mask(),
+                              config_.has_cloud(),
+                              config_.cloud_max_forwarded);
   };
 
   const auto emit = [&](const StreamEvent& event) {
@@ -455,9 +444,9 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
       s.x = position.x;
       s.y = position.y;
       s.input_bits = units::kilobytes_to_bits(
-          arrival_rng.uniform(config_.min_input_kb, config_.max_input_kb));
-      s.cycles = units::megacycles_to_cycles(arrival_rng.uniform(
-          config_.min_megacycles, config_.max_megacycles));
+          arrival_rng.uniform(kMinInputKb, kMaxInputKb));
+      s.cycles = units::megacycles_to_cycles(
+          arrival_rng.uniform(kMinMegacycles, kMaxMegacycles));
       s.lifetime_s =
           arrival_rng.uniform(config_.lifetime_min_s, config_.lifetime_max_s);
       ++state.arrivals;

@@ -10,8 +10,8 @@
 // `StreamDriver` provides that loop as a library feature:
 //
 //   * arrivals  — a Poisson process of rate `arrival_rate_hz`; each arrival
-//     draws a position, a task (size/load from configurable ranges) and a
-//     service lifetime, all from its *own* derived RNG stream;
+//     draws a position, a task (size/load from the grid's task ranges) and
+//     a service lifetime, all from its *own* derived RNG stream;
 //   * admission — an arrival is admitted while the active-session count is
 //     below capacity (available slots plus a cloud bonus; see
 //     admission_capacity), queued FIFO into a bounded backlog when not, and
@@ -23,8 +23,7 @@
 //     started from the carried slots of surviving sessions and capped by
 //     the configured SolveBudget;
 //   * faults    — the FaultInjector's epoch schedule advances on a fixed
-//     `fault_interval_s` tick (noise bursts are excluded: they perturb
-//     gains from injector state that a checkpoint cannot replay);
+//     `fault_interval_s` tick;
 //   * checkpoints — every `checkpoint_interval_s` the full mutable state
 //     (counters, sessions, backlog, fault step count) is emitted; a run
 //     resumed from a checkpoint re-derives every RNG stream from
@@ -74,16 +73,11 @@ inline constexpr std::uint64_t kChannelStream = 0xC4AULL;
 inline constexpr std::uint64_t kSolveStream = 0x501ULL;
 inline constexpr std::uint64_t kFaultStream = 0xFA1ULL;
 
-/// Admission-control policy for the streaming service.
+/// Admission-control policy for the streaming service. The active-session
+/// cap is always admission_capacity() under the current mask.
 struct AdmissionConfig {
-  /// Hard cap on concurrently active sessions; 0 derives the cap from
-  /// admission_capacity() each time the mask or cloud state changes.
-  std::size_t max_active = 0;
   /// Queued arrivals the backlog holds before rejecting (FIFO).
   std::size_t max_backlog = 16;
-  /// Slots held back from the derived capacity (safety margin for, e.g.,
-  /// interference headroom). Ignored when max_active > 0.
-  std::size_t headroom = 0;
 };
 
 /// Sessions the grid can serve concurrently under `availability`: the
@@ -99,8 +93,7 @@ struct AdmissionConfig {
                                              bool cloud_enabled,
                                              std::size_t cloud_max_forwarded);
 
-/// Task ranges, cloud tier, faults and breaker: see GridConfig. Noise
-/// bursts must stay disabled (checkpoints cannot replay them).
+/// Cloud tier, faults and breaker: see GridConfig.
 struct StreamConfig : GridConfig {
   /// Simulated horizon [s].
   double duration_s = 60.0;
@@ -123,8 +116,10 @@ struct StreamConfig : GridConfig {
   AdmissionConfig admission;
 
   void validate() const;
-  /// FNV-1a over every configuration field's bit pattern; stored in each
-  /// checkpoint so resume() can refuse a mismatched driver.
+  /// FNV-1a over every configuration field's bit pattern, with retired
+  /// settings mixed at their fixed values in their old positions; stored in
+  /// each checkpoint and in run.json so resume() and recover() can refuse a
+  /// mismatched driver.
   [[nodiscard]] std::uint64_t digest() const noexcept;
 };
 
@@ -283,12 +278,9 @@ struct RecoveryInfo;  // sim/evidence.h
 
 class StreamDriver {
  public:
-  /// An open system on `num_servers` hexagonal cells; static per-session
-  /// parameters (CPU, power, preferences) come from `prototype`.
+  /// An open system on `num_servers` hexagonal cells (see Grid).
   StreamDriver(std::size_t num_servers, std::size_t num_subchannels,
-               StreamConfig config = {}, mec::UserEquipment prototype = {},
-               mec::EdgeServer server_prototype = {},
-               double bandwidth_hz = 20e6, double noise_dbm = -100.0);
+               StreamConfig config = {});
 
   /// Runs the full horizon from t=0 under `seed`, reporting every event,
   /// decision, and checkpoint to `sink` (may be null).

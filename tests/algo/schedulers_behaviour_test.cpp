@@ -229,22 +229,15 @@ TEST(LocalSearchTest, ImprovesOverItsRandomStart) {
 }
 
 TEST(LocalSearchTest, RespectsIterationBudget) {
+  // L = 1: at most 100 proposals, plus the start's evaluation.
   const mec::Scenario scenario = small_scenario(21);
-  LocalSearchConfig config;
-  config.max_iterations = 50;
-  config.patience = 50;
   Rng rng(6);
-  const auto result = test::solve(LocalSearchScheduler(config), scenario, rng);
-  EXPECT_LE(result.evaluations, 51u);
+  const auto result = test::solve(LocalSearchScheduler(1), scenario, rng);
+  EXPECT_LE(result.evaluations, 101u);
 }
 
 TEST(LocalSearchTest, ConfigValidation) {
-  LocalSearchConfig config;
-  config.max_iterations = 0;
-  EXPECT_THROW(LocalSearchScheduler{config}, InvalidArgumentError);
-  config = LocalSearchConfig{};
-  config.patience = 0;
-  EXPECT_THROW(LocalSearchScheduler{config}, InvalidArgumentError);
+  EXPECT_THROW(LocalSearchScheduler{0}, InvalidArgumentError);
 }
 
 TEST(HjtoraTest, ProducesNonNegativeUtility) {

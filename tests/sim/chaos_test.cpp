@@ -1,5 +1,5 @@
-// Chaos harness: randomized fault schedules (server outages, sub-channel
-// blackouts, noise bursts) against every registered scheme, warm and cold.
+// Chaos harness: randomized fault schedules (server outages and sub-channel
+// blackouts) against every registered scheme, warm and cold.
 // Every epoch's solve goes through run_and_validate, so one timeline is a
 // few dozen full release-mode constraint audits; the harness additionally
 // checks the degradation telemetry invariants epoch by epoch and that no
@@ -31,8 +31,6 @@ DynamicConfig chaos_config() {
   config.fault.server_mtbf_epochs = 6.0;
   config.fault.server_mttr_epochs = 3.0;
   config.fault.subchannel_blackout_prob = 0.05;
-  config.fault.noise_burst_prob = 0.1;
-  config.fault.noise_burst_sigma_db = 3.0;
   return config;
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/matrix.h"
 
 namespace tsajs::sim {
 namespace {
@@ -24,9 +23,6 @@ TEST(FaultConfigTest, EnabledWhenAnyClassIsOn) {
   config = {};
   config.subchannel_blackout_prob = 0.1;
   EXPECT_TRUE(config.enabled());
-  config = {};
-  config.noise_burst_prob = 0.2;
-  EXPECT_TRUE(config.enabled());
 }
 
 TEST(FaultConfigTest, RejectsBadParameters) {
@@ -42,12 +38,6 @@ TEST(FaultConfigTest, RejectsBadParameters) {
   config = {};
   config.subchannel_blackout_prob = 1.5;
   EXPECT_THROW(config.validate(), InvalidArgumentError);
-  config = {};
-  config.noise_burst_prob = -0.1;
-  EXPECT_THROW(config.validate(), InvalidArgumentError);
-  config = {};
-  config.noise_burst_sigma_db = -3.0;
-  EXPECT_THROW(config.validate(), InvalidArgumentError);
 }
 
 TEST(FaultInjectorTest, SameSeedReproducesTheSchedule) {
@@ -55,7 +45,6 @@ TEST(FaultInjectorTest, SameSeedReproducesTheSchedule) {
   config.server_mtbf_epochs = 5.0;
   config.server_mttr_epochs = 2.0;
   config.subchannel_blackout_prob = 0.1;
-  config.noise_burst_prob = 0.3;
 
   FaultInjector a(4, 3, config, 99);
   FaultInjector b(4, 3, config, 99);
@@ -64,7 +53,6 @@ TEST(FaultInjectorTest, SameSeedReproducesTheSchedule) {
     b.advance_epoch();
     EXPECT_EQ(a.servers_down(), b.servers_down());
     EXPECT_EQ(a.slots_blacked_out(), b.slots_blacked_out());
-    EXPECT_EQ(a.noise_burst_active(), b.noise_burst_active());
     EXPECT_EQ(a.availability(), b.availability());
   }
 }
@@ -116,49 +104,6 @@ TEST(FaultInjectorTest, BlackoutsAreRedrawnPerEpoch) {
   // 8 slots * 200 epochs * p=0.5 ~ 800 expected; far from 0 or 1600.
   EXPECT_GT(total, 500u);
   EXPECT_LT(total, 1100u);
-}
-
-TEST(FaultInjectorTest, PerturbGainsOnlyDuringBurst) {
-  Matrix3<double> gains(2, 2, 2);
-  for (std::size_t u = 0; u < 2; ++u) {
-    for (std::size_t s = 0; s < 2; ++s) {
-      for (std::size_t j = 0; j < 2; ++j) gains(u, s, j) = 1.0;
-    }
-  }
-
-  FaultConfig config;
-  config.noise_burst_prob = 1.0;
-  config.noise_burst_sigma_db = 3.0;
-  FaultInjector always(2, 2, config, 5);
-  always.advance_epoch();
-  ASSERT_TRUE(always.noise_burst_active());
-  Matrix3<double> perturbed = gains;
-  always.perturb_gains(perturbed);
-  std::size_t changed = 0;
-  for (std::size_t u = 0; u < 2; ++u) {
-    for (std::size_t s = 0; s < 2; ++s) {
-      for (std::size_t j = 0; j < 2; ++j) {
-        EXPECT_GT(perturbed(u, s, j), 0.0);
-        if (perturbed(u, s, j) != 1.0) ++changed;
-      }
-    }
-  }
-  EXPECT_EQ(changed, 8u);
-
-  config.noise_burst_prob = 0.0;
-  config.server_mtbf_epochs = 100.0;  // keep the injector enabled
-  FaultInjector never(2, 2, config, 5);
-  never.advance_epoch();
-  EXPECT_FALSE(never.noise_burst_active());
-  Matrix3<double> untouched = gains;
-  never.perturb_gains(untouched);
-  for (std::size_t u = 0; u < 2; ++u) {
-    for (std::size_t s = 0; s < 2; ++s) {
-      for (std::size_t j = 0; j < 2; ++j) {
-        EXPECT_EQ(untouched(u, s, j), 1.0);
-      }
-    }
-  }
 }
 
 TEST(FaultInjectorTest, RejectsEmptyGrid) {

@@ -9,7 +9,9 @@
 #   * new findings (not in the baseline)  -> exit 1 (listed on stdout)
 #   * baseline entries that disappeared   -> informational; tighten the
 #     baseline by re-running with REFRESH_BASELINE=1
-#   * missing baseline file               -> bootstrap: write it, exit 0
+#   * missing baseline file               -> exit 1, printing the findings
+#     a baseline would hold (commit them as the baseline file)
+#   * REFRESH_BASELINE=1                  -> write the baseline, exit 0
 #
 # Usage: tools/clang_tidy_check.sh [build-dir]   (default: build)
 # The build dir must contain compile_commands.json
@@ -45,10 +47,16 @@ current="$(
     | sort -u
 )"
 
-if [ ! -f "$baseline" ] || [ "${REFRESH_BASELINE:-0}" = "1" ]; then
+if [ "${REFRESH_BASELINE:-0}" = "1" ]; then
   printf '%s\n' "$current" > "$baseline"
   echo "clang_tidy_check: baseline written to $baseline ($(printf '%s\n' "$current" | grep -c . ) findings)" >&2
   exit 0
+fi
+if [ ! -f "$baseline" ]; then
+  echo "clang_tidy_check: $baseline is missing; nothing to compare against."
+  echo "clang_tidy_check: commit these findings as that file (or run with REFRESH_BASELINE=1):"
+  printf '%s\n' "$current"
+  exit 1
 fi
 
 new_findings="$(comm -13 <(sort -u "$baseline") <(printf '%s\n' "$current"))"
