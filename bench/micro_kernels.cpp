@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "jtora/incremental.h"
 #include "jtora/utility.h"
 #include "mec/scenario_builder.h"
+#include "radio/channel.h"
 
 namespace {
 
@@ -240,6 +242,56 @@ void BM_WarmProposal_Floored(benchmark::State& state) {
   run_warm_proposals(state, -750.0 * 1e-6);
 }
 BENCHMARK(BM_WarmProposal_Floored);
+
+// One warm TSAJS solve as a cell_tsajs decision runs it: a full 16x4 cell
+// (64 users) whose channel was redrawn since the last solve, warm-started
+// from that solve's assignment, under the workload's 20,000-evaluation
+// budget. The redraws are a ring of eight shadowing draws over fixed
+// positions, compiled up front, so only the solve is timed: hint repair,
+// every proposal and preview, the annealer's uniform draw and exp, and the
+// commits that BM_WarmProposal_* leave out.
+void BM_WarmSolve(benchmark::State& state) {
+  Rng rng(5);
+  const mec::Scenario base = mec::ScenarioBuilder()
+                                 .num_users(64)
+                                 .num_servers(16)
+                                 .num_subchannels(4)
+                                 .build(rng);
+  std::vector<geo::Point> users;
+  std::vector<geo::Point> sites;
+  for (const mec::UserEquipment& ue : base.users()) {
+    users.push_back(ue.position);
+  }
+  for (const mec::EdgeServer& bs : base.servers()) {
+    sites.push_back(bs.position);
+  }
+  const radio::ChannelModel channel = radio::make_paper_channel();
+  std::vector<mec::Scenario> redraws;
+  redraws.reserve(8);  // the problems below point into this vector
+  for (int k = 0; k < 8; ++k) {
+    redraws.emplace_back(base.users(), base.servers(), base.spectrum(),
+                         base.noise_w(),
+                         channel.generate(users, sites, 4, rng));
+  }
+  std::vector<std::unique_ptr<jtora::CompiledProblem>> problems;
+  for (const mec::Scenario& redraw : redraws) {
+    problems.push_back(std::make_unique<jtora::CompiledProblem>(redraw));
+  }
+  const algo::TsajsScheduler tsajs;
+  const algo::SolveBudget budget{.max_iterations = 20000};
+  algo::ScheduleResult last =
+      tsajs.solve({.problem = problems[0].get(), .rng = &rng});
+  std::size_t next = 1;
+  for (auto _ : state) {
+    last = tsajs.solve({.problem = problems[next].get(),
+                        .hint = &last.assignment,
+                        .budget = &budget,
+                        .rng = &rng});
+    next = (next + 1) % problems.size();
+    benchmark::DoNotOptimize(last.system_utility);
+  }
+}
+BENCHMARK(BM_WarmSolve)->Unit(benchmark::kMicrosecond);
 
 // Batch preview scoring: one sub-channel row of candidate utilities (the
 // co-channel occupant deltas hoisted once) vs one preview_offload call per

@@ -33,8 +33,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -66,7 +68,9 @@ class Neighborhood {
   };
 
   explicit Neighborhood(const mec::Scenario& scenario)
-      : scenario_(&scenario), cloud_active_(scenario.has_cloud()) {}
+      : scenario_(&scenario),
+        cloud_active_(scenario.has_cloud()),
+        available_(scenario.available_slot_words()) {}
 
   /// Draws a random neighbor of `decision` without mutating it. Consumes
   /// exactly the same RNG stream as step() so proposal sequences are
@@ -198,10 +202,9 @@ class Neighborhood {
   std::optional<std::size_t> random_evictable(std::size_t s,
                                               std::optional<std::size_t> keep,
                                               Rng& rng) const {
-    return uniform_index_where(
-        rng, scenario_->num_subchannels(), [&](std::size_t j) {
-          return j != keep && scenario_->slot_available(s, j);
-        });
+    std::uint64_t candidates = available_[s];
+    if (keep.has_value()) candidates &= ~(std::uint64_t{1} << *keep);
+    return uniform_set_bit(rng, candidates);
   }
 
   template <typename Decision>
@@ -291,6 +294,8 @@ class Neighborhood {
   /// Cached scenario_->has_cloud(): gates the tier draw so cloud-disabled
   /// scenarios consume exactly the pre-cloud RNG stream.
   bool cloud_active_ = false;
+  /// scenario_->available_slot_words(): the eviction draws' candidates.
+  std::vector<std::uint64_t> available_;
 };
 
 }  // namespace tsajs::algo

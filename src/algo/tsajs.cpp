@@ -89,12 +89,20 @@ ScheduleResult anneal(const TsajsConfig& config, const SolveBudget& budget,
           result.assignment = snapshot();
           result.system_utility = current_utility;
         }
-      } else if (std::exp(delta / temperature) > rng.uniform()) {
-        // Lines 20-22: accept a worse solution, count it.
-        current_utility = commit();
-        ++worse_accept_count;
+      } else {
+        // Lines 20-22: accept a worse solution with probability
+        // exp(Delta / T), and count it. Every such proposal draws one
+        // uniform; exp is priced only for a finite Delta < 0, since
+        // Delta = 0 accepts (exp = 1 > u) and -infinity or NaN rejects
+        // (exp = +0 or NaN > u is false) whatever the draw.
+        const double u = rng.uniform();
+        if (delta == 0.0 ||
+            (std::isfinite(delta) && std::exp(delta / temperature) > u)) {
+          current_utility = commit();
+          ++worse_accept_count;
+        }
+        // else: reject — the unrealized proposal simply evaporates.
       }
-      // else: reject — the unrealized proposal simply evaporates.
     }
     // Anytime budget: a plateau boundary is a safe point — `result` always
     // holds the best feasible decision seen so far, so stopping here is

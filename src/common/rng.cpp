@@ -6,12 +6,6 @@
 
 namespace tsajs {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
   SplitMix64 sm(seed);
   for (auto& word : state_) word = sm.next();
@@ -19,36 +13,9 @@ Rng::Rng(std::uint64_t seed) noexcept {
   // cannot produce four consecutive zeros, so state_ is already valid.
 }
 
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 random bits scaled into [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   TSAJS_REQUIRE(lo <= hi, "uniform(lo, hi) requires lo <= hi");
   return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Rng::uniform_index(std::uint64_t n) {
-  TSAJS_REQUIRE(n > 0, "uniform_index requires n > 0");
-  // Rejection sampling to remove modulo bias.
-  const std::uint64_t threshold = (0 - n) % n;  // (2^64 - n) mod n
-  for (;;) {
-    const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % n;
-  }
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {

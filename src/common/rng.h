@@ -10,10 +10,14 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
+
+#include "common/bits.h"
+#include "common/error.h"
 
 namespace tsajs {
 
@@ -52,16 +56,38 @@ class Rng {
 
   /// Raw 64 random bits.
   result_type operator()() noexcept { return next_u64(); }
-  result_type next_u64() noexcept;
+  result_type next_u64() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  /// Uniform double in [0, 1): 53 random bits scaled.
+  double uniform() noexcept {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
   double uniform(double lo, double hi);
 
-  /// Uniform integer in [0, n). Requires n > 0. Unbiased (rejection method).
-  std::uint64_t uniform_index(std::uint64_t n);
+  /// Uniform integer in [0, n). Requires n > 0. Unbiased (rejection method);
+  /// an accepted draw costs one 64-bit division unless it falls below n.
+  std::uint64_t uniform_index(std::uint64_t n) {
+    TSAJS_REQUIRE(n > 0, "uniform_index requires n > 0");
+    // Rejection sampling to remove modulo bias: accept r >= (2^64 - n) mod
+    // n. That threshold is below n, so any r >= n passes without computing
+    // it; the accepted draws, and the stream, are the same either way.
+    for (;;) {
+      const std::uint64_t r = next_u64();
+      if (r >= n || r >= (0 - n) % n) return r % n;
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
@@ -87,27 +113,16 @@ class Rng {
   bool has_cached_normal_ = false;
 };
 
-/// A uniformly random index in [0, n) among those satisfying `pred`,
-/// without building the candidate list: counts them, draws one
-/// rng.uniform_index(count) and returns the k-th in ascending order — the
-/// draw `candidates[rng.uniform_index(candidates.size())]` makes. When no
-/// index qualifies, returns nullopt and draws nothing. `pred` is called up
-/// to twice per index and must give the same answer both times.
-template <typename Pred>
-std::optional<std::size_t> uniform_index_where(Rng& rng, std::size_t n,
-                                               Pred&& pred) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pred(i)) ++count;
-  }
+/// A uniformly random set bit of `word`: draws one
+/// rng.uniform_index(bit_count(word)) and returns the index of that set bit,
+/// counting from the lowest — the draw `candidates[rng.uniform_index(
+/// candidates.size())]` makes over the ascending list of set bits. When
+/// `word` is 0, returns nullopt and draws nothing.
+inline std::optional<std::size_t> uniform_set_bit(Rng& rng,
+                                                  std::uint64_t word) {
+  const unsigned count = bit_count(word);
   if (count == 0) return std::nullopt;
-  std::uint64_t k = rng.uniform_index(count);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!pred(i)) continue;
-    if (k == 0) return i;
-    --k;
-  }
-  return std::nullopt;  // unreachable while `pred` is consistent
+  return nth_set_bit(word, rng.uniform_index(count));
 }
 
 }  // namespace tsajs

@@ -6,11 +6,16 @@
 
 namespace tsajs::jtora {
 
+namespace {
+constexpr std::uint64_t bit(std::size_t j) { return std::uint64_t{1} << j; }
+}  // namespace
+
 Assignment::Assignment(const mec::Scenario& scenario)
     : num_servers_(scenario.num_servers()),
       num_subchannels_(scenario.num_subchannels()),
       user_slot_(scenario.num_users()),
-      slot_user_(scenario.num_servers() * scenario.num_subchannels()) {
+      slot_user_(scenario.num_servers() * scenario.num_subchannels()),
+      free_bits_(scenario.available_slot_words()) {
   if (!scenario.fully_available()) {
     blocked_.assign(num_servers_ * num_subchannels_, 0);
     for (std::size_t s = 0; s < num_servers_; ++s) {
@@ -29,31 +34,6 @@ Assignment::Assignment(const mec::Scenario& scenario)
   }
 }
 
-void Assignment::require_user(std::size_t u) const {
-  TSAJS_REQUIRE(u < user_slot_.size(), "user index out of range");
-}
-
-void Assignment::require_slot(std::size_t s, std::size_t j) const {
-  TSAJS_REQUIRE(s < num_servers_, "server index out of range");
-  TSAJS_REQUIRE(j < num_subchannels_, "sub-channel index out of range");
-}
-
-bool Assignment::is_offloaded(std::size_t u) const {
-  require_user(u);
-  return user_slot_[u].has_value();
-}
-
-std::optional<Slot> Assignment::slot_of(std::size_t u) const {
-  require_user(u);
-  return user_slot_[u];
-}
-
-std::optional<std::size_t> Assignment::occupant(std::size_t s,
-                                                std::size_t j) const {
-  require_slot(s, j);
-  return slot_user_[slot_index(s, j)];
-}
-
 void Assignment::offload(std::size_t u, std::size_t s, std::size_t j) {
   require_user(u);
   require_slot(s, j);
@@ -66,6 +46,7 @@ void Assignment::offload(std::size_t u, std::size_t s, std::size_t j) {
   make_local(u);
   user_slot_[u] = Slot{s, j};
   slot_user_[slot_index(s, j)] = u;
+  free_bits_[s] &= ~bit(j);
   ++num_offloaded_;
 }
 
@@ -79,6 +60,7 @@ void Assignment::make_local(std::size_t u) {
   }
   const Slot slot = *user_slot_[u];
   slot_user_[slot_index(slot.server, slot.subchannel)].reset();
+  free_bits_[slot.server] |= bit(slot.subchannel);
   user_slot_[u].reset();
   --num_offloaded_;
 }
@@ -96,7 +78,10 @@ void Assignment::swap(std::size_t u1, std::size_t u2) {
 }
 
 void Assignment::clear() {
-  for (auto& slot : user_slot_) slot.reset();
+  for (auto& slot : user_slot_) {
+    if (slot.has_value()) free_bits_[slot->server] |= bit(slot->subchannel);
+    slot.reset();
+  }
   for (auto& user : slot_user_) user.reset();
   for (auto& fwd : forwarded_) fwd = 0;
   num_offloaded_ = 0;
@@ -139,7 +124,7 @@ std::vector<std::size_t> Assignment::forwarded_users() const {
 }
 
 std::vector<std::size_t> Assignment::users_on_server(std::size_t s) const {
-  TSAJS_REQUIRE(s < num_servers_, "server index out of range");
+  require_server(s);
   std::vector<std::size_t> users;
   for (std::size_t j = 0; j < num_subchannels_; ++j) {
     if (const auto& user = slot_user_[slot_index(s, j)]; user.has_value()) {
@@ -159,28 +144,18 @@ std::vector<std::size_t> Assignment::offloaded_users() const {
   return users;
 }
 
-std::size_t Assignment::num_free_subchannels(std::size_t s) const {
-  TSAJS_REQUIRE(s < num_servers_, "server index out of range");
-  std::size_t count = 0;
-  for (std::size_t j = 0; j < num_subchannels_; ++j) {
-    if (slot_free(s, j)) ++count;
-  }
-  return count;
-}
-
-std::optional<std::size_t> Assignment::random_free_subchannel(
-    std::size_t s, Rng& rng) const {
-  TSAJS_REQUIRE(s < num_servers_, "server index out of range");
-  return uniform_index_where(rng, num_subchannels_,
-                             [&](std::size_t j) { return slot_free(s, j); });
-}
-
 std::optional<Slot> Assignment::random_free_slot(Rng& rng) const {
-  const auto s = uniform_index_where(rng, num_servers_, [&](std::size_t i) {
-    return num_free_subchannels(i) > 0;
-  });
-  if (!s.has_value()) return std::nullopt;
-  return Slot{*s, *random_free_subchannel(*s, rng)};
+  // One uniform_index over the servers with a free slot, the k-th of them
+  // in ascending order, then one over that server's free sub-channels.
+  std::size_t open = 0;
+  for (const std::uint64_t word : free_bits_) open += word != 0 ? 1 : 0;
+  if (open == 0) return std::nullopt;
+  std::uint64_t k = rng.uniform_index(open);
+  for (std::size_t s = 0;; ++s) {
+    if (free_bits_[s] == 0) continue;
+    if (k == 0) return Slot{s, *random_free_subchannel(s, rng)};
+    --k;
+  }
 }
 
 void Assignment::check_consistency() const {
@@ -204,6 +179,17 @@ void Assignment::check_consistency() const {
     if (user.has_value()) ++occupied;
   }
   TSAJS_CHECK(occupied == offloaded, "occupied-slot count mismatch");
+  for (std::size_t s = 0; s < num_servers_; ++s) {
+    std::uint64_t free = 0;
+    for (std::size_t j = 0; j < num_subchannels_; ++j) {
+      const std::size_t slot = slot_index(s, j);
+      if (!slot_user_[slot].has_value() &&
+          (blocked_.empty() || blocked_[slot] == 0)) {
+        free |= bit(j);
+      }
+    }
+    TSAJS_CHECK(free_bits_[s] == free, "free-slot word disagrees with slots");
+  }
   TSAJS_CHECK(num_offloaded_ == offloaded, "cached offload count mismatch");
   std::size_t forwarded = 0;
   for (std::size_t u = 0; u < forwarded_.size(); ++u) {

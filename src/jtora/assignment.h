@@ -10,7 +10,10 @@
 // masked slots are additionally *unassignable*: offload() rejects them and
 // the free-slot queries (num_free_subchannels, random_free_subchannel,
 // random_free_slot) never report them, so every scheduler built on these
-// queries is fault-mask-safe without changes.
+// queries is fault-mask-safe without changes. Those queries read one
+// 64-bit word per server, bit j set while slot (s, j) is free and
+// available, which offload/make_local/clear keep current; hence the
+// spectrum's limit of 64 sub-channels (radio::Spectrum::kMaxSubchannels).
 //
 // When the scenario carries a mec::CloudTier, each offloaded user
 // additionally carries a *forwarding bit*: the edge server holding its
@@ -28,6 +31,8 @@
 #include <optional>
 #include <vector>
 
+#include "common/bits.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "mec/scenario.h"
 
@@ -57,14 +62,23 @@ class Assignment {
   }
 
   /// True iff user `u` offloads (i.e. sum_{s,j} x_us^j = 1).
-  [[nodiscard]] bool is_offloaded(std::size_t u) const;
+  [[nodiscard]] bool is_offloaded(std::size_t u) const {
+    require_user(u);
+    return user_slot_[u].has_value();
+  }
 
   /// The slot of user `u`, or nullopt when local.
-  [[nodiscard]] std::optional<Slot> slot_of(std::size_t u) const;
+  [[nodiscard]] std::optional<Slot> slot_of(std::size_t u) const {
+    require_user(u);
+    return user_slot_[u];
+  }
 
   /// The user occupying (s, j), or nullopt when the slot is free.
   [[nodiscard]] std::optional<std::size_t> occupant(std::size_t s,
-                                                    std::size_t j) const;
+                                                    std::size_t j) const {
+    require_slot(s, j);
+    return slot_user_[slot_index(s, j)];
+  }
 
   /// Assigns user `u` to slot (s, j). The user's previous slot (if any) is
   /// released, which clears its forwarding bit. Requires the target slot to
@@ -156,13 +170,20 @@ class Assignment {
   [[nodiscard]] std::vector<std::size_t> forwarded_users() const;
 
   /// Number of free *and available* sub-channels of server `s`.
-  [[nodiscard]] std::size_t num_free_subchannels(std::size_t s) const;
+  [[nodiscard]] std::size_t num_free_subchannels(std::size_t s) const {
+    require_server(s);
+    return bit_count(free_bits_[s]);
+  }
 
   /// A free sub-channel of server `s` chosen uniformly at random, or nullopt
-  /// when the server is full. Counts in place and draws one
-  /// uniform_index(num_free_subchannels(s)); a full server draws nothing.
+  /// when the server is full: one uniform_index(num_free_subchannels(s))
+  /// picks among the free ones in ascending order (uniform_set_bit); a full
+  /// server draws nothing.
   [[nodiscard]] std::optional<std::size_t> random_free_subchannel(
-      std::size_t s, Rng& rng) const;
+      std::size_t s, Rng& rng) const {
+    require_server(s);
+    return uniform_set_bit(rng, free_bits_[s]);
+  }
 
   /// A uniformly random server among those with a free sub-channel, then a
   /// random free sub-channel of it (random_free_subchannel): two
@@ -179,14 +200,16 @@ class Assignment {
   [[nodiscard]] std::size_t slot_index(std::size_t s, std::size_t j) const {
     return s * num_subchannels_ + j;
   }
-  /// Unoccupied and not masked; no bounds check.
-  [[nodiscard]] bool slot_free(std::size_t s, std::size_t j) const {
-    const std::size_t slot = slot_index(s, j);
-    return !slot_user_[slot].has_value() &&
-           (blocked_.empty() || blocked_[slot] == 0);
+  void require_user(std::size_t u) const {
+    TSAJS_REQUIRE(u < user_slot_.size(), "user index out of range");
   }
-  void require_user(std::size_t u) const;
-  void require_slot(std::size_t s, std::size_t j) const;
+  void require_server(std::size_t s) const {
+    TSAJS_REQUIRE(s < num_servers_, "server index out of range");
+  }
+  void require_slot(std::size_t s, std::size_t j) const {
+    require_server(s);
+    TSAJS_REQUIRE(j < num_subchannels_, "sub-channel index out of range");
+  }
 
   std::size_t num_servers_ = 0;
   std::size_t num_subchannels_ = 0;
@@ -194,6 +217,8 @@ class Assignment {
   std::size_t num_forwarded_ = 0;
   std::vector<std::optional<Slot>> user_slot_;
   std::vector<std::optional<std::size_t>> slot_user_;
+  /// Per server, bit j set iff slot (s, j) is unoccupied and not masked.
+  std::vector<std::uint64_t> free_bits_;
   /// Unassignable slots (1 = masked). Empty — no per-slot loads at all —
   /// for the common fully available scenario.
   std::vector<std::uint8_t> blocked_;

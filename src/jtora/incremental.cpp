@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 
 #include "common/error.h"
 
@@ -21,6 +22,14 @@ namespace {
 /// exact value above them, by a few ulps of the Gamma terms; the same
 /// factor covers that with room to spare.
 constexpr double kBoundMargin = 1e-9;
+
+/// An upper bound on std::log2(x) for x >= 1 without calling it:
+/// log2 x <= (x - 1) / ln 2. The factor carries a relative 2^-40 on top of
+/// log2(e), which covers this product's three roundings and the error of
+/// libm's log2 with thousands of ulps to spare, so the rounded bound is
+/// never below the rounded log2 (DESIGN.md §8).
+constexpr double kLog2UpperFactor = std::numbers::log2e * (1.0 + 0x1p-40);
+double log2_upper(double x) { return (x - 1.0) * kLog2UpperFactor; }
 
 }  // namespace
 
@@ -356,32 +365,49 @@ double IncrementalEvaluator::preview_changes(const SlotChange* changes,
     return d;
   };
 
-  double gain_delta = 0.0;
-  double mover_magnitude = 0.0;  // sum of |mover term|, for the margin
-  // Moved users: new gain at the target slot (or zero when going local).
+  // Each arriving mover's log2 argument, 1 + SINR at its target slot.
+  double arg[2] = {0.0, 0.0};
   for (std::size_t c = 0; c < n; ++c) {
-    const SlotChange& change = changes[c];
-    if (change.to.has_value()) {
-      const std::size_t s = change.to->server;
-      const std::size_t j = change.to->subchannel;
-      const double power =
-          channel_power_[j * num_servers_ + s] + power_delta(j, s);
-      const double term =
-          gain_of(change.user, s, j, power) - user_gain_[change.user];
-      gain_delta += term;
-      mover_magnitude += std::fabs(term);
-    } else {
-      gain_delta -= user_gain_[change.user];
-      mover_magnitude += std::fabs(user_gain_[change.user]);
-    }
+    if (!changes[c].to.has_value()) continue;
+    const std::size_t s = changes[c].to->server;
+    const std::size_t j = changes[c].to->subchannel;
+    arg[c] = rate_arg(changes[c].user, s, j,
+                      channel_power_[j * num_servers_ + s] + power_delta(j, s));
   }
+  // Sum of the movers' terms (new gain at the target slot, or zero when
+  // going local, less the cached gain), with log2 priced by `log2_of`;
+  // `magnitude` receives the sum of their absolute values, for the margin.
+  const auto mover_terms = [&](auto log2_of, double& magnitude) {
+    double sum = 0.0;
+    magnitude = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      const SlotChange& change = changes[c];
+      double term = -user_gain_[change.user];
+      if (change.to.has_value()) {
+        term += gain_from_log(change.user, change.to->server,
+                              change.to->subchannel, log2_of(arg[c]));
+      }
+      sum += term;
+      magnitude += std::fabs(term);
+    }
+    return sum;
+  };
   // ---- Rejection bound: decide without pricing the occupants. ----
   // A standing occupant's interference can only grow on a sub-channel that
   // movers only join, so its gain cannot rise there; on a sub-channel a
   // mover leaves it rises at most to its ceiling. The occupants therefore
   // add at most the slack of the left sub-channels (DESIGN.md §8).
-  if (rejection_floor > kNoFloor) {
-    double slack = 0.0;
+  const bool floored = rejection_floor > kNoFloor;
+  double slack = 0.0;
+  const auto below_floor = [&](double movers, double magnitude) {
+    const double bound = movers + slack - lambda_delta;
+    const double margin =
+        kBoundMargin * (1.0 + std::fabs(utility_) + magnitude + slack +
+                        std::fabs(lambda_delta));
+    return bound + margin < rejection_floor;
+  };
+  double mover_magnitude = 0.0;  // sum of |mover term|, for the margin
+  if (floored) {
     for (std::size_t c = 0; c < n; ++c) {
       if (!changes[c].from.has_value()) continue;
       const std::size_t j = changes[c].from->subchannel;
@@ -391,13 +417,18 @@ double IncrementalEvaluator::preview_changes(const SlotChange* changes,
       }
       slack += channel_slack_[j];
     }
-    const double bound = gain_delta + slack - lambda_delta;
-    const double margin =
-        kBoundMargin * (1.0 + std::fabs(utility_) + mover_magnitude + slack +
-                        std::fabs(lambda_delta));
-    if (bound + margin < rejection_floor) {
+    // First without log2: a log2 argument bounded from above makes each
+    // mover term at least its exact value, step by step in floating point.
+    const double bounded = mover_terms(
+        [](double x) { return log2_upper(x); }, mover_magnitude);
+    if (below_floor(bounded, mover_magnitude)) {
       return -std::numeric_limits<double>::infinity();
     }
+  }
+  double gain_delta =
+      mover_terms([](double x) { return std::log2(x); }, mover_magnitude);
+  if (floored && below_floor(gain_delta, mover_magnitude)) {
+    return -std::numeric_limits<double>::infinity();
   }
   // Affected sub-channels, deduplicated (≤ 4).
   std::size_t chan[4];
@@ -604,14 +635,21 @@ IncrementalEvaluator::BestSlot IncrementalEvaluator::best_offload(
     }
     best.evaluations += free;
     if (free == 0) continue;
-    double ceiling = problem_->gain_const(u) -
-                     problem_->gamma_coef(u) / std::log2(1.0 + signal / noise_w_);
-    if (has_downlink_) ceiling -= problem_->time_cost_scale(u) * downlink;
+    const double arg = 1.0 + signal / noise_w_;
     const double lambda_delta = join_lambda_delta(s, sqrt_eta_u);
-    const double margin =
-        kBoundMargin * (1.0 + std::fabs(utility_) + std::fabs(ceiling) +
-                        std::fabs(lambda_delta) + occupant_cost);
-    if (utility_ + ceiling - lambda_delta + margin < floor) continue;
+    const auto ceiling_misses = [&](double log_term) {
+      double ceiling =
+          problem_->gain_const(u) - problem_->gamma_coef(u) / log_term;
+      if (has_downlink_) ceiling -= problem_->time_cost_scale(u) * downlink;
+      const double margin =
+          kBoundMargin * (1.0 + std::fabs(utility_) + std::fabs(ceiling) +
+                          std::fabs(lambda_delta) + occupant_cost);
+      return utility_ + ceiling - lambda_delta + margin < floor;
+    };
+    // The log2-free bound raises the ceiling, so it decides first.
+    if (ceiling_misses(log2_upper(arg)) || ceiling_misses(std::log2(arg))) {
+      continue;
+    }
     live.push_back(s);
   }
   // The scan itself, rows in order, each floored at the incumbent. A

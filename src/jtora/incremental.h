@@ -38,8 +38,10 @@
 // gain change by zero (a sub-channel it only gains interferers on) or by
 // the per-sub-channel *slack* (one a mover leaves): the sum over the
 // occupants of their interference-free ceiling minus their cached gain.
-// Every proposal the bound does not decide gets the exact value, bit for
-// bit (DESIGN.md §8).
+// The bound is tried first with each mover's log2 replaced by the upper
+// bound (x - 1) / ln 2, and priced with the exact log2 only when that
+// cannot decide. Every proposal the bound does not decide gets the exact
+// value, bit for bit (DESIGN.md §8).
 //
 // Fixup argmax: `best_offload` finds a local user's best slot among a list
 // of candidate servers, as the sharded boundary fixup needs it. A mover

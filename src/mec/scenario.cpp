@@ -63,6 +63,16 @@ const EdgeServer& Scenario::server(std::size_t s) const {
   return servers_[s];
 }
 
+std::vector<std::uint64_t> Scenario::available_slot_words() const {
+  std::vector<std::uint64_t> words(num_servers(), 0);
+  for (std::size_t s = 0; s < num_servers(); ++s) {
+    for (std::size_t j = 0; j < num_subchannels(); ++j) {
+      if (slot_available(s, j)) words[s] |= std::uint64_t{1} << j;
+    }
+  }
+  return words;
+}
+
 Scenario Scenario::with_availability(Availability availability) const {
   return Scenario(users_, servers_, spectrum_, noise_w_, gains_,
                   std::move(availability), cloud_);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/matrix.h"
@@ -91,6 +92,9 @@ class Scenario {
   [[nodiscard]] std::size_t num_available_slots() const noexcept {
     return num_slots() - availability_.num_unavailable_slots();
   }
+  /// Per server, a word with bit j set iff slot (s, j) is available; the
+  /// spectrum's cap of 64 sub-channels lets one word hold a server.
+  [[nodiscard]] std::vector<std::uint64_t> available_slot_words() const;
 
   /// Copy of this scenario with `availability` applied (test/tooling
   /// convenience; the dynamic simulator stages masks through

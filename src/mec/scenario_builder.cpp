@@ -38,11 +38,6 @@ ScenarioBuilder& ScenarioBuilder::num_subchannels(std::size_t n) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::noise_dbm(double dbm) {
-  noise_dbm_ = dbm;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::fractional_power_control(double p0_dbm,
                                                            double alpha,
                                                            double pmax_dbm) {
@@ -161,7 +156,7 @@ Scenario ScenarioBuilder::build(Rng& rng) const {
   }
   return Scenario(std::move(users), std::move(servers),
                   radio::Spectrum(kBandwidthHz, num_subchannels_),
-                  units::dbm_to_watts(noise_dbm_), std::move(gains),
+                  units::dbm_to_watts(kNoiseDbm), std::move(gains),
                   Availability{}, std::move(cloud));
 }
 

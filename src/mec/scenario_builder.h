@@ -6,10 +6,10 @@
 // beta = (0.5, 0.5), lambda_u = 1, path loss 140.7 + 36.7 log10(d[km]) with
 // 8 dB log-normal shadowing, users uniform over the network area.
 //
-// The inter-site distance, bandwidth, transmit power, local CPU speed,
-// kappa and lambda are fixed at the paper's values; the other knobs are
-// settable. `build(rng)` draws one random drop (placement + shadowing) and
-// returns an immutable Scenario.
+// The inter-site distance, bandwidth, noise floor, transmit power, local
+// CPU speed, kappa and lambda are fixed at the paper's values; the other
+// knobs are settable. `build(rng)` draws one random drop (placement +
+// shadowing) and returns an immutable Scenario.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +37,6 @@ class ScenarioBuilder {
   ScenarioBuilder& num_subchannels(std::size_t n);
 
   // --- radio --------------------------------------------------------------
-  ScenarioBuilder& noise_dbm(double dbm);
-
   /// Extension: 3GPP-style fractional uplink power control instead of the
   /// paper's fixed transmit power. Each user transmits at
   ///   p_u [dBm] = min(p_max, p0 + alpha * PL(d_to_strongest_BS) [dB]),
@@ -89,7 +87,6 @@ class ScenarioBuilder {
   std::size_t num_users_ = 30;
   std::size_t num_servers_ = 9;
   std::size_t num_subchannels_ = 3;
-  double noise_dbm_ = kNoiseDbm;
   double server_cpu_hz_ = 20e9;
   double task_input_kb_ = 420.0;
   double task_megacycles_ = 1000.0;

@@ -13,11 +13,18 @@ namespace tsajs::radio {
 
 class Spectrum {
  public:
-  /// `bandwidth_hz` = B, `num_subchannels` = N. Requires both positive.
+  /// The most sub-channels a server may have: jtora::Assignment keeps each
+  /// server's free slots in one 64-bit word.
+  static constexpr std::size_t kMaxSubchannels = 64;
+
+  /// `bandwidth_hz` = B, `num_subchannels` = N. Requires B > 0 and
+  /// 1 <= N <= kMaxSubchannels.
   Spectrum(double bandwidth_hz, std::size_t num_subchannels)
       : bandwidth_hz_(bandwidth_hz), num_subchannels_(num_subchannels) {
     TSAJS_REQUIRE(bandwidth_hz > 0.0, "bandwidth must be positive");
     TSAJS_REQUIRE(num_subchannels >= 1, "need at least one sub-channel");
+    TSAJS_REQUIRE(num_subchannels <= kMaxSubchannels,
+                  "at most 64 sub-channels per server are supported");
   }
 
   [[nodiscard]] double bandwidth_hz() const noexcept { return bandwidth_hz_; }

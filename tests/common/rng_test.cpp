@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -61,6 +64,85 @@ TEST(Rng, UniformIndexCoversAllValuesUnbiased) {
 TEST(Rng, UniformIndexRejectsZero) {
   Rng rng(17);
   EXPECT_THROW((void)rng.uniform_index(0), InvalidArgumentError);
+}
+
+/// uniform_index as it computed every draw before it accepted r >= n
+/// early: the threshold (2^64 - n) mod n, then r % n.
+std::uint64_t two_division_uniform_index(Rng& rng, std::uint64_t n) {
+  const std::uint64_t threshold = (0 - n) % n;
+  for (;;) {
+    const std::uint64_t r = rng.next_u64();
+    if (r >= threshold) return r % n;
+  }
+}
+
+TEST(Rng, UniformIndexMatchesTheTwoDivisionLoop) {
+  // Small n, a power of two, and the large n whose threshold rejects often
+  // (2^63 + 1 rejects almost half the draws) or whose draws mostly fall
+  // below n (2^64 - 1), where the threshold must still be computed.
+  const std::uint64_t ns[] = {1,
+                              2,
+                              3,
+                              64,
+                              (std::uint64_t{1} << 32) + 1,
+                              (std::uint64_t{1} << 63) - 1,
+                              std::uint64_t{1} << 63,
+                              (std::uint64_t{1} << 63) + 1,
+                              ~std::uint64_t{0}};
+  for (const std::uint64_t n : ns) {
+    Rng early(97);
+    Rng reference(97);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(early.uniform_index(n),
+                two_division_uniform_index(reference, n))
+          << "n = " << n << ", draw " << i;
+    }
+    EXPECT_EQ(early.next_u64(), reference.next_u64()) << "n = " << n;
+  }
+}
+
+TEST(Bits, CountAndSelectMatchTheBitScan) {
+  Rng rng(101);
+  for (int i = 0; i < 20000; ++i) {
+    // Sparse, dense and uniform words, the empty and the full one included.
+    std::uint64_t word = rng.next_u64();
+    if (i % 3 == 1) word &= rng.next_u64() & rng.next_u64();
+    if (i % 3 == 2) word |= rng.next_u64() | rng.next_u64();
+    if (i == 0) word = 0;
+    if (i == 1) word = ~std::uint64_t{0};
+    ASSERT_EQ(bit_count(word), static_cast<unsigned>(std::popcount(word)));
+    std::uint64_t k = 0;
+    for (unsigned b = 0; b < 64; ++b) {
+      if ((word >> b & 1) == 0) continue;
+      ASSERT_EQ(nth_set_bit(word, k), b) << std::hex << word << " k " << k;
+      ++k;
+    }
+  }
+}
+
+TEST(Rng, UniformSetBitDrawsOnceAmongTheSetBits) {
+  Rng rng(103);
+  Rng untouched = rng;
+  EXPECT_FALSE(uniform_set_bit(rng, 0).has_value());
+  EXPECT_EQ(rng.next_u64(), untouched.next_u64());  // no draw for 0
+  const std::uint64_t word = 0b1011'0100;  // bits 2, 4, 5 and 7
+  std::vector<int> counts(64, 0);
+  for (int i = 0; i < 40000; ++i) ++counts[*uniform_set_bit(rng, word)];
+  for (std::size_t bit = 0; bit < 64; ++bit) {
+    if ((word >> bit & 1) != 0) {
+      EXPECT_NEAR(counts[bit], 10000, 500) << "bit " << bit;
+    } else {
+      EXPECT_EQ(counts[bit], 0) << "bit " << bit;
+    }
+  }
+  // The same draw as picking from the ascending list of set bits.
+  const std::size_t listed[] = {2, 4, 5, 7};
+  Rng a(107);
+  Rng b(107);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(uniform_set_bit(a, word), listed[b.uniform_index(4)]);
+  }
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 TEST(Rng, UniformIntInclusiveBounds) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/error.h"
+#include "mec/availability.h"
 #include "mec/scenario_builder.h"
 
 namespace tsajs::jtora {
@@ -211,6 +214,156 @@ TEST(AssignmentTest, RandomizedOperationSequenceStaysConsistent) {
     }
     x.check_consistency();
   }
+}
+
+// --- the free-slot queries against the slot scan they replaced -----------
+
+/// The draw the free-slot queries made before the per-server bit words:
+/// count the indices in [0, n) that satisfy `pred`, draw one
+/// rng.uniform_index(count) and return the k-th of them in ascending order;
+/// nullopt, with no draw, when none does.
+template <typename Pred>
+std::optional<std::size_t> uniform_index_where(Rng& rng, std::size_t n,
+                                               Pred&& pred) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pred(i)) ++count;
+  }
+  if (count == 0) return std::nullopt;
+  std::uint64_t k = rng.uniform_index(count);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!pred(i)) continue;
+    if (k == 0) return i;
+    --k;
+  }
+  return std::nullopt;
+}
+
+bool scanned_free(const Assignment& x, std::size_t s, std::size_t j) {
+  return !x.occupant(s, j).has_value() && x.slot_available(s, j);
+}
+
+std::size_t scanned_num_free(const Assignment& x, std::size_t s) {
+  std::size_t count = 0;
+  for (std::size_t j = 0; j < x.num_subchannels(); ++j) {
+    if (scanned_free(x, s, j)) ++count;
+  }
+  return count;
+}
+
+std::optional<std::size_t> scanned_random_free_subchannel(const Assignment& x,
+                                                          std::size_t s,
+                                                          Rng& rng) {
+  return uniform_index_where(rng, x.num_subchannels(), [&](std::size_t j) {
+    return scanned_free(x, s, j);
+  });
+}
+
+std::optional<Slot> scanned_random_free_slot(const Assignment& x, Rng& rng) {
+  const auto s = uniform_index_where(rng, x.num_servers(), [&](std::size_t i) {
+    return scanned_num_free(x, i) > 0;
+  });
+  if (!s.has_value()) return std::nullopt;
+  return Slot{*s, *scanned_random_free_subchannel(x, *s, rng)};
+}
+
+/// Every free-slot query against its scan: the same answer from the same
+/// generator, and the same generator state afterwards.
+void expect_queries_match_scan(const Assignment& x, std::uint64_t seed) {
+  for (std::size_t s = 0; s < x.num_servers(); ++s) {
+    ASSERT_EQ(x.num_free_subchannels(s), scanned_num_free(x, s));
+    Rng words(seed + s);
+    Rng scan(seed + s);
+    ASSERT_EQ(x.random_free_subchannel(s, words),
+              scanned_random_free_subchannel(x, s, scan));
+    ASSERT_EQ(words.next_u64(), scan.next_u64());
+  }
+  Rng words(seed);
+  Rng scan(seed);
+  ASSERT_EQ(x.random_free_slot(words), scanned_random_free_slot(x, scan));
+  ASSERT_EQ(words.next_u64(), scan.next_u64());
+}
+
+/// A drop of 2-6 servers with 1-10 sub-channels (64 in one trial in eight,
+/// a full word), a cloud tier half the time and a fault mask half the time.
+mec::Scenario random_drop(Rng& rng, bool full_word) {
+  const std::size_t servers = 2 + rng.uniform_index(5);
+  const std::size_t subchannels = full_word ? 64 : 1 + rng.uniform_index(10);
+  const std::size_t users = 1 + rng.uniform_index(servers * subchannels + 4);
+  const bool cloud = rng.bernoulli(0.5);
+  mec::ScenarioBuilder builder;
+  builder.num_users(users).num_servers(servers).num_subchannels(subchannels);
+  if (cloud) builder.cloud(80e9, 120e6, 0.015, rng.bernoulli(0.5) ? 3 : 0);
+  const mec::Scenario base = builder.build(rng);
+  if (rng.bernoulli(0.5)) return base;
+  mec::Availability mask(servers, subchannels);
+  for (int k = 0; k < 3; ++k) {
+    mask.block_slot(rng.uniform_index(servers), rng.uniform_index(subchannels));
+  }
+  if (rng.bernoulli(0.5)) mask.fail_server(rng.uniform_index(servers));
+  if (cloud) mask.fail_backhaul(rng.uniform_index(servers));
+  return base.with_availability(mask);
+}
+
+TEST(AssignmentProperty, FreeSlotQueriesMatchTheSlotScan) {
+  Rng rng(2027);
+  std::size_t full_servers = 0;
+  std::size_t masked_drops = 0;
+  std::size_t clears = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    const mec::Scenario scenario = random_drop(rng, trial % 8 == 7);
+    if (!scenario.fully_available()) ++masked_drops;
+    Assignment x(scenario);
+    const std::size_t users = scenario.num_users();
+    for (int step = 0; step < 300; ++step) {
+      const auto u = static_cast<std::size_t>(rng.uniform_index(users));
+      const std::uint64_t op = rng.uniform_index(100);
+      if (op < 45) {
+        const auto s = static_cast<std::size_t>(
+            rng.uniform_index(scenario.num_servers()));
+        const auto j = static_cast<std::size_t>(
+            rng.uniform_index(scenario.num_subchannels()));
+        if (scanned_free(x, s, j)) x.offload(u, s, j);
+      } else if (op < 70) {
+        x.make_local(u);
+      } else if (op < 90) {
+        x.swap(u, static_cast<std::size_t>(rng.uniform_index(users)));
+      } else if (op < 99) {
+        if (x.can_forward(u)) x.set_forwarded(u, true);
+      } else {
+        x.clear();
+        ++clears;
+      }
+      x.check_consistency();
+      expect_queries_match_scan(x, rng.next_u64());
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "trial " << trial << " step " << step;
+      }
+      for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
+        if (scenario.server_available(s) && x.num_free_subchannels(s) == 0) {
+          ++full_servers;
+        }
+      }
+    }
+  }
+  // The chains reach what the words must get right: full servers, masked
+  // slots and resets.
+  EXPECT_GT(full_servers, 1000u);
+  EXPECT_GT(masked_drops, 10u);
+  EXPECT_GT(clears, 50u);
+}
+
+TEST(AssignmentTest, SixtyFourSubchannelsFillOneWord) {
+  const mec::Scenario scenario = make_scenario(70, 2, 64);
+  Assignment x(scenario);
+  for (std::size_t j = 0; j < 64; ++j) x.offload(j, 1, j);
+  EXPECT_EQ(x.num_free_subchannels(0), 64u);
+  EXPECT_EQ(x.num_free_subchannels(1), 0u);
+  Rng rng(3);
+  EXPECT_FALSE(x.random_free_subchannel(1, rng).has_value());
+  x.make_local(63);
+  EXPECT_EQ(x.random_free_subchannel(1, rng), std::optional<std::size_t>{63});
+  x.check_consistency();
 }
 
 }  // namespace

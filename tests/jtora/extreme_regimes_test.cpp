@@ -8,6 +8,7 @@
 #include "algo/registry.h"
 #include "jtora/utility.h"
 #include "mec/scenario_builder.h"
+#include "support/noise.h"
 #include "support/solve.h"
 
 namespace tsajs::jtora {
@@ -18,12 +19,13 @@ TEST(ExtremeRegimes, AbysmalLinkStaysFiniteAndUnattractive) {
   // return finite, hugely negative utilities — never NaN — and TSAJS must
   // leave everyone local (utility 0).
   Rng rng(1);
-  const mec::Scenario scenario = mec::ScenarioBuilder()
-                                     .num_users(6)
-                                     .num_servers(3)
-                                     .num_subchannels(2)
-                                     .noise_dbm(-40.0)
-                                     .build(rng);
+  const mec::Scenario scenario =
+      test::with_noise_dbm(mec::ScenarioBuilder()
+                               .num_users(6)
+                               .num_servers(3)
+                               .num_subchannels(2)
+                               .build(rng),
+                           -40.0);
   Assignment x(scenario);
   x.offload(0, 0, 0);
   const CompiledProblem problem(scenario);
@@ -43,14 +45,15 @@ TEST(ExtremeRegimes, FreeComputeMakesOffloadingUniversal) {
   // Gigantic servers + noiseless-ish links: every user gains, TSAJS should
   // offload everyone (slots permitting).
   Rng rng(3);
-  const mec::Scenario scenario = mec::ScenarioBuilder()
-                                     .num_users(6)
-                                     .num_servers(3)
-                                     .num_subchannels(2)
-                                     .noise_dbm(-140.0)
-                                     .server_cpu_hz(1e12)
-                                     .task_megacycles(5000.0)
-                                     .build(rng);
+  const mec::Scenario scenario =
+      test::with_noise_dbm(mec::ScenarioBuilder()
+                               .num_users(6)
+                               .num_servers(3)
+                               .num_subchannels(2)
+                               .server_cpu_hz(1e12)
+                               .task_megacycles(5000.0)
+                               .build(rng),
+                           -140.0);
   const auto scheduler = algo::make_scheduler("tsajs");
   Rng rng2(4);
   const auto result = test::solve(*scheduler, scenario, rng2);

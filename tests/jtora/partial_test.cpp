@@ -8,6 +8,7 @@
 #include "algo/scheduler.h"
 #include "common/error.h"
 #include "mec/scenario_builder.h"
+#include "support/noise.h"
 
 namespace tsajs::jtora {
 namespace {
@@ -63,12 +64,13 @@ TEST(PartialTest, HopelessLinkFallsBackToAllLocal) {
   // A user with an interference-crushed uplink should keep x = 0 and score
   // exactly zero rather than the deeply negative full-offload utility.
   Rng rng(7);
-  const mec::Scenario scenario = mec::ScenarioBuilder()
-                                     .num_users(4)
-                                     .num_servers(2)
-                                     .num_subchannels(1)
-                                     .noise_dbm(-40.0)  // hopeless uplinks
-                                     .build(rng);
+  const mec::Scenario scenario =
+      test::with_noise_dbm(mec::ScenarioBuilder()
+                               .num_users(4)
+                               .num_servers(2)
+                               .num_subchannels(1)
+                               .build(rng),
+                           -40.0);  // hopeless uplinks
   Assignment x(scenario);
   x.offload(0, 0, 0);
   const CompiledProblem problem(scenario);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "mec/scenario_builder.h"
@@ -123,6 +124,20 @@ TEST(ScenarioTest, BuilderParameterSweepsApply) {
   EXPECT_DOUBLE_EQ(scenario.user(0).task.input_bits, 8e5);
   EXPECT_DOUBLE_EQ(scenario.user(0).beta_time, 0.9);
   EXPECT_NEAR(scenario.user(0).beta_energy, 0.1, 1e-12);
+}
+
+TEST(ScenarioTest, SubchannelCountIsCappedAtOneBitWord) {
+  Rng rng(6);
+  EXPECT_EQ(ScenarioBuilder().num_subchannels(64).build(rng).num_subchannels(),
+            64u);
+  try {
+    (void)ScenarioBuilder().num_subchannels(65).build(rng);
+    FAIL() << "65 sub-channels must be rejected";
+  } catch (const InvalidArgumentError& error) {
+    EXPECT_NE(std::string(error.what()).find("at most 64 sub-channels"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(ScenarioTest, UsersFallInsideNetworkArea) {

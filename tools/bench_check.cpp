@@ -1,30 +1,39 @@
 // bench_check — perf-regression gate over google-benchmark JSON dumps.
 //
 // Compares a fresh micro-kernel run against the checked-in baseline
-// (bench/BENCH_micro.json) and fails (exit 1) when a kernel regressed
-// beyond noise. Designed for CI, where the absolute clock differs from the
-// machine that recorded the baseline:
+// (bench/BENCH_micro.json) and fails (exit 1) when an optimised kernel lost
+// ground on its in-run reference beyond noise. Designed for CI, where the
+// absolute clock differs from the machine that recorded the baseline:
 //
 //   1. Per kernel, the per-repetition cpu times are folded into a Welford
 //      accumulator (common/stats.h) and compared via their means;
 //      aggregate-only baseline entries (older appends per the
 //      EXPERIMENTS.md protocol) fall back to the recorded mean/stddev.
-//   2. The per-kernel time ratio current/baseline is normalized by the
-//      median ratio across all shared kernels — a uniform machine-speed
-//      shift moves every kernel alike and cancels out, so only *relative*
-//      regressions (one kernel slowing down against its peers) trip the
-//      gate.
-//   3. The allowance per kernel is noise-aware: the two relative
-//      confidence-interval half-widths (Student-t, 95%) add up, floored by
+//   2. The gate is the kernel *pairs* (kPairs): an optimised kernel and the
+//      reference it replaces, timed on the same input in the same run. Per
+//      pair, the within-run ratio optimised/reference of the current run is
+//      divided by the baseline's; above 1 + allowance the pair REGRESSED.
+//      Both members run on the same machine in the same process, so the
+//      machine's speed cancels inside each ratio: a baseline recorded on
+//      another host does not move it. The gate is one-sided: a faster
+//      optimised kernel, or a slower reference, lowers the ratio and passes.
+//      A pair with a member missing from either run fails: the gate could
+//      not run. --filter skips the pairs it leaves out.
+//   3. The allowance is noise-aware: the relative confidence-interval
+//      half-widths (Student-t, 95%) of the four means add up, floored by
 //      --min-rel (default 10%) so single-digit-repetition jitter cannot
 //      fail the build spuriously.
+//   4. Every kernel's absolute ratio current/baseline, normalized by the
+//      median ratio across all shared kernels (the machine-speed factor),
+//      stays in the report but cannot fail the gate: how kernels shift
+//      against each other differs from one machine to the next.
 //
 // A markdown report (--diff) records every comparison for the CI artifact.
 //
 // Scale-sweep gate (optional): with --scale-baseline/--scale-current the
 // bench_scale JSON dumps are compared too — per (users, shard_threads)
 // point, the per-trial solve_seconds fold into the same Welford + CI
-// machinery, the ratios are normalized by the micro gate's machine-speed
+// machinery, the ratios are normalized by the micro run's machine-speed
 // factor (the sweep alone is too few points for a robust median), and the
 // thread-scaling rows guard the parallel sharded path against p50
 // regressions. --scale-min-rel defaults looser (35%) than the micro floor:
@@ -142,6 +151,27 @@ struct Comparison {
   bool regressed = false;
 };
 
+/// The gated pairs: an optimised kernel and its reference, which
+/// bench/micro_kernels.cpp times on the same input.
+struct KernelPair {
+  const char* optimised;
+  const char* reference;
+};
+constexpr KernelPair kPairs[] = {
+    {"BM_WarmProposal_Floored", "BM_WarmProposal_Exact"},
+    {"BM_PreviewRow_Batch", "BM_PreviewRow_Scalar"},
+    {"BM_FixupArgmax_Bounded", "BM_FixupArgmax_Exact"},
+};
+
+struct PairComparison {
+  std::string name;             ///< "optimised / reference"
+  double baseline_ratio = 0.0;  ///< optimised / reference in the baseline
+  double current_ratio = 0.0;   ///< the same in the current run
+  double drift = 0.0;           ///< current_ratio / baseline_ratio
+  double allowance = 0.0;
+  bool regressed = false;
+};
+
 /// Parses one input document and folds it through `loader`, wrapping any
 /// failure (missing file, JSON syntax error, wrong document shape) with the
 /// input's role and path. A bare "cannot open JSON file" out of four
@@ -193,19 +223,44 @@ std::map<std::string, KernelSample> load_scale_points(const JsonValue& doc) {
   return points;
 }
 
-void write_diff(std::ostream& os, const std::vector<Comparison>& rows,
+void write_diff(std::ostream& os, const std::vector<PairComparison>& pairs,
+                const std::vector<std::string>& missing_pairs,
+                const std::vector<Comparison>& rows,
                 const std::vector<std::string>& baseline_only,
                 const std::vector<std::string>& current_only,
                 double speed_factor, double min_rel) {
   os << "# Micro-kernel perf gate\n\n"
+     << "## Pair gate\n\n"
+     << "Per pair: within-run ratio optimised/reference, current divided by "
+        "baseline; allowance = max("
+     << min_rel * 100.0 << "%, sum of the four 95% CI half-widths).\n\n"
+     << "| pair | baseline ratio | current ratio | current / baseline "
+        "| allowance | verdict |\n"
+     << "|---|---|---|---|---|---|\n";
+  for (const PairComparison& pair : pairs) {
+    std::ostringstream cells;
+    cells.setf(std::ios::fixed);
+    cells.precision(3);
+    cells << "| " << pair.name << " | " << pair.baseline_ratio << " | "
+          << pair.current_ratio << " | " << pair.drift << " | "
+          << (1.0 + pair.allowance) << " | "
+          << (pair.regressed ? "**REGRESSED**" : "ok") << " |\n";
+    os << cells.str();
+  }
+  for (const std::string& name : missing_pairs) {
+    os << "| " << name << " | - | - | - | - | **MISSING** (a member is "
+          "absent from a run) |\n";
+  }
+  os << "\n## Absolute rows (informational)\n\n"
      << "Machine-speed factor (median current/baseline ratio): "
-     << speed_factor << "; per-kernel allowance = max(" << min_rel * 100.0
-     << "%, sum of 95% CI half-widths).\n\n"
+     << speed_factor << ". A row marked slower is normalized ratio > max("
+     << min_rel * 100.0
+     << "%, sum of 95% CI half-widths); it does not fail the gate.\n\n"
      << "Coverage: " << rows.size() << " kernels matched, "
      << baseline_only.size() << " baseline-only (unmatched), "
      << current_only.size() << " new in current.\n\n"
      << "| kernel | baseline | current | raw ratio | normalized | allowance "
-        "| verdict |\n"
+        "| note |\n"
      << "|---|---|---|---|---|---|---|\n";
   for (const Comparison& row : rows) {
     std::ostringstream cells;
@@ -215,7 +270,7 @@ void write_diff(std::ostream& os, const std::vector<Comparison>& rows,
           << " | " << format_ns(row.current.mean_ns) << " | " << row.raw_ratio
           << " | " << row.normalized_ratio << " | "
           << (1.0 + row.allowance) << " | "
-          << (row.regressed ? "**REGRESSED**" : "ok") << " |\n";
+          << (row.regressed ? "slower" : "ok") << " |\n";
     os << cells.str();
   }
   for (const std::string& name : baseline_only) {
@@ -262,8 +317,8 @@ void write_scale_diff(std::ostream& os, const std::vector<Comparison>& rows,
 int run(int argc, const char* const* argv) {
   tsajs::CliParser cli(
       "bench_check: perf-regression gate comparing a fresh google-benchmark "
-      "JSON run against the checked-in baseline with machine-normalized, "
-      "noise-aware thresholds.");
+      "JSON run against the checked-in baseline: kernel pairs on their "
+      "within-run ratio, noise-aware thresholds.");
   cli.add_flag("baseline", "baseline JSON (bench/BENCH_micro.json)",
                "bench/BENCH_micro.json");
   cli.add_flag("current", "fresh benchmark JSON to gate", "");
@@ -325,22 +380,63 @@ int run(int argc, const char* const* argv) {
   }
 
   const double speed_factor = tsajs::quantile(ratios, 0.5);
-  bool any_regressed = false;
   for (Comparison& row : rows) {
     row.normalized_ratio = row.raw_ratio / speed_factor;
     row.allowance =
         std::max(min_rel, row.baseline.rel_ci() + row.current.rel_ci());
     row.regressed = row.normalized_ratio > 1.0 + row.allowance;
-    any_regressed = any_regressed || row.regressed;
   }
   std::sort(rows.begin(), rows.end(),
             [](const Comparison& a, const Comparison& b) {
               return a.normalized_ratio > b.normalized_ratio;
             });
 
+  // The gate: each pair's within-run ratio against the baseline's. A pair
+  // that --filter leaves out is skipped; one with a member missing from
+  // either run fails, since the gate could not be computed.
+  bool any_regressed = false;
+  std::vector<PairComparison> pairs;
+  std::vector<std::string> missing_pairs;
+  const auto find = [](const std::map<std::string, KernelSample>& side,
+                       const char* kernel) -> const KernelSample* {
+    const auto it = side.find(kernel);
+    return it == side.end() ? nullptr : &it->second;
+  };
+  for (const KernelPair& pair : kPairs) {
+    const std::string name =
+        std::string(pair.optimised) + " / " + pair.reference;
+    if (!filter.empty() && (std::string(pair.optimised).find(filter) ==
+                                std::string::npos ||
+                            std::string(pair.reference).find(filter) ==
+                                std::string::npos)) {
+      continue;
+    }
+    const KernelSample* base_opt = find(baseline, pair.optimised);
+    const KernelSample* base_ref = find(baseline, pair.reference);
+    const KernelSample* cur_opt = find(current, pair.optimised);
+    const KernelSample* cur_ref = find(current, pair.reference);
+    if (base_opt == nullptr || base_ref == nullptr || cur_opt == nullptr ||
+        cur_ref == nullptr) {
+      missing_pairs.push_back(name);
+      any_regressed = true;
+      continue;
+    }
+    PairComparison row;
+    row.name = name;
+    row.baseline_ratio = base_opt->mean_ns / base_ref->mean_ns;
+    row.current_ratio = cur_opt->mean_ns / cur_ref->mean_ns;
+    row.drift = row.current_ratio / row.baseline_ratio;
+    row.allowance =
+        std::max(min_rel, base_opt->rel_ci() + base_ref->rel_ci() +
+                              cur_opt->rel_ci() + cur_ref->rel_ci());
+    row.regressed = row.drift > 1.0 + row.allowance;
+    any_regressed = any_regressed || row.regressed;
+    pairs.push_back(row);
+  }
+
   // Optional scale-sweep gate: same comparison machinery over the
-  // bench_scale per-point solve times, reusing the micro gate's
-  // machine-speed factor for normalization.
+  // bench_scale per-point solve times, normalized by the micro run's
+  // machine-speed factor.
   std::vector<Comparison> scale_rows;
   std::vector<std::string> scale_baseline_only;
   std::vector<std::string> scale_current_only;
@@ -389,7 +485,8 @@ int run(int argc, const char* const* argv) {
   }
 
   const auto write_report = [&](std::ostream& os) {
-    write_diff(os, rows, baseline_only, current_only, speed_factor, min_rel);
+    write_diff(os, pairs, missing_pairs, rows, baseline_only, current_only,
+               speed_factor, min_rel);
     if (scale_gate) {
       write_scale_diff(os, scale_rows, scale_baseline_only,
                        scale_current_only, speed_factor, scale_min_rel);
@@ -410,8 +507,8 @@ int run(int argc, const char* const* argv) {
     std::cerr << "bench_check: performance regression detected\n";
     return 1;
   }
-  std::cout << "\nbench_check: no regressions (" << rows.size()
-            << " kernels matched, "
+  std::cout << "\nbench_check: no regressions (" << pairs.size()
+            << " pairs gated, " << rows.size() << " kernels matched, "
             << baseline_only.size() + current_only.size()
             << " unmatched; " << scale_rows.size()
             << " scale points matched, "

@@ -12,6 +12,8 @@
 #   * missing baseline file               -> exit 1, printing the findings
 #     a baseline would hold (commit them as the baseline file)
 #   * REFRESH_BASELINE=1                  -> write the baseline, exit 0
+#   * clang-tidy not installed            -> exit 1: a gate that did not
+#     run must not read as clean
 #
 # Usage: tools/clang_tidy_check.sh [build-dir]   (default: build)
 # The build dir must contain compile_commands.json
@@ -25,7 +27,8 @@ tidy="${CLANG_TIDY:-clang-tidy}"
 
 if ! command -v "$tidy" >/dev/null 2>&1; then
   echo "clang_tidy_check: $tidy not found; skipping (install clang-tidy to run this gate)" >&2
-  exit 0
+  echo "clang_tidy_check: the gate did not run, so it fails" >&2
+  exit 1
 fi
 if [ ! -f "$build_dir/compile_commands.json" ]; then
   echo "clang_tidy_check: $build_dir/compile_commands.json missing;" >&2
