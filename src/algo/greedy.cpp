@@ -13,7 +13,6 @@ struct Candidate {
   double signal_w;
   std::size_t user;
   std::size_t server;
-  std::size_t subchannel;
 };
 
 }  // namespace
@@ -31,22 +30,19 @@ ScheduleResult GreedyScheduler::fill_and_prune(
     const jtora::CompiledProblem& problem, jtora::Assignment x) const {
   const mec::Scenario& scenario = problem.scenario();
   std::vector<Candidate> candidates;
-  candidates.reserve(scenario.num_users() * scenario.num_slots());
+  candidates.reserve(scenario.num_users() * scenario.num_servers());
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
     for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
-      for (std::size_t j = 0; j < scenario.num_subchannels(); ++j) {
-        if (!problem.slot_available(s, j)) continue;  // fault-masked
-        // The compiled signal table is exactly p_u * h_us^j.
-        candidates.push_back({problem.signal(u, j, s), u, s, j});
-      }
+      // The compiled signal table is exactly p_u * h_us, on every
+      // sub-channel of the link.
+      candidates.push_back({problem.signal(u, s), u, s});
     }
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
               if (a.signal_w != b.signal_w) return a.signal_w > b.signal_w;
               // Deterministic tie-break for reproducibility.
-              return std::tie(a.user, a.server, a.subchannel) <
-                     std::tie(b.user, b.server, b.subchannel);
+              return std::tie(a.user, a.server) < std::tie(b.user, b.server);
             });
 
   for (const Candidate& c : candidates) {
@@ -55,8 +51,14 @@ ScheduleResult GreedyScheduler::fill_and_prune(
       break;
     }
     if (x.is_offloaded(c.user)) continue;
-    if (x.occupant(c.server, c.subchannel).has_value()) continue;
-    x.offload(c.user, c.server, c.subchannel);
+    // The lowest free sub-channel that is not fault-masked.
+    for (std::size_t j = 0; j < scenario.num_subchannels(); ++j) {
+      if (problem.slot_available(c.server, j) &&
+          !x.occupant(c.server, j).has_value()) {
+        x.offload(c.user, c.server, j);
+        break;
+      }
+    }
   }
 
   // Permissibility pass: only users with a positive offloading benefit J_u

@@ -4,9 +4,10 @@
 // offloaded. Users are assigned to sub-bands in a prioritized manner,
 // favoring those with the strongest signal strength."
 //
-// Implementation: sort all (user, server, sub-channel) triples by received
-// signal power p_u * h_us^j descending; walk the list assigning a triple
-// whenever both the user is still unassigned and the slot is still free.
+// Implementation: sort all (user, server) pairs by received signal power
+// p_u * h_us descending (the same on every sub-channel of the link); walk
+// the list placing each still-unassigned user on the lowest free, available
+// sub-channel of the pair's server.
 // "Permissible" is read as the paper's Sec. III-A-4 rule that a user only
 // offloads when its benefit J_u is positive: after the signal-driven fill,
 // users whose realized utility is negative are dropped back to local (worst

@@ -101,50 +101,43 @@ void CompiledProblem::compile_availability(const mec::Scenario& scenario) {
 }
 
 void CompiledProblem::compile_tables(const mec::Scenario& scenario) {
-  // Flattened per-(user, sub-channel, server) caches: the received signal
-  // power p_u * h_us^j behind every SINR read, and the constant downlink
-  // return times. Server-contiguous so co-channel sweeps are linear scans.
-  // The scenario's gain tensor is (user, server, sub-channel) row-major:
-  // each user's block holds h_us^j at s * num_subchannels + j.
+  // Flattened per-(user, server) caches: the received signal power p_u * h_us
+  // behind every SINR read, and the constant downlink return times. Server-
+  // contiguous so co-channel sweeps are linear scans. The scenario's gain
+  // tensor is (user, server, sub-channel) row-major, and its constructor
+  // rejects a link whose gain varies in j, so sub-channel 0 holds h_us.
   const double* gains = scenario.gains().data().data();
-  const std::size_t user_stride = num_servers_ * num_subchannels_;
-  signal_.resize(num_users_ * num_subchannels_ * num_servers_);
+  signal_.resize(num_users_ * num_servers_);
   for (std::size_t u = 0; u < num_users_; ++u) {
     const double p = scenario.user(u).tx_power_w;
-    const double* user_gains = gains + u * user_stride;
-    for (std::size_t j = 0; j < num_subchannels_; ++j) {
-      double* row = signal_.data() + (u * num_subchannels_ + j) * num_servers_;
-      for (std::size_t s = 0; s < num_servers_; ++s) {
-        row[s] = p * user_gains[s * num_subchannels_ + j];
-      }
+    const double* user_gains = gains + u * num_servers_ * num_subchannels_;
+    double* row = signal_.data() + u * num_servers_;
+    for (std::size_t s = 0; s < num_servers_; ++s) {
+      row[s] = p * user_gains[s * num_subchannels_];
     }
   }
   if (!has_downlink_) {
     downlink_.clear();
     return;
   }
-  downlink_.resize(num_users_ * num_subchannels_ * num_servers_);
+  downlink_.resize(num_users_ * num_servers_);
   for (std::size_t u = 0; u < num_users_; ++u) {
     const mec::UserEquipment& ue = scenario.user(u);
-    const double* user_gains = gains + u * user_stride;
-    for (std::size_t j = 0; j < num_subchannels_; ++j) {
-      double* row =
-          downlink_.data() + (u * num_subchannels_ + j) * num_servers_;
-      for (std::size_t s = 0; s < num_servers_; ++s) {
-        if (ue.task.output_bits <= 0.0) {
-          row[s] = 0.0;
-          continue;
-        }
-        // Noise-limited downlink (coordinated base stations, Sec. I):
-        // output_bits / (W log2(1 + p_s h / sigma^2)).
-        const double snr = scenario.servers()[s].tx_power_w *
-                           user_gains[s * num_subchannels_ + j] /
-                           scenario.noise_w();
-        const double rate =
-            scenario.subchannel_bandwidth_hz() * std::log2(1.0 + snr);
-        row[s] = rate <= 0.0 ? std::numeric_limits<double>::infinity()
-                             : ue.task.output_bits / rate;
+    const double* user_gains = gains + u * num_servers_ * num_subchannels_;
+    double* row = downlink_.data() + u * num_servers_;
+    for (std::size_t s = 0; s < num_servers_; ++s) {
+      if (ue.task.output_bits <= 0.0) {
+        row[s] = 0.0;
+        continue;
       }
+      // Noise-limited downlink (coordinated base stations, Sec. I):
+      // output_bits / (W log2(1 + p_s h / sigma^2)).
+      const double snr = scenario.servers()[s].tx_power_w *
+                         user_gains[s * num_subchannels_] / scenario.noise_w();
+      const double rate =
+          scenario.subchannel_bandwidth_hz() * std::log2(1.0 + snr);
+      row[s] = rate <= 0.0 ? std::numeric_limits<double>::infinity()
+                           : ue.task.output_bits / rate;
     }
   }
 }
@@ -165,8 +158,8 @@ void CompiledProblem::compile_cloud(const mec::Scenario& scenario) {
   for (std::size_t s = 0; s < num_servers_; ++s) {
     backhaul_ok_[s] = scenario.backhaul_available(s) ? 1 : 0;
   }
-  // Forwarding delay is channel-independent, so the table is (user, server)
-  // rather than the (user, sub-channel, server) shape of signal/downlink.
+  // Forwarding delay is channel-independent: a (user, server) table, like
+  // signal/downlink.
   forward_time_.resize(num_users_ * num_servers_);
   for (std::size_t u = 0; u < num_users_; ++u) {
     const double input_bits = scenario.user(u).task.input_bits;

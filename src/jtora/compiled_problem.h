@@ -1,7 +1,7 @@
 // CompiledProblem — one flat, shared compilation of a mec::Scenario.
 //
 // The paper's decomposition (Eqs. 16-24) makes J*(X) a function of a small
-// set of per-user/per-server constants plus the signal table p_u * h_us^j:
+// set of per-user/per-server constants plus the signal table p_u * h_us:
 //
 //   phi_u  = lambda_u beta_t d_u / (t_local W)      (below Eq. 19)
 //   psi_u  = lambda_u beta_e d_u / (E_local W)
@@ -142,32 +142,24 @@ class CompiledProblem {
     return server_cpu_[s];
   }
 
-  // --- flat (user, sub-channel, server) tables ----------------------------
-  /// Received signal power p_u * h_us^j.
-  [[nodiscard]] double signal(std::size_t u, std::size_t j,
-                              std::size_t s) const noexcept {
-    return signal_[(u * num_subchannels_ + j) * num_servers_ + s];
+  // --- flat (user, server) tables ----------------------------------------
+  // The paper's channel is flat in the sub-channel (mec::Scenario rejects a
+  // gain tensor that is not), so h_us^j = h_us and neither table has a
+  // sub-channel axis: one entry serves every sub-channel of the link.
+  /// Received signal power p_u * h_us.
+  [[nodiscard]] double signal(std::size_t u, std::size_t s) const noexcept {
+    return signal_[u * num_servers_ + s];
   }
-  /// Server-contiguous row of `signal` for (u, j); length num_servers().
-  [[nodiscard]] const double* signal_row(std::size_t u,
-                                         std::size_t j) const noexcept {
-    return signal_.data() + (u * num_subchannels_ + j) * num_servers_;
+  /// Server-contiguous row of `signal` for user u; length num_servers().
+  [[nodiscard]] const double* signal_row(std::size_t u) const noexcept {
+    return signal_.data() + u * num_servers_;
   }
-  /// Result return time from server `s` to user `u` on sub-channel `j`
-  /// (0 when the task declares no output; see RateEvaluator docs).
-  [[nodiscard]] double downlink_time_s(std::size_t u, std::size_t s,
-                                       std::size_t j) const noexcept {
+  /// Result return time from server `s` to user `u` (0 when the task
+  /// declares no output; see RateEvaluator docs).
+  [[nodiscard]] double downlink_time_s(std::size_t u,
+                                       std::size_t s) const noexcept {
     if (!has_downlink_) return 0.0;
-    return downlink_[(u * num_subchannels_ + j) * num_servers_ + s];
-  }
-
-  /// Raw tables, exposed for self-checks and the incremental evaluator's
-  /// contiguous sweeps. Layout: [(u * num_subchannels + j) * num_servers + s].
-  [[nodiscard]] const std::vector<double>& signal_table() const noexcept {
-    return signal_;
-  }
-  [[nodiscard]] const std::vector<double>& downlink_table() const noexcept {
-    return downlink_;
+    return downlink_[u * num_servers_ + s];
   }
 
   /// Bitwise comparison of every compiled array and dimension against

@@ -59,8 +59,7 @@ void IncrementalEvaluator::rebuild() {
   for (const std::size_t u : offloaded) {
     const Slot slot = *x_.slot_of(u);
     user_ceiling_[u] =
-        gain_of(u, slot.server, slot.subchannel,
-                signal_at(u, slot.subchannel, slot.server));
+        gain_of(u, slot.server, problem_->signal(u, slot.server));
     // Every offloaded user transmits, forwarded ones included, so each
     // received-power lane gets the chain 0.0 + r_1 + r_2 + ... in ascending
     // user order (offloaded_users() is ascending).
@@ -98,24 +97,22 @@ void IncrementalEvaluator::add_channel_power(std::size_t u, std::size_t j,
                                              double sign) {
   // Elementwise AXPY against the server-contiguous signal row.
   double* power = channel_power_.data() + j * num_servers_;
-  const double* row = problem_->signal_row(u, j);
+  const double* row = problem_->signal_row(u);
   for (std::size_t s = 0; s < num_servers_; ++s) {
     power[s] += sign * row[s];
   }
 }
 
 double IncrementalEvaluator::gain_of(std::size_t u, std::size_t s,
-                                     std::size_t j,
                                      double channel_power_total) const {
-  return gain_from_log(u, s, j,
-                       std::log2(rate_arg(u, s, j, channel_power_total)));
+  return gain_from_log(u, s, std::log2(rate_arg(u, s, channel_power_total)));
 }
 
 void IncrementalEvaluator::refresh_user_cost(std::size_t u) {
   TSAJS_CHECK(x_.is_offloaded(u), "refresh_user_cost needs an offloader");
   const Slot slot = *x_.slot_of(u);
   double gain =
-      gain_of(u, slot.server, slot.subchannel,
+      gain_of(u, slot.server,
               channel_power_[slot.subchannel * num_servers_ + slot.server]);
   if (x_.is_forwarded(u)) gain -= forward_cost(u, slot.server);
   gain_minus_gamma_ += gain - user_gain_[u];
@@ -237,7 +234,7 @@ void IncrementalEvaluator::do_offload(std::size_t u, std::size_t s,
   // cost is computed fresh.
   refresh_cochannel(j, u);
   refresh_user_cost(u);
-  user_ceiling_[u] = gain_of(u, s, j, signal_at(u, j, s));
+  user_ceiling_[u] = gain_of(u, s, problem_->signal(u, s));
   refresh_slack(j);
   utility_ = gain_minus_gamma_ - lambda_cost_;
 }
@@ -356,10 +353,10 @@ double IncrementalEvaluator::preview_changes(const SlotChange* changes,
     double d = 0.0;
     for (std::size_t c = 0; c < n; ++c) {
       if (changes[c].from.has_value() && changes[c].from->subchannel == j) {
-        d -= signal_at(changes[c].user, j, s);
+        d -= problem_->signal(changes[c].user, s);
       }
       if (changes[c].to.has_value() && changes[c].to->subchannel == j) {
-        d += signal_at(changes[c].user, j, s);
+        d += problem_->signal(changes[c].user, s);
       }
     }
     return d;
@@ -371,7 +368,7 @@ double IncrementalEvaluator::preview_changes(const SlotChange* changes,
     if (!changes[c].to.has_value()) continue;
     const std::size_t s = changes[c].to->server;
     const std::size_t j = changes[c].to->subchannel;
-    arg[c] = rate_arg(changes[c].user, s, j,
+    arg[c] = rate_arg(changes[c].user, s,
                       channel_power_[j * num_servers_ + s] + power_delta(j, s));
   }
   // Sum of the movers' terms (new gain at the target slot, or zero when
@@ -385,7 +382,7 @@ double IncrementalEvaluator::preview_changes(const SlotChange* changes,
       double term = -user_gain_[change.user];
       if (change.to.has_value()) {
         term += gain_from_log(change.user, change.to->server,
-                              change.to->subchannel, log2_of(arg[c]));
+                              log2_of(arg[c]));
       }
       sum += term;
       magnitude += std::fabs(term);
@@ -459,7 +456,7 @@ double IncrementalEvaluator::preview_changes(const SlotChange* changes,
       }
       if (moved) continue;  // handled above (or vacated the slot)
       double occ_gain =
-          gain_of(*occupant, s, j, channel_power_[j * num_servers_ + s] + d);
+          gain_of(*occupant, s, channel_power_[j * num_servers_ + s] + d);
       // A standing forwarded occupant keeps its forward penalty (their
       // cached user_gain_ includes it; gain_of does not).
       if (x_.is_forwarded(*occupant)) {
@@ -512,16 +509,16 @@ void IncrementalEvaluator::preview_offload_subchannel(
   TSAJS_REQUIRE(j < num_subchannels_, "sub-channel index out of range");
   // Per-candidate, preview_changes computes
   //   utility + ((mover_gain + delta_occ_1) + delta_occ_2 + ...) - lambda
-  // where each co-channel occupant's delta_occ = gain_of(occ, r, j, power +
-  // signal(u, j, r)) - user_gain_[occ] does not depend on the candidate
+  // where each co-channel occupant's delta_occ = gain_of(occ, r, power +
+  // signal(u, r)) - user_gain_[occ] does not depend on the candidate
   // server s (u cannot land on an occupied server, so r != s always, and
-  // u's received power at server r is signal(u, j, r) either way). Hoist
+  // u's received power at server r is signal(u, r) either way). Hoist
   // those deltas out of the per-candidate loop; the per-candidate chain
   // then replays the scalar addition order exactly. Occupancy and the mask
   // are read through the assignment's flat slot maps.
   const std::vector<std::optional<std::size_t>>& slot_users = x_.slot_users();
   const double* power_row = channel_power_.data() + j * num_servers_;
-  const double* urow = problem_->signal_row(u, j);
+  const double* urow = problem_->signal_row(u);
   // Free, available candidates stage the mover's log2 argument (u's own
   // signal joins the cached power) into contiguous scratch, so the log2
   // calls run back to back; `open` maps each entry to its candidate.
@@ -539,7 +536,7 @@ void IncrementalEvaluator::preview_offload_subchannel(
       out[i] = nan;
       continue;
     }
-    mover.push_back(rate_arg(u, s, j, power_row[s] + urow[s]));
+    mover.push_back(rate_arg(u, s, power_row[s] + urow[s]));
     open.push_back(i);
   }
   for (double& term : mover) term = std::log2(term);
@@ -561,7 +558,7 @@ void IncrementalEvaluator::preview_offload_subchannel(
     const std::size_t i = open[k];
     const std::size_t s = candidates[i];
     const double lambda_delta = join_lambda_delta(s, sqrt_eta_u);
-    const double term = gain_from_log(u, s, j, mover[k]) - user_gain_[u];
+    const double term = gain_from_log(u, s, mover[k]) - user_gain_[u];
     if (floored) {
       const double margin =
           occupied ? kBoundMargin * (1.0 + std::fabs(utility_) +
@@ -585,7 +582,7 @@ void IncrementalEvaluator::preview_offload_subchannel(
     const std::optional<std::size_t>& occ =
         slot_users[r * num_subchannels_ + j];
     if (!occ.has_value()) continue;
-    double occ_gain = gain_of(*occ, r, j, power_row[r] + urow[r]);
+    double occ_gain = gain_of(*occ, r, power_row[r] + urow[r]);
     if (x_.is_forwarded(*occ)) occ_gain -= forward_cost(*occ, r);
     occ_delta.push_back(occ_gain - user_gain_[*occ]);
   }
@@ -612,35 +609,25 @@ IncrementalEvaluator::BestSlot IncrementalEvaluator::best_offload(
                                &value, floor);
     floor = std::max(floor, value);  // NaN (taken, masked) leaves it
   }
-  // Per server, an interference-free ceiling on u's term: the strongest
-  // signal and the shortest downlink over its free, available sub-channels.
-  // gain_of falls as interference or downlink time grows and rises with
-  // the signal, step by step in floating point too, so none of its slots
-  // prices above it, and a server whose ceiling cannot reach the floor is
-  // dropped for every row. Its free, available slots still count as scored.
+  // Per server, an interference-free ceiling on u's term: gain_of at zero
+  // interference, which every sub-channel of the server shares (one signal
+  // and one downlink time per link). gain_of falls as interference grows,
+  // step by step in floating point too, so none of its slots prices above
+  // it, and a server whose ceiling cannot reach the floor is dropped for
+  // every row. Its free, available slots still count as scored.
   thread_local std::vector<std::size_t> live;
   live.clear();
   const double occupant_cost = gain_const_total_ - gain_minus_gamma_;
   const double sqrt_eta_u = problem_->sqrt_eta(u);
   for (const std::size_t s : candidates) {
     TSAJS_REQUIRE(s < num_servers_, "candidate server index out of range");
-    std::size_t free = 0;
-    double signal = 0.0;
-    double downlink = std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < num_subchannels_; ++j) {
-      if (!slot_open(s * num_subchannels_ + j)) continue;
-      ++free;
-      signal = std::max(signal, signal_at(u, j, s));
-      downlink = std::min(downlink, problem_->downlink_time_s(u, s, j));
-    }
+    const std::size_t free = x_.num_free_subchannels(s);
     best.evaluations += free;
     if (free == 0) continue;
-    const double arg = 1.0 + signal / noise_w_;
+    const double arg = rate_arg(u, s, problem_->signal(u, s));
     const double lambda_delta = join_lambda_delta(s, sqrt_eta_u);
     const auto ceiling_misses = [&](double log_term) {
-      double ceiling =
-          problem_->gain_const(u) - problem_->gamma_coef(u) / log_term;
-      if (has_downlink_) ceiling -= problem_->time_cost_scale(u) * downlink;
+      const double ceiling = gain_from_log(u, s, log_term);
       const double margin =
           kBoundMargin * (1.0 + std::fabs(utility_) + std::fabs(ceiling) +
                           std::fabs(lambda_delta) + occupant_cost);
@@ -709,8 +696,8 @@ double IncrementalEvaluator::preview_set_forwarded(std::size_t u,
   // Gamma: interference is unchanged, so only u's own forward penalty moves.
   // Re-derive the gain the same way refresh_user_cost would so the preview
   // tracks apply exactly.
-  double gain = gain_of(u, s, slot->subchannel,
-                        channel_power_[slot->subchannel * num_servers_ + s]);
+  double gain =
+      gain_of(u, s, channel_power_[slot->subchannel * num_servers_ + s]);
   if (forwarded) gain -= forward_cost(u, s);
   const double gain_delta = gain - user_gain_[u];
   return utility_ + gain_delta - lambda_delta;

@@ -21,10 +21,10 @@
 //     and applies only the accepted ones.
 //
 // All hot-path reads go through the shared CompiledProblem's flattened
-// contiguous caches: its signal table holds p_u * h_us^j in (user,
-// sub-channel, server) order (server-contiguous, so co-channel sweeps and
-// received-power updates are linear scans), and its downlink table holds
-// the constant per-slot result return times, eliminating the repeated
+// contiguous caches: its signal table holds p_u * h_us in (user, server)
+// order (server-contiguous, so co-channel sweeps and received-power
+// updates are linear scans), and its downlink table holds the constant
+// per-link result return times, eliminating the repeated
 // `scenario().gain()` indexing and `log2` re-derivations of the naive
 // path. Users whose interference did not
 // change are never recomputed: their cached `user_gain_` entry stands, and a
@@ -300,35 +300,30 @@ class IncrementalEvaluator {
     return !x_.slot_users()[slot].has_value() &&
            (blocked.empty() || blocked[slot] == 0);
   }
-  /// p_u * h_us^j from the problem's flattened signal table.
-  [[nodiscard]] double signal_at(std::size_t u, std::size_t j,
-                                 std::size_t s) const noexcept {
-    return problem_->signal(u, j, s);
-  }
-  /// Gamma-side gain of user `u` on slot (s, j) given the total received
-  /// power on that (sub-channel, server). Shared by refresh and preview so
-  /// both paths derive identical values from identical inputs.
-  [[nodiscard]] double gain_of(std::size_t u, std::size_t s, std::size_t j,
+  /// Gamma-side gain of user `u` on a slot of server `s` given the total
+  /// received power on that (sub-channel, server). Shared by refresh and
+  /// preview so both paths derive identical values from identical inputs.
+  [[nodiscard]] double gain_of(std::size_t u, std::size_t s,
                                double channel_power_total) const;
-  /// 1 + SINR of user `u` on slot (s, j): the argument of gain_of's log2.
-  /// O(1) via the received-power cache (Eq. 3): everything arriving at this
-  /// server on this sub-channel, minus the user's own signal, is
-  /// interference. Intra-cell users are orthogonal by (12d), so the only
-  /// same-channel co-users are in other cells — exactly Eq. 3's sum.
-  [[nodiscard]] double rate_arg(std::size_t u, std::size_t s, std::size_t j,
+  /// 1 + SINR of user `u` on a slot of server `s`: the argument of
+  /// gain_of's log2. O(1) via the received-power cache (Eq. 3): everything
+  /// arriving at this server on the slot's sub-channel, minus the user's
+  /// own signal, is interference. Intra-cell users are orthogonal by (12d),
+  /// so the only same-channel co-users are in other cells — exactly Eq. 3's
+  /// sum.
+  [[nodiscard]] double rate_arg(std::size_t u, std::size_t s,
                                 double channel_power_total) const {
-    const double signal = signal_at(u, j, s);
+    const double signal = problem_->signal(u, s);
     const double interference = std::max(channel_power_total - signal, 0.0);
     const double sinr = signal / (interference + noise_w_);
     return 1.0 + sinr;
   }
   /// The rest of gain_of, from its log2 term on.
   [[nodiscard]] double gain_from_log(std::size_t u, std::size_t s,
-                                     std::size_t j, double log_term) const {
+                                     double log_term) const {
     double gain = problem_->gain_const(u) - problem_->gamma_coef(u) / log_term;
     if (has_downlink_) {
-      gain -=
-          problem_->time_cost_scale(u) * problem_->downlink_time_s(u, s, j);
+      gain -= problem_->time_cost_scale(u) * problem_->downlink_time_s(u, s);
     }
     return gain;
   }
@@ -399,7 +394,7 @@ class IncrementalEvaluator {
   double cloud_cpu_hz_ = 0.0;
   // Received-power cache, flattened (sub-channel, server) row-major:
   // channel_power_[j * S + s] = sum over users k currently offloaded on
-  // sub-channel j of p_k * h_{k->s}^j. The SINR of the occupant u of (s, j)
+  // sub-channel j of p_k * h_{k->s}. The SINR of the occupant u of (s, j)
   // is then p_u h_us / (cache - own signal + noise). The sub-channel-major
   // layout makes every power update a contiguous AXPY against the problem's
   // signal table.

@@ -18,7 +18,7 @@ double RateEvaluator::interference_w(const Assignment& x, std::size_t s,
     if (r == s) continue;
     const auto occupant = x.occupant(r, j);
     if (!occupant.has_value() || *occupant == exclude) continue;
-    total += problem_->signal(*occupant, j, s);
+    total += problem_->signal(*occupant, s);
   }
   return total;
 }
@@ -28,7 +28,7 @@ double RateEvaluator::sinr(const Assignment& x, std::size_t u) const {
   TSAJS_REQUIRE(slot.has_value(), "sinr() requires an offloaded user");
   const std::size_t s = slot->server;
   const std::size_t j = slot->subchannel;
-  const double signal = problem_->signal(u, j, s);
+  const double signal = problem_->signal(u, s);
   const double denom =
       interference_w(x, s, j, /*exclude=*/u) + problem_->noise_w();
   return signal / denom;
@@ -47,7 +47,7 @@ LinkMetrics RateEvaluator::link(const Assignment& x, std::size_t u) const {
   }
   m.tx_energy_j = ue.tx_power_w * m.upload_s;
   const Slot slot = *x.slot_of(u);
-  m.download_s = downlink_time_s(u, slot.server, slot.subchannel);
+  m.download_s = downlink_time_s(u, slot.server);
   return m;
 }
 

@@ -49,11 +49,10 @@ class RateEvaluator {
   [[nodiscard]] LinkMetrics link(const Assignment& x, std::size_t u) const;
 
   /// Time to return task results over the downlink from server `s` to user
-  /// `u` on sub-channel `j` (precompiled into the problem's downlink table;
+  /// `u`, on any sub-channel (precompiled into the problem's downlink table;
   /// zero when the task declares no output).
-  [[nodiscard]] double downlink_time_s(std::size_t u, std::size_t s,
-                                       std::size_t j) const {
-    return problem_->downlink_time_s(u, s, j);
+  [[nodiscard]] double downlink_time_s(std::size_t u, std::size_t s) const {
+    return problem_->downlink_time_s(u, s);
   }
 
   [[nodiscard]] const CompiledProblem& problem() const noexcept {

@@ -51,16 +51,13 @@ double interference_at(const CompiledProblem& problem,
   double total = 0.0;
   const std::uint32_t begin = lists.start[j];
   const std::uint32_t end = lists.start[j + 1];
-  const std::size_t num_servers = problem.num_servers();
-  const std::size_t num_subchannels = problem.num_subchannels();
-  const double* table = problem.signal_table().data();
   for (std::uint32_t i = begin; i < end; ++i) {
     const std::uint32_t k = lists.user[i];
     // r == s is u's own slot (one occupant per slot, and u holds (s, j));
     // any other occupant k == u is impossible, so this is interference_w's
     // exclude check in full.
     if (lists.server[i] == s || k == u) continue;
-    total += table[(k * num_subchannels + j) * num_servers + s];
+    total += problem.signal(k, s);
   }
   return total;
 }
@@ -83,7 +80,7 @@ double UtilityEvaluator::system_utility(const Assignment& x) const {
     gain += problem_->gain_const(u);
     const double interference =
         interference_at(*problem_, lists, u, slot.server, slot.subchannel);
-    const double signal = problem_->signal(u, slot.subchannel, slot.server);
+    const double signal = problem_->signal(u, slot.server);
     const double sinr = signal / (interference + noise);
     const double log_term = std::log2(1.0 + sinr);
     // Gamma(X) = sum (phi_u + psi_u p_u) / log2(1 + gamma_us)  (Eq. 19),
@@ -91,7 +88,7 @@ double UtilityEvaluator::system_utility(const Assignment& x) const {
     gamma += problem_->gamma_coef(u) / log_term;
     if (problem_->has_downlink()) {
       gamma += problem_->time_cost_scale(u) *
-               problem_->downlink_time_s(u, slot.server, slot.subchannel);
+               problem_->downlink_time_s(u, slot.server);
     }
     if (x.is_forwarded(u)) {
       gamma += problem_->time_cost_scale(u) *

@@ -47,9 +47,20 @@ Scenario::Scenario(std::vector<UserEquipment> users,
   cloud_.validate(servers_.size());
   for (const auto& user : users_) user.validate();
   for (const auto& server : servers_) server.validate();
-  for (const double gain : gains_.data()) {
-    TSAJS_REQUIRE(gain > 0.0 && std::isfinite(gain),
-                  "channel gains must be positive and finite");
+  // Each gain is positive and finite, and one (user, server) link has the
+  // same gain on every sub-channel: the paper's channel has no frequency-
+  // selective term (DESIGN.md §1), and jtora::CompiledProblem reads each
+  // link from sub-channel 0. A link is a run of N gains in the tensor.
+  const std::vector<double>& tensor = gains_.data();
+  const std::size_t n = spectrum_.num_subchannels();
+  for (std::size_t link = 0; link < tensor.size(); link += n) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const double gain = tensor[link + j];
+      TSAJS_REQUIRE(gain > 0.0 && std::isfinite(gain),
+                    "channel gains must be positive and finite");
+      TSAJS_REQUIRE(gain == tensor[link],
+                    "a link's channel gain must not vary across sub-channels");
+    }
   }
 }
 

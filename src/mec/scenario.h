@@ -20,7 +20,8 @@ namespace tsajs::mec {
 
 class Scenario {
  public:
-  /// `gains` must be (users × servers × subchannels) with positive entries.
+  /// `gains` must be (users × servers × subchannels) with positive, finite
+  /// entries that do not vary across one link's sub-channels.
   /// `availability` masks faulted resources; the default (unconstrained)
   /// mask leaves every server and slot assignable. `cloud` describes the
   /// optional cloud tier behind the edge; the default is disabled (the
@@ -58,7 +59,7 @@ class Scenario {
   /// Background noise power sigma^2 [W] (per sub-band).
   [[nodiscard]] double noise_w() const noexcept { return noise_w_; }
 
-  /// Linear channel power gain h_us^j.
+  /// Linear channel power gain h_us^j (the same for every j).
   [[nodiscard]] double gain(std::size_t u, std::size_t s,
                             std::size_t j) const {
     return gains_(u, s, j);

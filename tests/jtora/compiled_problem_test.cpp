@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -14,6 +16,7 @@
 #include "jtora/partial.h"
 #include "jtora/rate.h"
 #include "jtora/utility.h"
+#include "mec/availability.h"
 #include "mec/scenario_builder.h"
 #include "mec/scenario_workspace.h"
 #include "support/solve.h"
@@ -234,6 +237,71 @@ TEST(CompiledProblemTest, SharedEvaluatorsMatchFreshOnesOnEmptyAssignment) {
   const CompiledProblem problem(scenario);
   const UtilityEvaluator evaluator(problem);
   EXPECT_EQ(evaluator.system_utility(x), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The flat (user, server) tables against the scenario, on every sub-channel.
+// ---------------------------------------------------------------------------
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(CompiledProblemTest, FlatTablesMatchTheScenarioOnEverySubchannel) {
+  // Random drops with a fault mask, a cloud tier and downlink outputs (on
+  // some users only) each drawn on or off. One table entry serves the whole
+  // link: it must equal the scenario's p_u * h_us^j, and the noise-limited
+  // downlink time, for every j.
+  Rng rng(2031);
+  std::size_t with_downlink = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t servers = 2 + rng.uniform_index(7);
+    const std::size_t subchannels = 1 + rng.uniform_index(4);
+    mec::ScenarioBuilder spec;
+    spec.num_users(4 + rng.uniform_index(21))
+        .num_servers(servers)
+        .num_subchannels(subchannels);
+    if (rng.bernoulli(0.5)) {
+      spec.cloud(/*cpu_hz=*/80e9, /*backhaul_bps=*/120e6,
+                 /*backhaul_latency_s=*/0.015, /*max_forwarded=*/0);
+    }
+    if (rng.bernoulli(0.5)) {
+      spec.customize_users([](std::size_t u, mec::UserEquipment& ue) {
+        const double output = u % 3 == 0 ? 0.0 : 50e3 * static_cast<double>(u);
+        ue.task = mec::Task(ue.task.input_bits, ue.task.cycles, output);
+      });
+    }
+    mec::Scenario scenario = spec.build(rng);
+    if (rng.bernoulli(0.5)) {
+      mec::Availability mask(servers, subchannels);
+      mask.block_slot(rng.uniform_index(servers),
+                      rng.uniform_index(subchannels));
+      mask.fail_server(rng.uniform_index(servers));
+      scenario = scenario.with_availability(mask);
+    }
+    const CompiledProblem problem(scenario);
+    if (problem.has_downlink()) ++with_downlink;
+    for (std::size_t u = 0; u < scenario.num_users(); ++u) {
+      const double output_bits = scenario.user(u).task.output_bits;
+      for (std::size_t s = 0; s < servers; ++s) {
+        for (std::size_t j = 0; j < subchannels; ++j) {
+          const double gain = scenario.gain(u, s, j);
+          EXPECT_EQ(bits(problem.signal(u, s)),
+                    bits(problem.tx_power_w(u) * gain))
+              << "trial " << trial << " link " << u << "," << s << " j " << j;
+          double downlink = 0.0;
+          if (output_bits > 0.0) {
+            const double snr =
+                scenario.server(s).tx_power_w * gain / scenario.noise_w();
+            downlink = output_bits / (scenario.subchannel_bandwidth_hz() *
+                                      std::log2(1.0 + snr));
+          }
+          EXPECT_EQ(bits(problem.downlink_time_s(u, s)), bits(downlink))
+              << "trial " << trial << " link " << u << "," << s << " j " << j;
+        }
+        EXPECT_EQ(problem.signal_row(u)[s], problem.signal(u, s));
+      }
+    }
+  }
+  EXPECT_GT(with_downlink, 10u);
 }
 
 // ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ TEST(DownlinkTest, ZeroOutputMeansZeroDownloadTime) {
   x.offload(0, 0, 0);
   const CompiledProblem problem(scenario);
   const RateEvaluator rates(problem);
-  EXPECT_EQ(rates.downlink_time_s(0, 0, 0), 0.0);
+  EXPECT_EQ(rates.downlink_time_s(0, 0), 0.0);
   EXPECT_EQ(rates.link(x, 0).download_s, 0.0);
 }
 
@@ -44,7 +44,7 @@ TEST(DownlinkTest, DownloadTimeMatchesFormula) {
                      scenario.gain(2, 1, 0) / scenario.noise_w();
   const double rate =
       scenario.subchannel_bandwidth_hz() * std::log2(1.0 + snr);
-  EXPECT_NEAR(rates.downlink_time_s(2, 1, 0),
+  EXPECT_NEAR(rates.downlink_time_s(2, 1),
               units::kilobytes_to_bits(100.0) / rate, 1e-12);
 }
 

@@ -3,8 +3,8 @@
 // (every row of preview_offload_subchannel without a floor, first strict
 // improvement on staying local) it must pick the same slot, with the same
 // utility bits and the same count of scored slots, on random scenarios,
-// on gains that differ across sub-channels, on exact ties between two
-// identical servers, and with a seed slot outside the candidate list.
+// on gains rescaled link by link, on exact ties between two identical
+// servers, and with a seed slot outside the candidate list.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,17 +73,19 @@ BestSlot expect_same_argmax(const IncrementalEvaluator& eval, std::size_t u,
   return exact;
 }
 
-/// Rebuilds `base` with every gain scaled by its own factor in
-/// [10^lo, 10^hi], so a user's best sub-channel differs from server to
-/// server (the paper's channel is flat in the sub-channel). A positive
-/// range makes offloading pay for most users.
-mec::Scenario with_subchannel_gains(const mec::Scenario& base, Rng& rng,
-                                    double lo = -2.0, double hi = 2.0) {
+/// Rebuilds `base` with each (user, server) link's gain scaled by its own
+/// factor in [10^lo, 10^hi], the same on every sub-channel of the link (the
+/// Scenario accepts no other channel), so a user's best server departs
+/// from the drop's geometry. A positive range makes offloading pay for
+/// most users.
+mec::Scenario with_link_gains(const mec::Scenario& base, Rng& rng,
+                              double lo = -2.0, double hi = 2.0) {
   Matrix3<double> gains = base.gains();
   for (std::size_t u = 0; u < base.num_users(); ++u) {
     for (std::size_t s = 0; s < base.num_servers(); ++s) {
+      const double factor = std::pow(10.0, rng.uniform(lo, hi));
       for (std::size_t j = 0; j < base.num_subchannels(); ++j) {
-        gains(u, s, j) *= std::pow(10.0, rng.uniform(lo, hi));
+        gains(u, s, j) *= factor;
       }
     }
   }
@@ -94,7 +96,7 @@ mec::Scenario with_subchannel_gains(const mec::Scenario& base, Rng& rng,
 
 /// 4-24 users on 2-8 servers with 1-4 sub-channels; the cloud tier (with
 /// and without an admission cap), downlink outputs, a fault mask and
-/// per-sub-channel gains are each drawn on or off.
+/// rescaled link gains are each drawn on or off.
 mec::Scenario random_scenario(Rng& rng) {
   const std::size_t users = 4 + rng.uniform_index(21);
   const std::size_t servers = 2 + rng.uniform_index(7);
@@ -114,7 +116,7 @@ mec::Scenario random_scenario(Rng& rng) {
     });
   }
   mec::Scenario scenario = builder.build(rng);
-  if (rng.bernoulli(0.5)) scenario = with_subchannel_gains(scenario, rng);
+  if (rng.bernoulli(0.5)) scenario = with_link_gains(scenario, rng);
   if (!rng.bernoulli(0.5)) return scenario;
   mec::Availability mask(servers, subchannels);
   mask.block_slot(rng.uniform_index(servers), rng.uniform_index(subchannels));
@@ -176,11 +178,11 @@ TEST(FixupArgmaxProperty, MatchesTheExactScanOnRandomScenarios) {
 TEST(FixupArgmaxProperty, MatchesTheExactScanFromEachUsersBestSlot) {
   // A converged sweep's users mostly sit on their best slot already, so
   // the seed is the floor that decides; here every user starts there, on
-  // gains that differ across sub-channels.
+  // rescaled link gains.
   Rng scenario_rng(88);
   std::size_t seeded = 0;
   for (int trial = 0; trial < 40; ++trial) {
-    const mec::Scenario scenario = with_subchannel_gains(
+    const mec::Scenario scenario = with_link_gains(
         mec::ScenarioBuilder()
             .num_users(12 + scenario_rng.uniform_index(13))
             .num_servers(3 + scenario_rng.uniform_index(6))
@@ -220,8 +222,8 @@ TEST(FixupArgmaxProperty, SeedOutsideTheCandidatesDoesNotRaiseTheFloor) {
   // candidate: the scan never meets that value, so it must not prune.
   Rng scenario_rng(404);
   std::size_t below_seed = 0;
-  for (int trial = 0; trial < 60; ++trial) {
-    const mec::Scenario scenario = with_subchannel_gains(
+  for (int trial = 0; trial < 120; ++trial) {
+    const mec::Scenario scenario = with_link_gains(
         mec::ScenarioBuilder()
             .num_users(10 + scenario_rng.uniform_index(10))
             .num_servers(3 + scenario_rng.uniform_index(5))
@@ -253,7 +255,8 @@ TEST(FixupArgmaxProperty, SeedOutsideTheCandidatesDoesNotRaiseTheFloor) {
 TEST(FixupArgmaxProperty, TiesGoToTheFirstSlotInScanOrder) {
   // Servers 0 and 1 are one base station listed twice: same position,
   // CPU and gains, both empty, so u prices exactly the same on either.
-  // Sub-channel 1 is u's best and nobody else uses it. u held (1, 1), the
+  // Sub-channel 1 is u's best: the users on sub-channels 0 and 2 interfere
+  // strongly at those servers, and nobody else uses it. u held (1, 1), the
   // seed, which the scan meets after (0, 1); the exact scan keeps (0, 1).
   Rng build_rng(17);
   const mec::Scenario base = mec::ScenarioBuilder()
@@ -271,13 +274,20 @@ TEST(FixupArgmaxProperty, TiesGoToTheFirstSlotInScanOrder) {
       gains(v, 1, j) = gains(v, 0, j);
     }
   }
-  gains(u, 0, 1) *= 1e5;
-  gains(u, 1, 1) *= 1e5;
-  // User 5, the tied row's occupant in the crowded case, and u barely
-  // hear each other there, so the move still beats staying local.
-  gains(5, 0, 1) *= 1e-3;
-  gains(5, 1, 1) *= 1e-3;
-  gains(u, 2, 1) *= 1e-3;
+  // Whole links are scaled, every sub-channel alike.
+  const auto scale_link = [&](std::size_t v, std::size_t s, double factor) {
+    for (std::size_t j = 0; j < base.num_subchannels(); ++j) {
+      gains(v, s, j) *= factor;
+    }
+  };
+  for (const std::size_t s : {std::size_t{0}, std::size_t{1}}) {
+    scale_link(u, s, 1e5);
+    for (const std::size_t v : {0u, 3u, 4u}) scale_link(v, s, 1e4);
+    // User 5, the tied row's occupant in the crowded case, and u barely
+    // hear each other there, so the move still beats staying local.
+    scale_link(5, s, 1e-3);
+  }
+  scale_link(u, 2, 1e-3);
   const mec::Scenario scenario(base.users(), servers, base.spectrum(),
                                base.noise_w(), std::move(gains));
   const CompiledProblem problem(scenario);

@@ -96,10 +96,8 @@ TEST(ShardedProblemTest, SignalTableSlicesBitwise) {
     if (shard.problem == nullptr) continue;
     for (std::size_t lu = 0; lu < shard.users.size(); ++lu) {
       for (std::size_t ls = 0; ls < shard.servers.size(); ++ls) {
-        for (std::size_t j = 0; j < scenario.num_subchannels(); ++j) {
-          EXPECT_EQ(shard.problem->signal(lu, j, ls),
-                    problem.signal(shard.users[lu], j, shard.servers[ls]));
-        }
+        EXPECT_EQ(shard.problem->signal(lu, ls),
+                  problem.signal(shard.users[lu], shard.servers[ls]));
       }
     }
   }
@@ -206,7 +204,7 @@ TEST(ShardedProblemTest, CrossShardInterferenceAccounting) {
       if (r == slot->server) continue;
       const auto occupant = merged.occupant(r, slot->subchannel);
       if (!occupant.has_value()) continue;
-      global += problem.signal(*occupant, slot->subchannel, slot->server);
+      global += problem.signal(*occupant, slot->server);
     }
     // In-shard part: interference the shard solve could see.
     double in_shard = 0.0;
@@ -216,8 +214,7 @@ TEST(ShardedProblemTest, CrossShardInterferenceAccounting) {
       const auto vslot = merged.slot_of(v);
       if (vslot->subchannel != slot->subchannel) continue;
       if (vslot->server == slot->server) continue;
-      const double signal =
-          problem.signal(v, slot->subchannel, slot->server);
+      const double signal = problem.signal(v, slot->server);
       if (sharded.shard_of_user(v) == k) {
         in_shard += signal;
       } else {

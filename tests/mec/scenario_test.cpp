@@ -8,6 +8,7 @@
 
 #include "common/error.h"
 #include "mec/scenario_builder.h"
+#include "mec/scenario_workspace.h"
 #include "radio/channel.h"
 
 namespace tsajs::mec {
@@ -172,6 +173,27 @@ TEST(ScenarioTest, RejectsNonPositiveGains) {
   EXPECT_THROW(Scenario(good.users(), good.servers(), good.spectrum(),
                         good.noise_w(), zeros),
                InvalidArgumentError);
+}
+
+TEST(ScenarioTest, RejectsGainsThatVaryAcrossSubchannels) {
+  // The paper's channel is flat in the sub-channel, and the compiled
+  // problem reads each link from sub-channel 0, so one link whose gain
+  // differs in its last sub-channel, by one ulp, is refused: by the
+  // constructor and by a workspace commit, which goes through it.
+  Rng rng(8);
+  const Scenario good =
+      ScenarioBuilder().num_users(3).num_subchannels(3).build(rng);
+  Matrix3<double> varying = good.gains();
+  varying(1, 2, 2) = std::nextafter(varying(1, 2, 2), 1.0);
+  EXPECT_THROW(Scenario(good.users(), good.servers(), good.spectrum(),
+                        good.noise_w(), varying),
+               InvalidArgumentError);
+
+  ScenarioWorkspace ws(good.servers(), good.spectrum(), good.noise_w());
+  ws.begin_epoch();
+  ws.users() = good.users();
+  ws.gains() = varying;
+  EXPECT_THROW((void)ws.commit(), InvalidArgumentError);
 }
 
 TEST(PowerControlTest, AlphaZeroGivesUniformPower) {
