@@ -1,7 +1,6 @@
 #include "jtora/compiled_problem.h"
 
 #include <cmath>
-#include <limits>
 
 #include "common/error.h"
 #include "jtora/cra.h"
@@ -51,10 +50,8 @@ void CompiledProblem::compile(const mec::Scenario& scenario) {
   // input_bits > 0, so they can never falsely match and always recompute.
   user_keys_.resize(num_users_);
 
-  has_downlink_ = false;
   for (std::size_t u = 0; u < num_users_; ++u) {
     const mec::UserEquipment& ue = scenario.user(u);
-    if (ue.task.output_bits > 0.0) has_downlink_ = true;
     const UserKey key = key_of(ue);
     if (user_keys_[u] == key) continue;  // constants survive unchanged users
     user_keys_[u] = key;
@@ -101,11 +98,11 @@ void CompiledProblem::compile_availability(const mec::Scenario& scenario) {
 }
 
 void CompiledProblem::compile_tables(const mec::Scenario& scenario) {
-  // Flattened per-(user, server) caches: the received signal power p_u * h_us
-  // behind every SINR read, and the constant downlink return times. Server-
-  // contiguous so co-channel sweeps are linear scans. The scenario's gain
-  // tensor is (user, server, sub-channel) row-major, and its constructor
-  // rejects a link whose gain varies in j, so sub-channel 0 holds h_us.
+  // Flattened per-(user, server) cache of the received signal power
+  // p_u * h_us behind every SINR read. Server-contiguous so co-channel sweeps
+  // are linear scans. The scenario's gain tensor is (user, server,
+  // sub-channel) row-major, and its constructor rejects a link whose gain
+  // varies in j, so sub-channel 0 holds h_us.
   const double* gains = scenario.gains().data().data();
   signal_.resize(num_users_ * num_servers_);
   for (std::size_t u = 0; u < num_users_; ++u) {
@@ -114,30 +111,6 @@ void CompiledProblem::compile_tables(const mec::Scenario& scenario) {
     double* row = signal_.data() + u * num_servers_;
     for (std::size_t s = 0; s < num_servers_; ++s) {
       row[s] = p * user_gains[s * num_subchannels_];
-    }
-  }
-  if (!has_downlink_) {
-    downlink_.clear();
-    return;
-  }
-  downlink_.resize(num_users_ * num_servers_);
-  for (std::size_t u = 0; u < num_users_; ++u) {
-    const mec::UserEquipment& ue = scenario.user(u);
-    const double* user_gains = gains + u * num_servers_ * num_subchannels_;
-    double* row = downlink_.data() + u * num_servers_;
-    for (std::size_t s = 0; s < num_servers_; ++s) {
-      if (ue.task.output_bits <= 0.0) {
-        row[s] = 0.0;
-        continue;
-      }
-      // Noise-limited downlink (coordinated base stations, Sec. I):
-      // output_bits / (W log2(1 + p_s h / sigma^2)).
-      const double snr = scenario.servers()[s].tx_power_w *
-                         user_gains[s * num_subchannels_] / scenario.noise_w();
-      const double rate =
-          scenario.subchannel_bandwidth_hz() * std::log2(1.0 + snr);
-      row[s] = rate <= 0.0 ? std::numeric_limits<double>::infinity()
-                           : ue.task.output_bits / rate;
     }
   }
 }
@@ -159,7 +132,7 @@ void CompiledProblem::compile_cloud(const mec::Scenario& scenario) {
     backhaul_ok_[s] = scenario.backhaul_available(s) ? 1 : 0;
   }
   // Forwarding delay is channel-independent: a (user, server) table, like
-  // signal/downlink.
+  // signal.
   forward_time_.resize(num_users_ * num_servers_);
   for (std::size_t u = 0; u < num_users_; ++u) {
     const double input_bits = scenario.user(u).task.input_bits;
@@ -175,15 +148,14 @@ bool CompiledProblem::bitwise_equal(const CompiledProblem& other) const {
          num_servers_ == other.num_servers_ &&
          num_subchannels_ == other.num_subchannels_ &&
          noise_w_ == other.noise_w_ && bandwidth_hz_ == other.bandwidth_hz_ &&
-         has_downlink_ == other.has_downlink_ && phi_ == other.phi_ &&
-         psi_ == other.psi_ && gain_const_ == other.gain_const_ &&
+         phi_ == other.phi_ && psi_ == other.psi_ &&
+         gain_const_ == other.gain_const_ &&
          gamma_coef_ == other.gamma_coef_ &&
          time_cost_scale_ == other.time_cost_scale_ && eta_ == other.eta_ &&
          sqrt_eta_ == other.sqrt_eta_ && local_time_ == other.local_time_ &&
          local_energy_ == other.local_energy_ &&
          tx_power_ == other.tx_power_ && server_cpu_ == other.server_cpu_ &&
-         signal_ == other.signal_ && downlink_ == other.downlink_ &&
-         all_available_ == other.all_available_ &&
+         signal_ == other.signal_ && all_available_ == other.all_available_ &&
          num_available_slots_ == other.num_available_slots_ &&
          server_up_ == other.server_up_ && slot_ok_ == other.slot_ok_ &&
          has_cloud_ == other.has_cloud_ &&

@@ -11,8 +11,8 @@
 // Historically each evaluator derived its own copies (UtilityEvaluator kept
 // them private, IncrementalEvaluator re-derived them, RateEvaluator
 // re-indexed scenario().gain() on every call). CompiledProblem is the single
-// compiled representation they all share: flat SoA arrays, server-contiguous
-// signal/downlink tables, built once per scenario and reused across
+// compiled representation they all share: flat SoA arrays, a
+// server-contiguous signal table, built once per scenario and reused across
 // evaluators, multi-start restarts, schemes, and dynamic epochs.
 //
 // The compiled values are produced by the exact expressions (same operand
@@ -67,8 +67,6 @@ class CompiledProblem {
   [[nodiscard]] double subchannel_bandwidth_hz() const noexcept {
     return bandwidth_hz_;
   }
-  /// True when any task declares output bits (downlink extension active).
-  [[nodiscard]] bool has_downlink() const noexcept { return has_downlink_; }
 
   // --- resource availability (compiled fault masks) -----------------------
   /// True when no server or slot is masked (the healthy common case).
@@ -118,7 +116,8 @@ class CompiledProblem {
   [[nodiscard]] double gamma_coef(std::size_t u) const noexcept {
     return gamma_coef_[u];
   }
-  /// lambda_u * beta_t / t_local: weight of extra delay seconds (downlink).
+  /// lambda_u * beta_t / t_local: weight of extra delay seconds (cloud
+  /// forwarding).
   [[nodiscard]] double time_cost_scale(std::size_t u) const noexcept {
     return time_cost_scale_[u];
   }
@@ -142,9 +141,9 @@ class CompiledProblem {
     return server_cpu_[s];
   }
 
-  // --- flat (user, server) tables ----------------------------------------
+  // --- flat (user, server) table -----------------------------------------
   // The paper's channel is flat in the sub-channel (mec::Scenario rejects a
-  // gain tensor that is not), so h_us^j = h_us and neither table has a
+  // gain tensor that is not), so h_us^j = h_us and the table has no
   // sub-channel axis: one entry serves every sub-channel of the link.
   /// Received signal power p_u * h_us.
   [[nodiscard]] double signal(std::size_t u, std::size_t s) const noexcept {
@@ -153,13 +152,6 @@ class CompiledProblem {
   /// Server-contiguous row of `signal` for user u; length num_servers().
   [[nodiscard]] const double* signal_row(std::size_t u) const noexcept {
     return signal_.data() + u * num_servers_;
-  }
-  /// Result return time from server `s` to user `u` (0 when the task
-  /// declares no output; see RateEvaluator docs).
-  [[nodiscard]] double downlink_time_s(std::size_t u,
-                                       std::size_t s) const noexcept {
-    if (!has_downlink_) return 0.0;
-    return downlink_[u * num_servers_ + s];
   }
 
   /// Bitwise comparison of every compiled array and dimension against
@@ -194,7 +186,6 @@ class CompiledProblem {
   std::size_t num_subchannels_ = 0;
   double noise_w_ = 0.0;
   double bandwidth_hz_ = 0.0;
-  bool has_downlink_ = false;
 
   std::vector<double> phi_;
   std::vector<double> psi_;
@@ -208,7 +199,6 @@ class CompiledProblem {
   std::vector<double> tx_power_;
   std::vector<double> server_cpu_;
   std::vector<double> signal_;
-  std::vector<double> downlink_;
   std::vector<UserKey> user_keys_;
 
   bool all_available_ = true;

@@ -40,7 +40,6 @@ IncrementalEvaluator::IncrementalEvaluator(const CompiledProblem& problem,
       num_servers_(problem.num_servers()),
       num_subchannels_(problem.num_subchannels()),
       noise_w_(problem.noise_w()),
-      has_downlink_(problem.has_downlink()),
       cloud_cpu_hz_(problem.cloud_cpu_hz()) {
   rebuild();
 }
@@ -105,7 +104,7 @@ void IncrementalEvaluator::add_channel_power(std::size_t u, std::size_t j,
 
 double IncrementalEvaluator::gain_of(std::size_t u, std::size_t s,
                                      double channel_power_total) const {
-  return gain_from_log(u, s, std::log2(rate_arg(u, s, channel_power_total)));
+  return gain_from_log(u, std::log2(rate_arg(u, s, channel_power_total)));
 }
 
 void IncrementalEvaluator::refresh_user_cost(std::size_t u) {
@@ -381,8 +380,7 @@ double IncrementalEvaluator::preview_changes(const SlotChange* changes,
       const SlotChange& change = changes[c];
       double term = -user_gain_[change.user];
       if (change.to.has_value()) {
-        term += gain_from_log(change.user, change.to->server,
-                              log2_of(arg[c]));
+        term += gain_from_log(change.user, log2_of(arg[c]));
       }
       sum += term;
       magnitude += std::fabs(term);
@@ -558,7 +556,7 @@ void IncrementalEvaluator::preview_offload_subchannel(
     const std::size_t i = open[k];
     const std::size_t s = candidates[i];
     const double lambda_delta = join_lambda_delta(s, sqrt_eta_u);
-    const double term = gain_from_log(u, s, mover[k]) - user_gain_[u];
+    const double term = gain_from_log(u, mover[k]) - user_gain_[u];
     if (floored) {
       const double margin =
           occupied ? kBoundMargin * (1.0 + std::fabs(utility_) +
@@ -611,10 +609,10 @@ IncrementalEvaluator::BestSlot IncrementalEvaluator::best_offload(
   }
   // Per server, an interference-free ceiling on u's term: gain_of at zero
   // interference, which every sub-channel of the server shares (one signal
-  // and one downlink time per link). gain_of falls as interference grows,
-  // step by step in floating point too, so none of its slots prices above
-  // it, and a server whose ceiling cannot reach the floor is dropped for
-  // every row. Its free, available slots still count as scored.
+  // per link). gain_of falls as interference grows, step by step in
+  // floating point too, so none of its slots prices above it, and a server
+  // whose ceiling cannot reach the floor is dropped for every row. Its
+  // free, available slots still count as scored.
   thread_local std::vector<std::size_t> live;
   live.clear();
   const double occupant_cost = gain_const_total_ - gain_minus_gamma_;
@@ -627,7 +625,7 @@ IncrementalEvaluator::BestSlot IncrementalEvaluator::best_offload(
     const double arg = rate_arg(u, s, problem_->signal(u, s));
     const double lambda_delta = join_lambda_delta(s, sqrt_eta_u);
     const auto ceiling_misses = [&](double log_term) {
-      const double ceiling = gain_from_log(u, s, log_term);
+      const double ceiling = gain_from_log(u, log_term);
       const double margin =
           kBoundMargin * (1.0 + std::fabs(utility_) + std::fabs(ceiling) +
                           std::fabs(lambda_delta) + occupant_cost);

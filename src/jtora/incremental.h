@@ -23,12 +23,10 @@
 // All hot-path reads go through the shared CompiledProblem's flattened
 // contiguous caches: its signal table holds p_u * h_us in (user, server)
 // order (server-contiguous, so co-channel sweeps and received-power
-// updates are linear scans), and its downlink table holds the constant
-// per-link result return times, eliminating the repeated
-// `scenario().gain()` indexing and `log2` re-derivations of the naive
-// path. Users whose interference did not
-// change are never recomputed: their cached `user_gain_` entry stands, and a
-// preview skips any server whose received-power delta is exactly zero.
+// updates are linear scans), eliminating the repeated `scenario().gain()`
+// indexing of the naive path. Users whose interference did not change are
+// never recomputed: their cached `user_gain_` entry stands, and a preview
+// skips any server whose received-power delta is exactly zero.
 //
 // Rejection floor: at the annealer's warm temperatures nearly every worse
 // proposal is rejected whatever its uniform draw, so the slot previews take
@@ -83,8 +81,8 @@ class IncrementalEvaluator {
  public:
   /// Binds to a shared compiled problem (non-owning; `problem` must outlive
   /// this evaluator) and adopts `initial` as the current decision. All
-  /// constants and the signal/downlink tables come from `problem` — nothing
-  /// is re-derived here.
+  /// constants and the signal table come from `problem` — nothing is
+  /// re-derived here.
   IncrementalEvaluator(const CompiledProblem& problem,
                        const Assignment& initial);
 
@@ -319,13 +317,8 @@ class IncrementalEvaluator {
     return 1.0 + sinr;
   }
   /// The rest of gain_of, from its log2 term on.
-  [[nodiscard]] double gain_from_log(std::size_t u, std::size_t s,
-                                     double log_term) const {
-    double gain = problem_->gain_const(u) - problem_->gamma_coef(u) / log_term;
-    if (has_downlink_) {
-      gain -= problem_->time_cost_scale(u) * problem_->downlink_time_s(u, s);
-    }
-    return gain;
+  [[nodiscard]] double gain_from_log(std::size_t u, double log_term) const {
+    return problem_->gain_const(u) - problem_->gamma_coef(u) / log_term;
   }
 
   /// Recomputes the cached cost of one offloaded user (Gamma contribution)
@@ -367,7 +360,6 @@ class IncrementalEvaluator {
   std::size_t num_servers_ = 0;
   std::size_t num_subchannels_ = 0;
   double noise_w_ = 0.0;
-  bool has_downlink_ = false;
 
   // Cached per-user Gamma-side cost: lambda_u*(bt+be) - (phi+psi p)/log2(..)
   // i.e. the user's net gain term; zero when local.

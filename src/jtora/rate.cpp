@@ -46,8 +46,6 @@ LinkMetrics RateEvaluator::link(const Assignment& x, std::size_t u) const {
     m.upload_s = std::numeric_limits<double>::infinity();
   }
   m.tx_energy_j = ue.tx_power_w * m.upload_s;
-  const Slot slot = *x.slot_of(u);
-  m.download_s = downlink_time_s(u, slot.server);
   return m;
 }
 

@@ -11,9 +11,8 @@
 // Since every user transmits on exactly one sub-channel, the "aggregate SINR
 // across sub-bands" of Eq. 4 reduces to the single active sub-band's SINR.
 //
-// All signal powers and downlink return times come from the shared
-// CompiledProblem tables — nothing is re-derived from scenario().gain() at
-// query time.
+// All signal powers come from the shared CompiledProblem table — nothing is
+// re-derived from scenario().gain() at query time.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +29,6 @@ struct LinkMetrics {
   double rate_bps = 0.0;    ///< R_us = W log2(1 + gamma_us).
   double upload_s = 0.0;    ///< t_upload^u = d_u / R_us.
   double tx_energy_j = 0.0; ///< E_u = p_u * t_upload^u.
-  double download_s = 0.0;  ///< result return time; 0 unless the task sets
-                            ///< output_bits (downlink extension).
 };
 
 class RateEvaluator {
@@ -47,13 +44,6 @@ class RateEvaluator {
 
   /// Full link metrics for user `u` (requires `u` offloaded in `x`).
   [[nodiscard]] LinkMetrics link(const Assignment& x, std::size_t u) const;
-
-  /// Time to return task results over the downlink from server `s` to user
-  /// `u`, on any sub-channel (precompiled into the problem's downlink table;
-  /// zero when the task declares no output).
-  [[nodiscard]] double downlink_time_s(std::size_t u, std::size_t s) const {
-    return problem_->downlink_time_s(u, s);
-  }
 
   [[nodiscard]] const CompiledProblem& problem() const noexcept {
     return *problem_;

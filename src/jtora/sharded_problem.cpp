@@ -90,8 +90,7 @@ bool ShardedProblem::layout_reusable(
     for (std::size_t i = 0; i < shard.servers.size(); ++i) {
       const mec::EdgeServer& held = ws.servers()[i];
       const mec::EdgeServer& live = scenario.server(shard.servers[i]);
-      if (held.cpu_hz != live.cpu_hz || held.tx_power_w != live.tx_power_w ||
-          held.position.x != live.position.x ||
+      if (held.cpu_hz != live.cpu_hz || held.position.x != live.position.x ||
           held.position.y != live.position.y) {
         return false;
       }

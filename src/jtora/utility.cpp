@@ -84,12 +84,8 @@ double UtilityEvaluator::system_utility(const Assignment& x) const {
     const double sinr = signal / (interference + noise);
     const double log_term = std::log2(1.0 + sinr);
     // Gamma(X) = sum (phi_u + psi_u p_u) / log2(1 + gamma_us)  (Eq. 19),
-    // plus the downlink and cloud-forwarding delay terms of the extensions.
+    // plus the cloud-forwarding delay term of the extension.
     gamma += problem_->gamma_coef(u) / log_term;
-    if (problem_->has_downlink()) {
-      gamma += problem_->time_cost_scale(u) *
-               problem_->downlink_time_s(u, slot.server);
-    }
     if (x.is_forwarded(u)) {
       gamma += problem_->time_cost_scale(u) *
                problem_->forward_time_s(u, slot.server);
@@ -108,8 +104,7 @@ double UtilityEvaluator::user_utility(std::size_t u, const LinkMetrics& link,
   const mec::UserEquipment& ue = problem_->scenario().user(u);
   const double local_time = problem_->local_time_s(u);
   const double local_energy = problem_->local_energy_j(u);
-  const double t_u = link.upload_s + link.download_s +
-                     ue.task.cycles / cpu_hz + extra_delay_s;
+  const double t_u = link.upload_s + ue.task.cycles / cpu_hz + extra_delay_s;
   const double e_u = link.tx_energy_j;
   // Eq. 10 with sum_s x_us = 1.
   return ue.beta_time * (local_time - t_u) / local_time +
@@ -141,8 +136,7 @@ Evaluation UtilityEvaluator::evaluate(const Assignment& x) const {
       const Slot slot = *x.slot_of(u);
       outcome.forward_s = problem_->forward_time_s(u, slot.server);
     }
-    outcome.total_delay_s = outcome.link.upload_s + outcome.link.download_s +
-                            outcome.exec_s;
+    outcome.total_delay_s = outcome.link.upload_s + outcome.exec_s;
     if (outcome.forwarded) outcome.total_delay_s += outcome.forward_s;
     outcome.energy_j = outcome.link.tx_energy_j;
     outcome.utility = user_utility(u, outcome.link, cpu, outcome.forward_s);
@@ -150,7 +144,6 @@ Evaluation UtilityEvaluator::evaluate(const Assignment& x) const {
     eval.gain_term += problem_->gain_const(u);
     const double log_term = std::log2(1.0 + outcome.link.sinr);
     eval.gamma_cost += problem_->gamma_coef(u) / log_term;
-    eval.gamma_cost += problem_->time_cost_scale(u) * outcome.link.download_s;
     if (outcome.forwarded) {
       eval.gamma_cost += problem_->time_cost_scale(u) * outcome.forward_s;
     }

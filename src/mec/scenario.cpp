@@ -9,7 +9,6 @@ namespace tsajs::mec {
 void UserEquipment::validate() const {
   TSAJS_REQUIRE(task.input_bits > 0.0, "task input size must be positive");
   TSAJS_REQUIRE(task.cycles > 0.0, "task cycle count must be positive");
-  TSAJS_REQUIRE(task.output_bits >= 0.0, "task output size must be >= 0");
   TSAJS_REQUIRE(local_cpu_hz > 0.0, "local CPU speed must be positive");
   TSAJS_REQUIRE(tx_power_w > 0.0, "transmit power must be positive");
   TSAJS_REQUIRE(kappa > 0.0, "energy coefficient must be positive");

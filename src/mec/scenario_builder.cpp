@@ -1,5 +1,4 @@
 #include "mec/scenario_builder.h"
-#include <algorithm>
 
 #include "common/error.h"
 #include "common/units.h"
@@ -35,16 +34,6 @@ ScenarioBuilder& ScenarioBuilder::num_servers(std::size_t n) {
 ScenarioBuilder& ScenarioBuilder::num_subchannels(std::size_t n) {
   TSAJS_REQUIRE(n >= 1, "need at least one sub-channel");
   num_subchannels_ = n;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::fractional_power_control(double p0_dbm,
-                                                           double alpha,
-                                                           double pmax_dbm) {
-  TSAJS_REQUIRE(alpha >= 0.0 && alpha <= 1.0, "alpha must lie in [0,1]");
-  TSAJS_REQUIRE(pmax_dbm >= p0_dbm,
-                "p_max must be at least the baseline power p0");
-  power_control_ = PowerControl{p0_dbm, alpha, pmax_dbm};
   return *this;
 }
 
@@ -118,24 +107,6 @@ Scenario ScenarioBuilder::build(Rng& rng) const {
   }
 
   const radio::ChannelModel channel = radio::make_paper_channel();
-
-  if (power_control_.has_value()) {
-    // Fractional power control against the *mean* path loss of the
-    // strongest base station (shadowing is not known at power-setting time).
-    for (auto& ue : users) {
-      double best_gain = 0.0;
-      for (const auto& server : servers) {
-        best_gain = std::max(best_gain,
-                             channel.mean_gain(ue.position, server.position));
-      }
-      const double pathloss_db = -units::linear_to_db(best_gain);
-      const double p_dbm =
-          std::min(power_control_->pmax_dbm,
-                   power_control_->p0_dbm + power_control_->alpha *
-                                                pathloss_db);
-      ue.tx_power_w = units::dbm_to_watts(p_dbm);
-    }
-  }
 
   std::vector<geo::Point> user_positions(num_users_);
   std::vector<geo::Point> bs_positions(num_servers_);

@@ -36,15 +36,6 @@ class ScenarioBuilder {
   ScenarioBuilder& num_servers(std::size_t n);
   ScenarioBuilder& num_subchannels(std::size_t n);
 
-  // --- radio --------------------------------------------------------------
-  /// Extension: 3GPP-style fractional uplink power control instead of the
-  /// paper's fixed transmit power. Each user transmits at
-  ///   p_u [dBm] = min(p_max, p0 + alpha * PL(d_to_strongest_BS) [dB]),
-  /// so cell-edge users raise their power (up to p_max) and cell-center
-  /// users save energy. alpha in [0,1]; alpha = 0 degenerates to fixed p0.
-  ScenarioBuilder& fractional_power_control(double p0_dbm, double alpha,
-                                            double pmax_dbm);
-
   // --- compute ------------------------------------------------------------
   ScenarioBuilder& server_cpu_hz(double f);
 
@@ -100,13 +91,6 @@ class ScenarioBuilder {
     std::size_t max_forwarded;
   };
   std::optional<CloudSpec> cloud_;
-
-  struct PowerControl {
-    double p0_dbm;
-    double alpha;
-    double pmax_dbm;
-  };
-  std::optional<PowerControl> power_control_;
 };
 
 }  // namespace tsajs::mec

@@ -10,15 +10,11 @@ namespace tsajs::mec {
 struct EdgeServer {
   /// Total computation rate f_s [cycles/s] shared by the users it serves.
   double cpu_hz = 20e9;
-  /// Downlink transmit power [W] (default 40 dBm). Only used when a task
-  /// declares output_bits > 0 — the paper's model ignores the downlink.
-  double tx_power_w = 10.0;
   /// Base-station position [m].
   geo::Point position;
 
   void validate() const {
     TSAJS_REQUIRE(cpu_hz > 0.0, "server CPU capacity must be positive");
-    TSAJS_REQUIRE(tx_power_w > 0.0, "BS transmit power must be positive");
   }
 };
 

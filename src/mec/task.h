@@ -5,26 +5,20 @@
 
 namespace tsajs::mec {
 
-/// An atomic (non-divisible) computation task T_u = <d_u, w_u>.
-///
-/// `output_bits` extends the paper's pair: Sec. III-A-2 ignores downlink
-/// delay "due to the small amount of output data", but notes the algorithm
-/// adapts when the output size and downlink rate matter. Setting
-/// output_bits > 0 activates that path (see jtora::RateEvaluator).
+/// An atomic (non-divisible) computation task T_u = <d_u, w_u>. There is no
+/// output size: Sec. III-A-2 ignores the downlink "due to the small amount
+/// of output data".
 struct Task {
   /// Input data that must be uploaded to offload the task [bits] (d_u).
   double input_bits = 0.0;
   /// Computational load [CPU cycles] (w_u).
   double cycles = 0.0;
-  /// Result data returned over the downlink [bits]; 0 = paper's default.
-  double output_bits = 0.0;
 
   Task() = default;
-  Task(double input_bits_, double cycles_, double output_bits_ = 0.0)
-      : input_bits(input_bits_), cycles(cycles_), output_bits(output_bits_) {
+  Task(double input_bits_, double cycles_)
+      : input_bits(input_bits_), cycles(cycles_) {
     TSAJS_REQUIRE(input_bits_ > 0.0, "task input size must be positive");
     TSAJS_REQUIRE(cycles_ > 0.0, "task cycle count must be positive");
-    TSAJS_REQUIRE(output_bits_ >= 0.0, "task output size must be >= 0");
   }
 
   friend bool operator==(const Task&, const Task&) = default;

@@ -71,10 +71,6 @@ void ChannelModel::regenerate_into(
   }
 }
 
-double ChannelModel::mean_gain(geo::Point user, geo::Point bs) const {
-  return units::db_to_linear(-paper_pathloss_db(geo::distance(user, bs)));
-}
-
 ChannelModel make_paper_channel() { return ChannelModel{}; }
 
 }  // namespace tsajs::radio

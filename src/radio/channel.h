@@ -113,10 +113,6 @@ class ChannelModel {
                        Matrix3<double>& out, PathLossCache* cache = nullptr,
                        const std::vector<std::size_t>* user_ids =
                            nullptr) const;
-
-  /// Deterministic mean gain of a single link (no shadowing); fractional
-  /// power control (mec::ScenarioBuilder) sets transmit power from it.
-  [[nodiscard]] double mean_gain(geo::Point user, geo::Point bs) const;
 };
 
 /// The paper's channel (140.7 + 36.7 log10 d[km], 8 dB shadowing).

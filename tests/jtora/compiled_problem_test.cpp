@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -13,7 +12,6 @@
 #include "jtora/assignment.h"
 #include "jtora/cra.h"
 #include "jtora/incremental.h"
-#include "jtora/partial.h"
 #include "jtora/rate.h"
 #include "jtora/utility.h"
 #include "mec/availability.h"
@@ -32,20 +30,6 @@ mec::Scenario plain_scenario(std::uint64_t seed, std::size_t users = 12,
       .num_users(users)
       .num_servers(servers)
       .num_subchannels(subchannels)
-      .build(rng);
-}
-
-mec::Scenario downlink_scenario(std::uint64_t seed) {
-  Rng rng(seed);
-  return mec::ScenarioBuilder()
-      .num_users(10)
-      .num_servers(3)
-      .num_subchannels(2)
-      .customize_users([](std::size_t u, mec::UserEquipment& ue) {
-        if (u % 2 == 0) {
-          ue.task = mec::Task(ue.task.input_bits, ue.task.cycles, 200e3);
-        }
-      })
       .build(rng);
 }
 
@@ -82,42 +66,6 @@ TEST(CompiledProblemGoldenTest, PlainScenarioBitIdenticalToPreRefactor) {
   EXPECT_EQ(eval.users[3].total_delay_s, 0x1.5734e8299ee73p+7);
   EXPECT_EQ(eval.users[3].energy_j, 0x1.b70c6cc089dc3p+0);
   EXPECT_EQ(eval.users[3].utility, -0x1.53e486bb8584cp+6);
-
-  const PartialOffloadEvaluator partial(problem);
-  EXPECT_EQ(partial.evaluate(x).system_utility, 0x1.a30415332ca49p-3);
-}
-
-TEST(CompiledProblemGoldenTest, DownlinkScenarioBitIdenticalToPreRefactor) {
-  const mec::Scenario scenario = downlink_scenario(616);
-  Rng rng(77);
-  const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.6);
-
-  const CompiledProblem problem(scenario);
-  const UtilityEvaluator evaluator(problem);
-  // The fast path and the per-user path accumulate in different orders, so
-  // their last bits legitimately differ; both are pinned separately.
-  EXPECT_EQ(evaluator.system_utility(x), -0x1.50cb274270b54p+16);
-
-  const Evaluation eval = evaluator.evaluate(x);
-  EXPECT_EQ(eval.system_utility, -0x1.50cb274270b52p+16);
-  EXPECT_EQ(eval.gamma_cost, 0x1.50d0da75a3e87p+16);
-  EXPECT_EQ(eval.lambda_cost, 0x1.3333333333334p-2);
-
-  EXPECT_EQ(eval.users[0].total_delay_s, 0x1.e4a623c8d7044p+13);
-  EXPECT_EQ(eval.users[0].energy_j, 0x1.36279f83450c5p+7);
-  EXPECT_EQ(eval.users[0].utility, -0x1.e58e437ba66ebp+12);
-  EXPECT_EQ(eval.users[1].total_delay_s, 0x1p+0);
-  EXPECT_EQ(eval.users[1].energy_j, 0x1.4p+2);
-  EXPECT_EQ(eval.users[1].utility, 0x0p+0);
-  EXPECT_EQ(eval.users[2].total_delay_s, 0x1.3b10cf354f584p+14);
-  EXPECT_EQ(eval.users[2].energy_j, 0x1.9346f1300b1d1p+7);
-  EXPECT_EQ(eval.users[2].utility, -0x1.3baa1ec8fc298p+13);
-  EXPECT_EQ(eval.users[3].total_delay_s, 0x1p+0);
-  EXPECT_EQ(eval.users[3].energy_j, 0x1.4p+2);
-  EXPECT_EQ(eval.users[3].utility, 0x0p+0);
-
-  const PartialOffloadEvaluator partial(problem);
-  EXPECT_EQ(partial.evaluate(x).system_utility, 0x1.098c7b361c456p-3);
 }
 
 TEST(CompiledProblemGoldenTest, TsajsSolveBitIdenticalToPreRefactor) {
@@ -189,7 +137,6 @@ void expect_shared_matches_fresh(const mec::Scenario& scenario,
     EXPECT_EQ(a.rate_bps, b.rate_bps);
     EXPECT_EQ(a.upload_s, b.upload_s);
     EXPECT_EQ(a.tx_energy_j, b.tx_energy_j);
-    EXPECT_EQ(a.download_s, b.download_s);
   }
 
   const CraSolver shared_cra(problem);
@@ -205,26 +152,12 @@ void expect_shared_matches_fresh(const mec::Scenario& scenario,
   const IncrementalEvaluator shared_inc(problem, x);
   const IncrementalEvaluator fresh_inc(fresh, x);
   EXPECT_EQ(shared_inc.utility(), fresh_inc.utility());
-
-  const PartialOffloadEvaluator shared_partial(problem);
-  const PartialOffloadEvaluator fresh_partial(fresh);
-  EXPECT_EQ(shared_partial.evaluate(x).system_utility,
-            fresh_partial.evaluate(x).system_utility);
 }
 
 TEST(CompiledProblemTest, SharedEvaluatorsMatchFreshOnesBitwise) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     const mec::Scenario scenario = plain_scenario(seed, 9, 3, 2);
     Rng rng(seed + 1000);
-    const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.7);
-    expect_shared_matches_fresh(scenario, x);
-  }
-}
-
-TEST(CompiledProblemTest, SharedEvaluatorsMatchFreshOnesWithDownlink) {
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    const mec::Scenario scenario = downlink_scenario(seed);
-    Rng rng(seed + 2000);
     const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.7);
     expect_shared_matches_fresh(scenario, x);
   }
@@ -240,18 +173,16 @@ TEST(CompiledProblemTest, SharedEvaluatorsMatchFreshOnesOnEmptyAssignment) {
 }
 
 // ---------------------------------------------------------------------------
-// The flat (user, server) tables against the scenario, on every sub-channel.
+// The flat (user, server) table against the scenario, on every sub-channel.
 // ---------------------------------------------------------------------------
 
 std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
 TEST(CompiledProblemTest, FlatTablesMatchTheScenarioOnEverySubchannel) {
-  // Random drops with a fault mask, a cloud tier and downlink outputs (on
-  // some users only) each drawn on or off. One table entry serves the whole
-  // link: it must equal the scenario's p_u * h_us^j, and the noise-limited
-  // downlink time, for every j.
+  // Random drops with a fault mask and a cloud tier each drawn on or off.
+  // One table entry serves the whole link: it must equal the scenario's
+  // p_u * h_us^j for every j.
   Rng rng(2031);
-  std::size_t with_downlink = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t servers = 2 + rng.uniform_index(7);
     const std::size_t subchannels = 1 + rng.uniform_index(4);
@@ -263,12 +194,6 @@ TEST(CompiledProblemTest, FlatTablesMatchTheScenarioOnEverySubchannel) {
       spec.cloud(/*cpu_hz=*/80e9, /*backhaul_bps=*/120e6,
                  /*backhaul_latency_s=*/0.015, /*max_forwarded=*/0);
     }
-    if (rng.bernoulli(0.5)) {
-      spec.customize_users([](std::size_t u, mec::UserEquipment& ue) {
-        const double output = u % 3 == 0 ? 0.0 : 50e3 * static_cast<double>(u);
-        ue.task = mec::Task(ue.task.input_bits, ue.task.cycles, output);
-      });
-    }
     mec::Scenario scenario = spec.build(rng);
     if (rng.bernoulli(0.5)) {
       mec::Availability mask(servers, subchannels);
@@ -278,30 +203,17 @@ TEST(CompiledProblemTest, FlatTablesMatchTheScenarioOnEverySubchannel) {
       scenario = scenario.with_availability(mask);
     }
     const CompiledProblem problem(scenario);
-    if (problem.has_downlink()) ++with_downlink;
     for (std::size_t u = 0; u < scenario.num_users(); ++u) {
-      const double output_bits = scenario.user(u).task.output_bits;
       for (std::size_t s = 0; s < servers; ++s) {
         for (std::size_t j = 0; j < subchannels; ++j) {
-          const double gain = scenario.gain(u, s, j);
           EXPECT_EQ(bits(problem.signal(u, s)),
-                    bits(problem.tx_power_w(u) * gain))
-              << "trial " << trial << " link " << u << "," << s << " j " << j;
-          double downlink = 0.0;
-          if (output_bits > 0.0) {
-            const double snr =
-                scenario.server(s).tx_power_w * gain / scenario.noise_w();
-            downlink = output_bits / (scenario.subchannel_bandwidth_hz() *
-                                      std::log2(1.0 + snr));
-          }
-          EXPECT_EQ(bits(problem.downlink_time_s(u, s)), bits(downlink))
+                    bits(problem.tx_power_w(u) * scenario.gain(u, s, j)))
               << "trial " << trial << " link " << u << "," << s << " j " << j;
         }
         EXPECT_EQ(problem.signal_row(u)[s], problem.signal(u, s));
       }
     }
   }
-  EXPECT_GT(with_downlink, 10u);
 }
 
 // ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@
 #include "common/error.h"
 #include "common/matrix.h"
 #include "common/rng.h"
-#include "common/units.h"
 #include "jtora/assignment.h"
 #include "jtora/compiled_problem.h"
 #include "jtora/incremental.h"
@@ -95,8 +94,8 @@ mec::Scenario with_link_gains(const mec::Scenario& base, Rng& rng,
 }
 
 /// 4-24 users on 2-8 servers with 1-4 sub-channels; the cloud tier (with
-/// and without an admission cap), downlink outputs, a fault mask and
-/// rescaled link gains are each drawn on or off.
+/// and without an admission cap), a fault mask and rescaled link gains are
+/// each drawn on or off.
 mec::Scenario random_scenario(Rng& rng) {
   const std::size_t users = 4 + rng.uniform_index(21);
   const std::size_t servers = 2 + rng.uniform_index(7);
@@ -108,12 +107,6 @@ mec::Scenario random_scenario(Rng& rng) {
     builder.cloud(/*cpu_hz=*/80e9, /*backhaul_bps=*/120e6,
                   /*backhaul_latency_s=*/0.015,
                   /*max_forwarded=*/rng.bernoulli(0.5) ? 3 : 0);
-  }
-  if (rng.bernoulli(0.5)) {
-    builder.customize_users([](std::size_t u, mec::UserEquipment& ue) {
-      ue.task.output_bits =
-          units::kilobytes_to_bits(20.0 + 30.0 * static_cast<double>(u % 5));
-    });
   }
   mec::Scenario scenario = builder.build(rng);
   if (rng.bernoulli(0.5)) scenario = with_link_gains(scenario, rng);

@@ -14,7 +14,6 @@
 #include "algo/scheduler.h"
 #include "algo/tsajs.h"
 #include "common/rng.h"
-#include "common/units.h"
 #include "jtora/compiled_problem.h"
 #include "jtora/incremental.h"
 #include "mec/availability.h"
@@ -29,8 +28,8 @@ using Kind = algo::Neighborhood::Move::Kind;
 constexpr double kMinusInf = -std::numeric_limits<double>::infinity();
 
 /// 4-24 users on 2-8 servers with 1-4 sub-channels; each of the cloud tier
-/// (with and without an admission cap), downlink outputs and a fault mask
-/// (a blocked slot, a failed server, a dead backhaul) is drawn on or off.
+/// (with and without an admission cap) and a fault mask (a blocked slot, a
+/// failed server, a dead backhaul) is drawn on or off.
 mec::Scenario random_scenario(Rng& rng) {
   const std::size_t users = 4 + rng.uniform_index(21);
   const std::size_t servers = 2 + rng.uniform_index(7);
@@ -42,12 +41,6 @@ mec::Scenario random_scenario(Rng& rng) {
     builder.cloud(/*cpu_hz=*/80e9, /*backhaul_bps=*/120e6,
                   /*backhaul_latency_s=*/0.015,
                   /*max_forwarded=*/rng.bernoulli(0.5) ? 3 : 0);
-  }
-  if (rng.bernoulli(0.5)) {
-    builder.customize_users([](std::size_t u, mec::UserEquipment& ue) {
-      ue.task.output_bits =
-          units::kilobytes_to_bits(20.0 + 30.0 * static_cast<double>(u % 5));
-    });
   }
   const mec::Scenario base = builder.build(rng);
   if (!rng.bernoulli(0.5)) return base;

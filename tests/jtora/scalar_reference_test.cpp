@@ -51,10 +51,6 @@ double scalar_system_utility(const CompiledProblem& problem,
     const Slot slot = *x.slot_of(u);
     gain += problem.gain_const(u);
     gamma += problem.gamma_coef(u) / std::log2(1.0 + rates.sinr(x, u));
-    if (problem.has_downlink()) {
-      gamma += problem.time_cost_scale(u) *
-               problem.downlink_time_s(u, slot.server);
-    }
     if (x.is_forwarded(u)) {
       gamma += problem.time_cost_scale(u) *
                problem.forward_time_s(u, slot.server);

@@ -9,7 +9,6 @@
 #include "common/error.h"
 #include "mec/scenario_builder.h"
 #include "mec/scenario_workspace.h"
-#include "radio/channel.h"
 
 namespace tsajs::mec {
 namespace {
@@ -194,93 +193,6 @@ TEST(ScenarioTest, RejectsGainsThatVaryAcrossSubchannels) {
   ws.users() = good.users();
   ws.gains() = varying;
   EXPECT_THROW((void)ws.commit(), InvalidArgumentError);
-}
-
-TEST(PowerControlTest, AlphaZeroGivesUniformPower) {
-  Rng rng(21);
-  const Scenario scenario = ScenarioBuilder()
-                                .num_users(10)
-                                .fractional_power_control(10.0, 0.0, 23.0)
-                                .build(rng);
-  for (std::size_t u = 0; u < 10; ++u) {
-    EXPECT_NEAR(scenario.user(u).tx_power_w, 0.01, 1e-12);
-  }
-}
-
-TEST(PowerControlTest, FullCompensationEqualizesReceivedPower) {
-  // alpha = 1 with an unreachable cap: p_u * mean_gain(best BS) is the same
-  // for every user (p0 above the compensated path loss).
-  Rng rng(22);
-  const Scenario scenario =
-      ScenarioBuilder()
-          .num_users(8)
-          .fractional_power_control(-70.0, 1.0, 200.0)
-          .build(rng);
-  const radio::ChannelModel channel = radio::make_paper_channel();
-  std::vector<double> received;
-  for (std::size_t u = 0; u < 8; ++u) {
-    double best_gain = 0.0;
-    for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
-      best_gain = std::max(best_gain,
-                           channel.mean_gain(scenario.user(u).position,
-                                             scenario.server(s).position));
-    }
-    received.push_back(scenario.user(u).tx_power_w * best_gain);
-  }
-  for (std::size_t u = 1; u < received.size(); ++u) {
-    EXPECT_NEAR(received[u], received[0], received[0] * 1e-9);
-  }
-}
-
-TEST(PowerControlTest, PmaxClampsEdgeUsers) {
-  Rng rng(23);
-  const Scenario scenario = ScenarioBuilder()
-                                .num_users(20)
-                                .fractional_power_control(-40.0, 1.0, 0.0)
-                                .build(rng);
-  // With a 0 dBm cap and full compensation over >100 dB path losses, every
-  // user hits the cap.
-  for (std::size_t u = 0; u < 20; ++u) {
-    EXPECT_NEAR(scenario.user(u).tx_power_w, 1e-3, 1e-12);
-  }
-}
-
-TEST(PowerControlTest, EdgeUsersTransmitHotterThanCenterUsers) {
-  Rng rng(24);
-  const Scenario scenario =
-      ScenarioBuilder()
-          .num_users(40)
-          .fractional_power_control(-80.0, 0.8, 30.0)
-          .build(rng);
-  // Correlation check: the user farthest from every BS uses more power than
-  // the user closest to some BS.
-  double closest_power = 0.0;
-  double closest_dist = 1e18;
-  double farthest_power = 0.0;
-  double farthest_dist = 0.0;
-  for (std::size_t u = 0; u < 40; ++u) {
-    double best = 1e18;
-    for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
-      best = std::min(best, geo::distance(scenario.user(u).position,
-                                          scenario.server(s).position));
-    }
-    if (best < closest_dist) {
-      closest_dist = best;
-      closest_power = scenario.user(u).tx_power_w;
-    }
-    if (best > farthest_dist) {
-      farthest_dist = best;
-      farthest_power = scenario.user(u).tx_power_w;
-    }
-  }
-  EXPECT_GT(farthest_power, closest_power);
-}
-
-TEST(PowerControlTest, RejectsBadParameters) {
-  EXPECT_THROW(ScenarioBuilder().fractional_power_control(10.0, 1.5, 23.0),
-               InvalidArgumentError);
-  EXPECT_THROW(ScenarioBuilder().fractional_power_control(10.0, 0.5, 5.0),
-               InvalidArgumentError);
 }
 
 TEST(ScenarioTest, IndexBoundsChecked) {

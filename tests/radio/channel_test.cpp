@@ -88,17 +88,6 @@ TEST(ChannelModelTest, ShadowingMedianMatchesMeanPathloss) {
   EXPECT_NEAR(db_gain.stddev(), 8.0, 0.3);
 }
 
-TEST(ChannelModelTest, MeanGainDecreasesWithDistance) {
-  ChannelModel model = make_paper_channel();
-  const geo::Point bs{0.0, 0.0};
-  double prev = model.mean_gain({100.0, 0.0}, bs);
-  for (double d = 200.0; d <= 3000.0; d += 100.0) {
-    const double cur = model.mean_gain({d, 0.0}, bs);
-    EXPECT_LT(cur, prev);
-    prev = cur;
-  }
-}
-
 TEST(RegenerateIntoTest, MatchesGenerateBitForBit) {
   // regenerate_into draws in exactly generate()'s order, so same-seeded
   // runs of the two must agree exactly.
