@@ -18,8 +18,11 @@
 #include "jtora/compiled_problem.h"
 #include "jtora/incremental.h"
 #include "jtora/utility.h"
+#include "common/units.h"
 #include "mec/scenario_builder.h"
+#include "mec/scenario_workspace.h"
 #include "radio/channel.h"
+#include "radio/pathloss.h"
 
 namespace {
 
@@ -66,6 +69,93 @@ void BM_CompileProblemReuse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompileProblemReuse)->Arg(10)->Arg(50)->Arg(90);
+
+// The staging shape of a faults_durable decision: 453 sessions against a
+// 61-site grid with 4 sub-channels (110,532 gains).
+const mec::Scenario& durable_staging() {
+  static const mec::Scenario scenario = [] {
+    Rng rng(13);
+    return mec::ScenarioBuilder()
+        .num_users(453)
+        .num_servers(61)
+        .num_subchannels(4)
+        .build(rng);
+  }();
+  return scenario;
+}
+
+// One decision's channel redraw at that shape with every path-loss row
+// cached: a shadowing draw and a pow per link, the gain stored on each of
+// its 4 sub-channels.
+void BM_ChannelRedraw(benchmark::State& state) {
+  const mec::Scenario& shape = durable_staging();
+  std::vector<geo::Point> users;
+  std::vector<geo::Point> sites;
+  for (const mec::UserEquipment& ue : shape.users()) {
+    users.push_back(ue.position);
+  }
+  for (const mec::EdgeServer& bs : shape.servers()) {
+    sites.push_back(bs.position);
+  }
+  const radio::ChannelModel channel = radio::make_paper_channel();
+  radio::PathLossCache cache;
+  cache.reset(users.size(), sites.size());
+  Matrix3<double> gains;
+  Rng rng(11);
+  channel.regenerate_into(users, sites, 4, rng, gains, &cache);  // warm
+  for (auto _ : state) {
+    channel.regenerate_into(users, sites, 4, rng, gains, &cache);
+    benchmark::DoNotOptimize(gains.flat().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ChannelRedraw)->Unit(benchmark::kMicrosecond);
+
+// BM_ChannelRedraw's yardstick: the same normal() and pow calls on the same
+// stream over the same cached path losses, one store per link. What
+// BM_ChannelRedraw spends beyond it is staging, not libm.
+void BM_ChannelRedraw_LibmOnly(benchmark::State& state) {
+  const mec::Scenario& shape = durable_staging();
+  std::vector<double> loss_db;
+  for (const mec::UserEquipment& ue : shape.users()) {
+    for (const mec::EdgeServer& bs : shape.servers()) {
+      loss_db.push_back(
+          radio::paper_pathloss_db(geo::distance(ue.position, bs.position)));
+    }
+  }
+  std::vector<double> gains(loss_db.size());
+  Rng rng(11);
+  for (std::size_t k = 0; k < loss_db.size(); ++k) {
+    (void)rng.normal();  // BM_ChannelRedraw's warm-up draws
+  }
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < loss_db.size(); ++k) {
+      const double shadow_db = 0.0 + 8.0 * rng.normal();
+      gains[k] = units::db_to_linear(-(loss_db[k] + shadow_db));
+    }
+    benchmark::DoNotOptimize(gains.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ChannelRedraw_LibmOnly)->Unit(benchmark::kMicrosecond);
+
+// A decision's ScenarioWorkspace commit at the same shape: the Scenario's
+// validation, its gain check over all 110,532 gains included. begin_epoch
+// reclaims the staged tensor with its values, so each iteration restages
+// only the 453 users.
+void BM_ScenarioCommit(benchmark::State& state) {
+  const mec::Scenario& shape = durable_staging();
+  mec::ScenarioWorkspace ws(shape.servers(), shape.spectrum(),
+                            shape.noise_w());
+  ws.begin_epoch();
+  ws.gains() = shape.gains();
+  for (auto _ : state) {
+    ws.begin_epoch();
+    ws.users().assign(shape.users().begin(), shape.users().end());
+    benchmark::DoNotOptimize(&ws.commit());
+  }
+}
+BENCHMARK(BM_ScenarioCommit)->Unit(benchmark::kMicrosecond);
 
 // Evaluator construction on top of an already-compiled problem (the path
 // schedulers take per solve).

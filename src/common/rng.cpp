@@ -41,11 +41,6 @@ double Rng::normal() noexcept {
   return radius * std::cos(angle);
 }
 
-double Rng::normal(double mean, double sigma) {
-  TSAJS_REQUIRE(sigma >= 0.0, "normal() requires sigma >= 0");
-  return mean + sigma * normal();
-}
-
 double Rng::exponential(double rate) {
   TSAJS_REQUIRE(rate > 0.0, "exponential() requires rate > 0");
   return -std::log(1.0 - uniform()) / rate;

@@ -95,9 +95,6 @@ class Rng {
   /// Standard normal deviate (Box–Muller with caching).
   double normal() noexcept;
 
-  /// Normal deviate with the given mean and standard deviation (sigma >= 0).
-  double normal(double mean, double sigma);
-
   /// Exponential deviate with the given rate (rate > 0).
   double exponential(double rate);
 

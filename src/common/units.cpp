@@ -8,8 +8,6 @@
 
 namespace tsajs::units {
 
-double db_to_linear(double db) noexcept { return std::pow(10.0, db / 10.0); }
-
 double linear_to_db(double linear) {
   TSAJS_REQUIRE(linear > 0.0, "dB conversion requires a positive ratio");
   return 10.0 * std::log10(linear);

@@ -6,13 +6,18 @@
 // (p_u = 10 dBm, sigma^2 = -100 dBm, path loss in dB).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
 namespace tsajs::units {
 
-/// Converts a power ratio expressed in decibels to a linear ratio.
-[[nodiscard]] double db_to_linear(double db) noexcept;
+/// Converts a power ratio expressed in decibels to a linear ratio. Inline:
+/// the channel redraw calls it once per (user, server) link, and a call
+/// costs a measurable share of the `pow` it wraps.
+[[nodiscard]] inline double db_to_linear(double db) noexcept {
+  return std::pow(10.0, db / 10.0);
+}
 
 /// Converts a linear power ratio to decibels. Requires `linear > 0`.
 [[nodiscard]] double linear_to_db(double linear);

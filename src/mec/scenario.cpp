@@ -1,6 +1,8 @@
 #include "mec/scenario.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.h"
 
@@ -50,17 +52,28 @@ Scenario::Scenario(std::vector<UserEquipment> users,
   // same gain on every sub-channel: the paper's channel has no frequency-
   // selective term (DESIGN.md §1), and jtora::CompiledProblem reads each
   // link from sub-channel 0. A link is a run of N gains in the tensor.
+  //
+  // One branch-free pass over the bit patterns. A double is positive and
+  // finite exactly when its bits b satisfy 0 < b < 0x7ff0000000000000
+  // (sign clear, not +0.0, below +inf and every NaN), i.e. when b - 1
+  // wraps below 0x7fefffffffffffff. That is tested on each link's first
+  // gain; the link's other gains must then have the first one's bits. For
+  // a positive finite first gain that is the same test as ==, since only
+  // +0.0 and -0.0 compare equal with different bits and NaN equals nothing.
   const std::vector<double>& tensor = gains_.data();
   const std::size_t n = spectrum_.num_subchannels();
+  bool bad_first = false;
+  std::uint64_t varies = 0;
   for (std::size_t link = 0; link < tensor.size(); link += n) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double gain = tensor[link + j];
-      TSAJS_REQUIRE(gain > 0.0 && std::isfinite(gain),
-                    "channel gains must be positive and finite");
-      TSAJS_REQUIRE(gain == tensor[link],
-                    "a link's channel gain must not vary across sub-channels");
+    const auto first = std::bit_cast<std::uint64_t>(tensor[link]);
+    bad_first |= first - 1 >= 0x7fefffffffffffffULL;
+    for (std::size_t j = 1; j < n; ++j) {
+      varies |= std::bit_cast<std::uint64_t>(tensor[link + j]) ^ first;
     }
   }
+  TSAJS_REQUIRE(!bad_first, "channel gains must be positive and finite");
+  TSAJS_REQUIRE(varies == 0,
+                "a link's channel gain must not vary across sub-channels");
 }
 
 const UserEquipment& Scenario::user(std::size_t u) const {

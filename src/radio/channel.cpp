@@ -1,5 +1,7 @@
 #include "radio/channel.h"
 
+#include <vector>
+
 #include "common/error.h"
 #include "common/units.h"
 #include "radio/pathloss.h"
@@ -39,34 +41,41 @@ void ChannelModel::regenerate_into(
                   "path-loss cache sized for a different station set");
   }
   out.reshape(num_users, num_bs, num_subchannels);
+  const auto compute_row = [&](std::size_t u, double* row) {
+    for (std::size_t s = 0; s < num_bs; ++s) {
+      row[s] = paper_pathloss_db(
+          geo::distance(user_positions[u], bs_positions[s]));
+    }
+  };
+  // One flat pass in layout order: per user a path-loss row (cached, or
+  // computed once into `uncached`), then per server one shadowing draw and
+  // one pow, the gain stored N times. One draw per link in (user, server)
+  // order, cached or not, is the stream the seed -> bytes contract fixes.
+  std::vector<double> uncached(cache == nullptr ? num_bs : 0);
+  double* link = out.flat().data();
   for (std::size_t u = 0; u < num_users; ++u) {
-    const double* loss_row = nullptr;
-    if (cache != nullptr && num_bs > 0) {
+    const double* loss_row = uncached.data();
+    if (cache == nullptr) {
+      compute_row(u, uncached.data());
+    } else if (num_bs > 0) {
       const std::size_t id = user_ids != nullptr ? (*user_ids)[u] : u;
       TSAJS_REQUIRE(id < cache->num_ids(), "stable user id out of range");
       double* row = cache->row(id);
       if (cache->valid_[id] == 0 ||
           !(cache->position_[id] == user_positions[u])) {
-        for (std::size_t s = 0; s < num_bs; ++s) {
-          row[s] = paper_pathloss_db(
-              geo::distance(user_positions[u], bs_positions[s]));
-        }
+        compute_row(u, row);
         cache->position_[id] = user_positions[u];
         cache->valid_[id] = 1;
       }
       loss_row = row;
     }
     for (std::size_t s = 0; s < num_bs; ++s) {
-      const double pl_db =
-          loss_row != nullptr
-              ? loss_row[s]
-              : paper_pathloss_db(
-                    geo::distance(user_positions[u], bs_positions[s]));
-      const double shadow_db = rng.normal(0.0, kShadowingSigmaDb);
-      const double link_gain = units::db_to_linear(-(pl_db + shadow_db));
-      for (std::size_t j = 0; j < num_subchannels; ++j) {
-        out(u, s, j) = link_gain;
-      }
+      // X_us = 0 dB mean + sigma * z, summed in the order the contract fixes.
+      const double shadow_db = 0.0 + kShadowingSigmaDb * rng.normal();
+      const double link_gain =
+          units::db_to_linear(-(loss_row[s] + shadow_db));
+      for (std::size_t j = 0; j < num_subchannels; ++j) link[j] = link_gain;
+      link += num_subchannels;
     }
   }
 }

@@ -162,19 +162,6 @@ TEST(Rng, NormalMomentsMatch) {
   EXPECT_NEAR(acc.stddev(), 1.0, 0.02);
 }
 
-TEST(Rng, NormalScaledMoments) {
-  Rng rng(29);
-  Accumulator acc;
-  for (int i = 0; i < 100000; ++i) acc.add(rng.normal(8.0, 8.0));
-  EXPECT_NEAR(acc.mean(), 8.0, 0.15);
-  EXPECT_NEAR(acc.stddev(), 8.0, 0.15);
-}
-
-TEST(Rng, NormalRejectsNegativeSigma) {
-  Rng rng(31);
-  EXPECT_THROW((void)rng.normal(0.0, -1.0), InvalidArgumentError);
-}
-
 TEST(Rng, ExponentialMeanMatchesRate) {
   Rng rng(37);
   Accumulator acc;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/error.h"
@@ -18,6 +19,56 @@ UserEquipment default_user() {
   ue.task = Task(3.36e6, 1e9);
   return ue;
 }
+
+// The gain check as a predicate per gain, which the Scenario's bitwise pass
+// must agree with: every gain positive, finite and equal to its link's
+// first (a link is a run of N gains).
+bool every_gain_passes(const Matrix3<double>& gains) {
+  const std::vector<double>& tensor = gains.data();
+  const std::size_t n = gains.dim2();
+  for (std::size_t i = 0; i < tensor.size(); ++i) {
+    const double gain = tensor[i];
+    if (!(gain > 0.0 && std::isfinite(gain) && gain == tensor[i - i % n])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Builds a scenario over `gains` by the constructor and by a workspace
+// commit, which goes through it: both accept exactly when every gain
+// passes, and refuse with InvalidArgumentError otherwise.
+void expect_gain_check(const Scenario& good, const Matrix3<double>& gains) {
+  const auto construct = [&] {
+    return Scenario(good.users(), good.servers(), good.spectrum(),
+                    good.noise_w(), gains);
+  };
+  ScenarioWorkspace ws(good.servers(), good.spectrum(), good.noise_w());
+  ws.begin_epoch();
+  ws.users() = good.users();
+  ws.gains() = gains;
+  if (every_gain_passes(gains)) {
+    EXPECT_NO_THROW((void)construct());
+    EXPECT_NO_THROW((void)ws.commit());
+  } else {
+    EXPECT_THROW((void)construct(), InvalidArgumentError);
+    EXPECT_THROW((void)ws.commit(), InvalidArgumentError);
+  }
+}
+
+// The edges of "positive and finite": both zeros, the smallest subnormal,
+// DBL_MIN, DBL_MAX, both infinities, a quiet NaN and a small negative.
+constexpr double kEdgeGains[] = {
+    +0.0,
+    -0.0,
+    std::numeric_limits<double>::denorm_min(),
+    std::numeric_limits<double>::min(),
+    std::numeric_limits<double>::max(),
+    std::numeric_limits<double>::infinity(),
+    -std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::quiet_NaN(),
+    -1e-12,
+};
 
 TEST(TaskTest, RejectsNonPositive) {
   EXPECT_THROW(Task(0.0, 1e9), InvalidArgumentError);
@@ -165,34 +216,48 @@ TEST(ScenarioTest, RejectsMismatchedGainShape) {
 }
 
 TEST(ScenarioTest, RejectsNonPositiveGains) {
+  // All-zero gains, then each edge value on every sub-channel of one link:
+  // the positive finite ones (subnormal, DBL_MIN, DBL_MAX) pass.
   Rng rng(7);
   const Scenario good = ScenarioBuilder().num_users(2).build(rng);
   Matrix3<double> zeros(good.num_users(), good.num_servers(),
                         good.num_subchannels(), 0.0);
-  EXPECT_THROW(Scenario(good.users(), good.servers(), good.spectrum(),
-                        good.noise_w(), zeros),
-               InvalidArgumentError);
+  EXPECT_FALSE(every_gain_passes(zeros));
+  expect_gain_check(good, zeros);
+  for (const double edge : kEdgeGains) {
+    SCOPED_TRACE(::testing::Message() << "whole link " << edge);
+    Matrix3<double> gains = good.gains();
+    for (std::size_t j = 0; j < good.num_subchannels(); ++j) {
+      gains(1, 4, j) = edge;
+    }
+    expect_gain_check(good, gains);
+  }
 }
 
 TEST(ScenarioTest, RejectsGainsThatVaryAcrossSubchannels) {
   // The paper's channel is flat in the sub-channel, and the compiled
   // problem reads each link from sub-channel 0, so one link whose gain
   // differs in its last sub-channel, by one ulp, is refused: by the
-  // constructor and by a workspace commit, which goes through it.
+  // constructor and by a workspace commit, which goes through it. So is
+  // each edge value placed on one sub-channel of one link: the first, the
+  // middle or the last.
   Rng rng(8);
   const Scenario good =
       ScenarioBuilder().num_users(3).num_subchannels(3).build(rng);
+  const std::size_t last = good.num_subchannels() - 1;
   Matrix3<double> varying = good.gains();
-  varying(1, 2, 2) = std::nextafter(varying(1, 2, 2), 1.0);
-  EXPECT_THROW(Scenario(good.users(), good.servers(), good.spectrum(),
-                        good.noise_w(), varying),
-               InvalidArgumentError);
-
-  ScenarioWorkspace ws(good.servers(), good.spectrum(), good.noise_w());
-  ws.begin_epoch();
-  ws.users() = good.users();
-  ws.gains() = varying;
-  EXPECT_THROW((void)ws.commit(), InvalidArgumentError);
+  varying(1, 2, last) = std::nextafter(varying(1, 2, last), 1.0);
+  EXPECT_FALSE(every_gain_passes(varying));
+  expect_gain_check(good, varying);
+  expect_gain_check(good, good.gains());
+  for (const double edge : kEdgeGains) {
+    for (std::size_t j = 0; j <= last; ++j) {
+      SCOPED_TRACE(::testing::Message() << edge << " at sub-channel " << j);
+      Matrix3<double> gains = good.gains();
+      gains(1, 2, j) = edge;
+      expect_gain_check(good, gains);
+    }
+  }
 }
 
 TEST(ScenarioTest, IndexBoundsChecked) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <vector>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -19,6 +24,36 @@ std::vector<geo::Point> grid_points(std::size_t n, double spacing) {
     pts[i] = {static_cast<double>(i) * spacing, 0.0};
   }
   return pts;
+}
+
+std::vector<std::uint64_t> bits(const Matrix3<double>& gains) {
+  std::vector<std::uint64_t> out;
+  for (const double gain : gains.data()) {
+    out.push_back(std::bit_cast<std::uint64_t>(gain));
+  }
+  return out;
+}
+
+// The redraw as a loop per link, the reference regenerate_into's flat pass
+// must match bit for bit: the path loss of each link, a shadowing draw
+// formed as mean + sigma * z with a 0 dB mean and sigma = 8 dB, the gain
+// as pow(10, dB / 10), and one bounds-checked store per sub-channel.
+Matrix3<double> per_link_reference(const std::vector<geo::Point>& users,
+                                   const std::vector<geo::Point>& sites,
+                                   std::size_t num_subchannels, Rng& rng) {
+  Matrix3<double> out(users.size(), sites.size(), num_subchannels);
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    for (std::size_t s = 0; s < sites.size(); ++s) {
+      const double pl_db =
+          paper_pathloss_db(geo::distance(users[u], sites[s]));
+      const double shadow_db = 0.0 + 8.0 * rng.normal();
+      const double link_gain = std::pow(10.0, -(pl_db + shadow_db) / 10.0);
+      for (std::size_t j = 0; j < num_subchannels; ++j) {
+        out(u, s, j) = link_gain;
+      }
+    }
+  }
+  return out;
 }
 
 TEST(SpectrumTest, SubchannelWidth) {
@@ -103,6 +138,83 @@ TEST(RegenerateIntoTest, MatchesGenerateBitForBit) {
   ASSERT_EQ(out.dim1(), reference.dim1());
   ASSERT_EQ(out.dim2(), reference.dim2());
   EXPECT_EQ(out.data(), reference.data());
+}
+
+TEST(RegenerateIntoTest, MatchesThePerLinkReference) {
+  // Random shapes with N in {1, 3, 8}, U and S odd: Box–Muller makes its
+  // deviates in pairs, so the cached second one is drawn for the next
+  // user's first link and, U * S being odd, for the next call's. Each
+  // shape is drawn three times without a cache and three times through one,
+  // whose ids keep their rows (hits) or pass to other users (recycled).
+  // After every call the generators continue identically.
+  const ChannelModel model = make_paper_channel();
+  constexpr std::size_t kSubchannels[] = {1, 3, 8};
+  Rng shapes(29);
+  const auto point = [&] {
+    return geo::Point{shapes.uniform(-1500.0, 1500.0),
+                      shapes.uniform(-1500.0, 1500.0)};
+  };
+  Matrix3<double> plain;  // reshaped across shapes, never cleared
+  Matrix3<double> cached;
+  for (int shape = 0; shape < 12; ++shape) {
+    const std::size_t n = kSubchannels[shape % 3];
+    const std::size_t num_users = 1 + 2 * shapes.uniform_index(20);
+    const std::size_t num_sites = 1 + 2 * shapes.uniform_index(5);
+    SCOPED_TRACE(::testing::Message() << "U=" << num_users << " S="
+                                      << num_sites << " N=" << n);
+    std::vector<geo::Point> sites(num_sites);
+    std::generate(sites.begin(), sites.end(), point);
+    std::vector<geo::Point> population(2 * num_users);
+    std::generate(population.begin(), population.end(), point);
+    std::vector<std::size_t> members(num_users);
+    std::iota(members.begin(), members.end(), std::size_t{0});
+    std::vector<std::size_t> ids = members;
+    std::shuffle(ids.begin(), ids.end(), shapes);
+    PathLossCache cache;
+    cache.reset(num_users, num_sites);
+
+    const std::uint64_t seed = shapes.next_u64();
+    Rng rng_reference(seed);
+    Rng rng_plain(seed);
+    Rng rng_cached(seed);
+    for (int call = 0; call < 3; ++call) {
+      if (call > 0) {
+        // The first half keep their ids and positions; the second half's
+        // ids go to other users, most at positions their row was not
+        // computed at.
+        const std::size_t half = num_users / 2;
+        std::shuffle(ids.begin() + static_cast<std::ptrdiff_t>(half),
+                     ids.end(), shapes);
+        for (std::size_t u = half; u < num_users; ++u) {
+          members[u] = shapes.uniform_index(population.size());
+        }
+      }
+      std::vector<geo::Point> users;
+      for (const std::size_t m : members) users.push_back(population[m]);
+
+      const Matrix3<double> reference =
+          per_link_reference(users, sites, n, rng_reference);
+      model.regenerate_into(users, sites, n, rng_plain, plain);
+      model.regenerate_into(users, sites, n, rng_cached, cached, &cache,
+                            &ids);
+      ASSERT_EQ(plain.dim0(), num_users);
+      ASSERT_EQ(plain.dim1(), num_sites);
+      ASSERT_EQ(plain.dim2(), n);
+      ASSERT_EQ(bits(plain), bits(reference)) << "call " << call;
+      ASSERT_EQ(bits(cached), bits(reference)) << "call " << call;
+      Rng next_reference = rng_reference;
+      Rng next_plain = rng_plain;
+      Rng next_cached = rng_cached;
+      for (int k = 0; k < 4; ++k) {
+        const auto expected = std::bit_cast<std::uint64_t>(
+            next_reference.normal());
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(next_plain.normal()),
+                  expected);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(next_cached.normal()),
+                  expected);
+      }
+    }
+  }
 }
 
 TEST(RegenerateIntoTest, PathLossCacheDoesNotChangeResults) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """A/B verdict over saved perfbench runs of a parent and a change.
 
-    python3 tools/ab_verdict.py --parent par/*.log --change chg/*.log
+    python3 tools/ab_verdict.py --parent par/*.log --change chg/*.log \
+        [--claim WORKLOAD:METRIC]
 
 Each LOG is the saved stdout of one `python3 perfbench/run.py --trace 0`
 run. From its `env` line the tool takes the workload, the seed and the
@@ -9,7 +10,8 @@ event digest; from its last line, the `correct` flag, `failed` and the
 metrics. Runs pair by (workload, seed), one parent and one change run per
 pair. For each workload and each end-to-end metric of BENCHMARK.json (the
 one next to this directory) it prints the pair count, the pairs the change
-won, both medians, the parent's interquartile range (IQR) and a verdict:
+won, each side's median with its quartiles [q1, q3], the parent's
+interquartile range (IQR) and a verdict:
 
   claim met         at least 10 pairs, the change wins at least 9 of 10,
                     and its median beats the parent's by more than the
@@ -26,8 +28,9 @@ statistics (numpy's default). Exit status: 0 when every verdict is
 `claim met`, `unresolved` or `within bound`; 1 on a `worse than bound`
 verdict, an event digest or `utility_mean` that differs within a pair, a
 change run with more `failed` arrivals than its parent run, or a run that
-did not check out; 2 on logs that cannot be read, traced (`--trace 1`)
-logs, or runs without a partner.
+did not check out, or a --claim whose row does not read `claim met`; 2 on
+logs that cannot be read, traced (`--trace 1`) logs, runs without a
+partner, or a --claim that names no row of the table.
 """
 
 import argparse
@@ -80,19 +83,25 @@ def read_side(paths, side):
     return runs
 
 
-def quartiles(values):
+def summary(values):
+    """Returns (q1, median, q3) of `values`."""
+    median = statistics.median(values)
+    if len(values) == 1:
+        return median, median, median
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q3
+    return q1, median, q3
 
 
 def verdict(parent, change, better, bound):
-    """Returns (wins, parent median, change median, parent IQR, verdict)."""
+    """Returns (wins, parent summary, change summary, parent IQR, verdict);
+    a summary is (q1, median, q3)."""
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
-    p_med = statistics.median(parent)
-    c_med = statistics.median(change)
-    q1, q3 = quartiles(parent) if len(parent) > 1 else (p_med, p_med)
-    iqr = q3 - q1
+    p_sum = summary(parent)
+    c_sum = summary(change)
+    p_med = p_sum[1]
+    c_med = c_sum[1]
+    iqr = p_sum[2] - p_sum[0]
     gain = sign * (c_med - p_med)
     allowance = bound * abs(p_med)
     if (len(parent) >= MIN_PAIRS and 10 * wins >= 9 * len(parent)
@@ -105,13 +114,25 @@ def verdict(parent, change, better, bound):
         label = "unresolved"
     else:
         label = "within bound"
-    return wins, p_med, c_med, iqr, label
+    return wins, p_sum, c_sum, iqr, label
+
+
+def parse_claim(text, workloads, metrics):
+    """Returns (workload, metric) of a WORKLOAD:METRIC claim."""
+    workload, _, metric = text.partition(":")
+    if workload not in workloads or metric not in metrics:
+        raise InputError(f"--claim {text}: no such row (workloads: "
+                         f"{', '.join(sorted(workloads))}; metrics: "
+                         f"{', '.join(metrics)})")
+    return workload, metric
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", nargs="+", required=True, metavar="LOG")
     parser.add_argument("--change", nargs="+", required=True, metavar="LOG")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="exit 1 unless this row reads `claim met`")
     args = parser.parse_args()
     end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
 
@@ -128,6 +149,9 @@ def main():
                            if m["name"] not in metrics]
                 if missing:
                     raise InputError(f"{path}: no {', '.join(missing)}")
+        claim = args.claim and parse_claim(
+            args.claim, {w for w, _ in parent},
+            [m["name"] for m in end_to_end])
     except InputError as error:
         print(f"ab_verdict: {error}", file=sys.stderr)
         return 2
@@ -149,26 +173,38 @@ def main():
             if not ok:
                 faults.append(f"{where}: {path} did not check out")
 
-    print("| workload | metric | pairs | change wins | parent median | "
-          "change median | parent IQR | verdict |")
+    def cell(q1, median, q3):
+        return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
+
+    print("| workload | metric | pairs | change wins | parent median [q1, q3] "
+          "| change median [q1, q3] | parent IQR | verdict |")
     print("|---|---|---|---|---|---|---|---|")
     worse = False
+    labels = {}
     for workload in sorted({w for w, _ in parent}):
         keys = sorted(k for k in parent if k[0] == workload)
         for metric in end_to_end:
             name = metric["name"]
             p_values = [parent[k][4][name] for k in keys]
             c_values = [change[k][4][name] for k in keys]
-            wins, p_med, c_med, iqr, label = verdict(
+            wins, p_sum, c_sum, iqr, label = verdict(
                 p_values, c_values, metric["better"], metric["bound"])
             worse = worse or label == "worse than bound"
+            labels[(workload, name)] = label
             print(f"| {workload} | {name} | {len(keys)} | {wins}/{len(keys)} "
-                  f"| {p_med:.6g} | {c_med:.6g} | {iqr:.4g} | {label} |")
+                  f"| {cell(*p_sum)} | {cell(*c_sum)} | {iqr:.4g} "
+                  f"| {label} |")
     for fault in faults:
         print(f"FAULT {fault}")
     same = all(parent[key][1] == change[key][1] for key in parent)
     print(f"{len(parent)} pairs; event digests {'equal' if same else 'DIFFER'}")
-    return 1 if worse or faults else 0
+    unmet = False
+    if claim:
+        label = labels[claim]
+        unmet = label != "claim met"
+        print(f"claim {args.claim}: {'NOT met' if unmet else 'met'} "
+              f"({label})")
+    return 1 if worse or faults or unmet else 0
 
 
 if __name__ == "__main__":

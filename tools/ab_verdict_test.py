@@ -8,6 +8,7 @@ The fixtures are hand-made `perfbench/run.py --trace 0` logs of
 spread (`aa/`), a clear win (`win/`, decisions/s 1.3x), a 30% drop in
 decisions/s (`drop/`), one run whose event digest differs from its parent
 (`digest_mismatch.log`, seed 107) and one traced run (`traced.log`).
+A --claim of the win exits 0, of the A/A set 1.
 """
 
 import subprocess
@@ -25,21 +26,34 @@ def logs(name, without=None):
             if without is None or not p.name.endswith(f"-{without}.log")]
 
 
-def run(parent, change):
+def run(parent, change, *extra):
     done = subprocess.run(
-        [sys.executable, str(TOOL), "--parent", *parent, "--change", *change],
+        [sys.executable, str(TOOL), "--parent", *parent, "--change", *change,
+         *extra],
         capture_output=True, text=True)
     return done.returncode, done.stdout, done.stderr
 
 
+def table(stdout):
+    """Maps (workload, metric) to the row of the table, a dict keyed by the
+    header's column names."""
+    rows = {}
+    header = None
+    for line in stdout.splitlines():
+        if not line.startswith("|"):
+            continue
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if header is None:
+            header = cells
+        elif not cells[0].startswith("-"):
+            row = dict(zip(header, cells))
+            rows[(row["workload"], row["metric"])] = row
+    return rows
+
+
 def verdicts(stdout):
     """Maps (workload, metric) to the verdict column of the table."""
-    rows = {}
-    for line in stdout.splitlines():
-        cells = [c.strip() for c in line.strip("|").split("|")]
-        if len(cells) == 8 and cells[0] != "workload" and cells[0][0] != "-":
-            rows[(cells[0], cells[1])] = cells[7]
-    return rows
+    return {key: row["verdict"] for key, row in table(stdout).items()}
 
 
 class AbVerdictTest(unittest.TestCase):
@@ -53,9 +67,27 @@ class AbVerdictTest(unittest.TestCase):
     def test_clear_win_claims(self):
         code, out, err = run(logs("parent"), logs("win"))
         self.assertEqual(code, 0, out + err)
-        rows = verdicts(out)
-        self.assertEqual(rows[("cell_tsajs", "decisions_per_s")], "claim met")
-        self.assertIn("| 10/10 |", out)
+        row = table(out)[("cell_tsajs", "decisions_per_s")]
+        self.assertEqual(row["verdict"], "claim met")
+        self.assertEqual(row["change wins"], "10/10")
+        # Both sides print their median with its quartiles.
+        self.assertEqual(row["parent median [q1, q3]"],
+                         "788.621 [767.954, 822.293]")
+        self.assertEqual(row["change median [q1, q3]"],
+                         "1053.88 [1023.67, 1089.64]")
+
+    def test_claim_met_exits_zero(self):
+        code, out, err = run(logs("parent"), logs("win"),
+                             "--claim", "cell_tsajs:decisions_per_s")
+        self.assertEqual(code, 0, out + err)
+        self.assertIn("claim cell_tsajs:decisions_per_s: met", out)
+
+    def test_claim_not_met_exits_one(self):
+        code, out, err = run(logs("parent"), logs("aa"),
+                             "--claim", "cell_tsajs:decisions_per_s")
+        self.assertEqual(code, 1, out + err)
+        self.assertIn("claim cell_tsajs:decisions_per_s: NOT met", out)
+        self.assertEqual(set(verdicts(out).values()), {"within bound"})
 
     def test_drop_is_worse_than_bound(self):
         code, out, err = run(logs("parent"), logs("drop"))
