@@ -7,13 +7,13 @@
 #pragma once
 
 #include <cstdint>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "algo/registry.h"
 #include "common/cli.h"
 #include "common/error.h"
-#include "common/log.h"
 #include "exp/report.h"
 #include "exp/trial_runner.h"
 
@@ -27,6 +27,7 @@ struct BenchOptions {
   std::size_t threads = 0;
   std::string csv_prefix;  // empty = no CSV output
   bool tsajs_incremental = true;
+  bool verbose = false;  // per-point sweep progress on stderr
 };
 
 /// Registers the shared flags on `cli`.
@@ -51,7 +52,7 @@ inline BenchOptions read_common_flags(const CliParser& cli) {
       static_cast<std::size_t>(cli.get_uint("chain-length"));
   options.threads = static_cast<std::size_t>(cli.get_uint("threads"));
   options.csv_prefix = cli.get_string("csv");
-  if (cli.get_bool("verbose")) set_log_level(LogLevel::Info);
+  options.verbose = cli.get_bool("verbose");
   return options;
 }
 
@@ -80,8 +81,9 @@ inline void emit_latency_report(const std::string& title,
 }
 
 /// Runs one sweep: for each (label, builder) point, runs all trials and
-/// returns the per-point stats (in label order). Progress is logged per
-/// point at Info level, labelled with the sweep point just finished.
+/// returns the per-point stats (in label order). With `verbose`, a progress
+/// line per point goes to stderr, labelled with the sweep point just
+/// finished.
 inline std::vector<std::vector<exp::SchemeStats>> run_sweep(
     const BenchOptions& options, const std::vector<std::string>& labels,
     const std::vector<mec::ScenarioBuilder>& builders) {
@@ -97,9 +99,10 @@ inline std::vector<std::vector<exp::SchemeStats>> run_sweep(
     // parameters then share their drops (paired comparison, lower variance
     // along the x-axis).
     rows.push_back(runner.run(spec));
-    TSAJS_LOG(Info) << "sweep point " << (i + 1) << "/" << builders.size()
-                    << " (" << labels[i] << "): " << options.trials
-                    << " trials done";
+    if (options.verbose) {
+      std::cerr << "sweep point " << (i + 1) << "/" << builders.size() << " ("
+                << labels[i] << "): " << options.trials << " trials done\n";
+    }
   }
   return rows;
 }

@@ -145,8 +145,7 @@ int run(int argc, char** argv) {
   options.shard_reach_m = reach_flag;
   const std::string scheme_name = "sharded:" + cli.get_string("scheme");
   // One scheduler per sweep entry: the thread count is a construction-time
-  // knob, and a per-count instance also keeps each entry's epoch cache to
-  // itself (partition + shard compilations reused across trials).
+  // knob.
   std::vector<std::unique_ptr<algo::Scheduler>> schedulers;
   for (const std::size_t threads : thread_list) {
     options.shard_threads = threads;

@@ -7,6 +7,8 @@
 //
 // Expected shape: TSAJS ~= Exhaustive, ahead of hJTORA (~1%), LocalSearch
 // (~1.5%) and Greedy (~4%); utility grows with the workload.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 
@@ -50,20 +52,40 @@ int run(int argc, char** argv) {
                   "w_u [Mcycles]", labels, rows, exp::metric_utility(true),
                   options.csv_prefix);
 
-  // Gap summary against the exhaustive optimum (the paper's headline).
+  // Gap summary against the exhaustive optimum (the paper's headline). No
+  // scheme can beat the optimum, so a mean above it can only be rounding:
+  // each trial's J* is a sum of O(U + S) terms of magnitude O(1), rounded in
+  // its own scheme's order, and the mean folds the trials (DESIGN.md §8
+  // bounds such sums the same way). At these sizes that error stays below
+  // 1e-13, so the margin 1e-9 * max(1, |J|) holds it with room to spare. A
+  // gap inside the margin reads 0; a scheme above the optimum by more than
+  // the margin fails the run.
   if (!rows.empty() && rows.front().front().scheme == "exhaustive") {
     Table gaps({"scheme", "mean gap vs exhaustive [%]"});
     for (std::size_t c = 1; c < rows.front().size(); ++c) {
       double gap_sum = 0.0;
-      for (const auto& row : rows) {
-        gap_sum += 100.0 * (row[0].utility.mean() - row[c].utility.mean()) /
-                   row[0].utility.mean();
+      for (std::size_t p = 0; p < rows.size(); ++p) {
+        const double optimum = rows[p][0].utility.mean();
+        const double mean = rows[p][c].utility.mean();
+        const double margin = 1e-9 * std::max(1.0, std::fabs(optimum));
+        if (mean > optimum + margin) {
+          throw InternalError(
+              rows[p][c].scheme + "'s mean utility " + format_double(mean, 12) +
+              " at w_u = " + labels[p] + " exceeds the exhaustive optimum " +
+              format_double(optimum, 12) +
+              " by more than the rounding margin 1e-9 * max(1, |J|)");
+        }
+        if (mean >= optimum - margin) continue;  // within rounding: no gap
+        gap_sum += 100.0 * (optimum - mean) / optimum;
       }
       gaps.add_row({rows.front()[c].scheme,
                     format_double(gap_sum / static_cast<double>(rows.size()),
                                   2)});
     }
-    exp::emit_report("Fig. 3 addendum: mean optimality gap", gaps, "");
+    exp::emit_report(
+        "Fig. 3 addendum: mean optimality gap (0 within the rounding margin "
+        "1e-9 * max(1, |J|) of the optimum)",
+        gaps, "");
   }
   return 0;
 }

@@ -56,9 +56,10 @@ void BM_CompileProblem(benchmark::State& state) {
 }
 BENCHMARK(BM_CompileProblem)->Arg(10)->Arg(50)->Arg(90);
 
-// Epoch-style recompilation into an existing CompiledProblem: buffers are
-// reused and unchanged per-user constant blocks are skipped, so this is the
-// steady-state cost of the dynamic simulator's per-epoch compile().
+// Recompilation into an existing CompiledProblem: every value is
+// recomputed and only the buffers are reused, as in sim::GridState's
+// per-snapshot compile(). Against BM_CompileProblem it measures what buffer
+// reuse saves.
 void BM_CompileProblemReuse(benchmark::State& state) {
   const mec::Scenario scenario =
       default_scenario(static_cast<std::size_t>(state.range(0)));

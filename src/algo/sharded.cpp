@@ -27,24 +27,6 @@ void ShardedConfig::validate() const {
   budget.validate();
 }
 
-/// Epoch cache: everything derivable from (site layout, reach) alone plus
-/// the per-shard compilations. ShardedProblem::compile handles its own
-/// epoch-over-epoch reuse; the partition and the fixup coloring only
-/// rebuild when the sites or the reach change.
-struct ShardedScheduler::Cache {
-  std::vector<geo::Point> sites;
-  double reach = 0.0;
-  std::optional<geo::InterferencePartition> partition;
-  jtora::ShardedProblem sharded;
-  /// Fixup color classes: shards grouped so same-color shards never share
-  /// a halo server; class lists ascend, classes commit in list order.
-  std::vector<std::vector<std::size_t>> color_classes;
-  /// Per shard: its own servers plus all adjacent shards' servers,
-  /// ascending global ids — the candidate set its boundary sweep scans and
-  /// the only servers its moves can touch.
-  std::vector<std::vector<std::size_t>> halo_servers;
-};
-
 ShardedScheduler::ShardedScheduler(std::unique_ptr<Scheduler> inner,
                                    ShardedConfig config)
     : inner_(std::move(inner)),
@@ -53,8 +35,6 @@ ShardedScheduler::ShardedScheduler(std::unique_ptr<Scheduler> inner,
   TSAJS_REQUIRE(inner_ != nullptr, "sharded scheduler needs an inner scheme");
   config_.validate();
 }
-
-ShardedScheduler::~ShardedScheduler() = default;
 
 std::string ShardedScheduler::name() const {
   // Matches the registry's "sharded:<inner>" spelling, so names round-trip
@@ -69,6 +49,17 @@ namespace {
 /// nothing.
 constexpr std::size_t kFixupPasses = 2;
 
+/// What the boundary fixup needs of the partition alone.
+struct FixupPlan {
+  /// Shards grouped so same-color shards never share a halo server; class
+  /// lists ascend, classes commit in list order.
+  std::vector<std::vector<std::size_t>> color_classes;
+  /// Per shard: its own servers plus all adjacent shards' servers,
+  /// ascending global ids — the candidate set its boundary sweep scans and
+  /// the only servers its moves can touch.
+  std::vector<std::vector<std::size_t>> halo_servers;
+};
+
 /// Greedy coloring of the shard graph under *distance-2* conflicts: two
 /// shards conflict when they are adjacent or share a common neighbor.
 /// Same-color shards then have no adjacent shard in common, so their halos
@@ -78,12 +69,10 @@ constexpr std::size_t kFixupPasses = 2;
 /// ids with the lowest free color is deterministic; on the square-tile
 /// partition the conflict graph has bounded degree (<= 24 tiles within
 /// distance 2), so the class count stays small no matter the city size.
-void build_fixup_plan(const geo::InterferencePartition& partition,
-                      std::vector<std::vector<std::size_t>>& color_classes,
-                      std::vector<std::vector<std::size_t>>& halo_servers) {
+FixupPlan build_fixup_plan(const geo::InterferencePartition& partition) {
   const std::size_t num_shards = partition.num_shards();
-  color_classes.clear();
-  halo_servers.assign(num_shards, {});
+  FixupPlan plan;
+  plan.halo_servers.resize(num_shards);
   std::vector<std::size_t> color(num_shards, 0);
   std::vector<std::uint8_t> used(num_shards + 1, 0);
   for (std::size_t k = 0; k < num_shards; ++k) {
@@ -97,10 +86,10 @@ void build_fixup_plan(const geo::InterferencePartition& partition,
     std::size_t c = 0;
     while (used[c] != 0) ++c;
     color[k] = c;
-    if (c >= color_classes.size()) color_classes.resize(c + 1);
-    color_classes[c].push_back(k);  // k ascends, so each class list ascends
+    if (c >= plan.color_classes.size()) plan.color_classes.resize(c + 1);
+    plan.color_classes[c].push_back(k);  // k ascends, so each list ascends
 
-    std::vector<std::size_t>& halo = halo_servers[k];
+    std::vector<std::size_t>& halo = plan.halo_servers[k];
     halo = partition.cells(k);
     for (const std::size_t a : partition.adjacent_shards(k)) {
       const std::vector<std::size_t>& cells = partition.cells(a);
@@ -108,6 +97,7 @@ void build_fixup_plan(const geo::InterferencePartition& partition,
     }
     std::sort(halo.begin(), halo.end());
   }
+  return plan;
 }
 
 /// One accepted boundary-user placement from a shard sweep, in the global
@@ -250,34 +240,11 @@ ScheduleResult ShardedScheduler::sharded_solve(
   // wrapped scheme verbatim — same Rng, same result, bit for bit.
   if (reach <= 0.0) return passthrough(problem, hint, budget, rng);
 
-  // The mutex is held for the whole solve: concurrent solve() calls on
-  // one instance serialize (each still deterministic), and the cache below
-  // is only touched under it.
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (!cache_) cache_ = std::make_unique<Cache>();
-  Cache& cache = *cache_;
-  const bool layout_unchanged =
-      cache.partition.has_value() && cache.reach == reach &&
-      cache.sites.size() == sites.size() &&
-      std::equal(sites.begin(), sites.end(), cache.sites.begin(),
-                 [](const geo::Point& a, const geo::Point& b) {
-                   return a.x == b.x && a.y == b.y;
-                 });
-  if (!layout_unchanged) {
-    cache.sites = sites;
-    cache.reach = reach;
-    cache.partition.emplace(sites, reach);
-    build_fixup_plan(*cache.partition, cache.color_classes,
-                     cache.halo_servers);
-  }
-  const geo::InterferencePartition& partition = *cache.partition;
+  const geo::InterferencePartition partition(sites, reach);
   if (partition.num_shards() == 1) {
     return passthrough(problem, hint, budget, rng);
   }
-
-  // Re-slice for this epoch; ShardedProblem reuses whatever it can.
-  cache.sharded.compile(problem, partition);
-  const jtora::ShardedProblem& sharded = cache.sharded;
+  const jtora::ShardedProblem sharded(problem, partition);
   const std::size_t num_shards = sharded.num_shards();
 
   // Capability probes replace the historical dynamic_casts: the budget is
@@ -514,13 +481,14 @@ ScheduleResult ShardedScheduler::sharded_solve(
                           evaluations};
   }
 
+  const FixupPlan plan = build_fixup_plan(partition);
   jtora::IncrementalEvaluator master(problem, merged);
   master.set_undo_logging(false);
   std::vector<ShardSweep> sweeps;
   for (std::size_t pass = 0; pass < kFixupPasses; ++pass) {
     if (deadline > 0.0 && timer.elapsed_seconds() >= deadline) break;
     std::size_t moved = 0;
-    for (const std::vector<std::size_t>& color_class : cache.color_classes) {
+    for (const std::vector<std::size_t>& color_class : plan.color_classes) {
       if (deadline > 0.0 && timer.elapsed_seconds() >= deadline) break;
       sweeps.assign(color_class.size(), ShardSweep{});
       const auto sweep_one = [&](std::size_t i) {
@@ -528,7 +496,7 @@ ScheduleResult ShardedScheduler::sharded_solve(
         const std::vector<std::size_t>& users = sharded.boundary_users_of(k);
         if (users.empty()) return;
         sweeps[i] =
-            sweep_shard(master, users, cache.halo_servers[k], timer, deadline);
+            sweep_shard(master, users, plan.halo_servers[k], timer, deadline);
       };
       if (pool.has_value()) {
         pool->parallel_for(color_class.size(), sweep_one);

@@ -38,14 +38,14 @@
 //     changes nothing. Each pass re-checks the deadline before it starts,
 //     before every color class, and every 32 users inside a sweep.
 //
-// Warm start & epoch reuse: the scheduler is warm-startable — a global hint
-// is repaired once, sliced per shard (jtora::ShardedProblem::shard_hint),
-// and rides each shard's SolveRequest, so the dynamic
-// simulator's carried-assignment path works transparently. The partition,
-// the fixup coloring, and the per-shard compilations persist across
-// solve() calls in an internal cache keyed by the site layout; per
-// epoch only the shard scenarios refresh (membership-changed shards
-// rebuild, the rest recompile in place). Caching is bitwise-invisible.
+// Warm start: the scheduler is warm-startable — a global hint is repaired
+// once, sliced per shard (jtora::ShardedProblem::shard_hint), and rides
+// each shard's SolveRequest, so the dynamic simulator's carried-assignment
+// path works transparently.
+//
+// Stateless, like every Scheduler: each solve() builds the partition, the
+// fixup coloring and the per-shard compilations and drops them on return,
+// so one instance serves concurrent solves (exp::TrialRunner's workers).
 //
 // Degenerate decompositions pass straight through: with a single shard (or
 // a single cell site, where no finite reach separates anything) solve()
@@ -56,7 +56,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "algo/scheduler.h"
@@ -99,7 +98,6 @@ class ShardedScheduler : public Scheduler {
  public:
   explicit ShardedScheduler(std::unique_ptr<Scheduler> inner,
                             ShardedConfig config = {});
-  ~ShardedScheduler() override;
 
   [[nodiscard]] std::string name() const override;
 
@@ -120,8 +118,6 @@ class ShardedScheduler : public Scheduler {
   }
 
  private:
-  struct Cache;
-
   [[nodiscard]] ScheduleResult sharded_solve(
       const jtora::CompiledProblem& problem, const jtora::Assignment* hint,
       const SolveBudget& budget, Rng& rng) const;
@@ -135,11 +131,6 @@ class ShardedScheduler : public Scheduler {
   /// Deterministic, RNG-free fallback for hedged shard retries (greedy).
   std::unique_ptr<Scheduler> hedge_fallback_;
   ShardedConfig config_;
-  /// Epoch cache (partition, coloring, per-shard compilations), reused
-  /// while the site layout and reach stay put. The mutex is held for the
-  /// whole solve, serializing concurrent solve() calls on one instance.
-  mutable std::mutex cache_mutex_;
-  mutable std::unique_ptr<Cache> cache_;
 };
 
 }  // namespace tsajs::algo

@@ -28,7 +28,6 @@ class HexLayout {
   [[nodiscard]] std::size_t num_cells() const noexcept {
     return sites_.size();
   }
-  [[nodiscard]] double inter_site_distance() const noexcept { return isd_; }
 
   /// Circumradius of one hexagonal cell [m] (= ISD / sqrt(3)).
   [[nodiscard]] double cell_radius() const noexcept;

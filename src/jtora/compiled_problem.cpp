@@ -11,13 +11,6 @@ CompiledProblem::CompiledProblem(const mec::Scenario& scenario) {
   compile(scenario);
 }
 
-CompiledProblem::UserKey CompiledProblem::key_of(
-    const mec::UserEquipment& ue) noexcept {
-  return UserKey{ue.task.input_bits, ue.task.cycles, ue.local_cpu_hz,
-                 ue.tx_power_w,      ue.kappa,       ue.beta_time,
-                 ue.beta_energy,     ue.lambda};
-}
-
 void CompiledProblem::compile(const mec::Scenario& scenario) {
   scenario_ = &scenario;
   num_users_ = scenario.num_users();
@@ -25,10 +18,6 @@ void CompiledProblem::compile(const mec::Scenario& scenario) {
   num_subchannels_ = scenario.num_subchannels();
   noise_w_ = scenario.noise_w();
   const double w = scenario.subchannel_bandwidth_hz();
-  if (w != bandwidth_hz_) {
-    // phi/psi depend on W: every cached per-user key is invalid.
-    user_keys_.clear();
-  }
   bandwidth_hz_ = w;
 
   server_cpu_.resize(num_servers_);
@@ -46,15 +35,9 @@ void CompiledProblem::compile(const mec::Scenario& scenario) {
   local_time_.resize(num_users_);
   local_energy_.resize(num_users_);
   tx_power_.resize(num_users_);
-  // Freshly-resized slots hold a default key; a valid user has
-  // input_bits > 0, so they can never falsely match and always recompute.
-  user_keys_.resize(num_users_);
 
   for (std::size_t u = 0; u < num_users_; ++u) {
     const mec::UserEquipment& ue = scenario.user(u);
-    const UserKey key = key_of(ue);
-    if (user_keys_[u] == key) continue;  // constants survive unchanged users
-    user_keys_[u] = key;
     local_time_[u] = ue.local_time_s();
     local_energy_[u] = ue.local_energy_j();
     time_cost_scale_[u] = ue.lambda * ue.beta_time / local_time_[u];

@@ -12,8 +12,8 @@
 // them private, IncrementalEvaluator re-derived them, RateEvaluator
 // re-indexed scenario().gain() on every call). CompiledProblem is the single
 // compiled representation they all share: flat SoA arrays, a
-// server-contiguous signal table, built once per scenario and reused across
-// evaluators, multi-start restarts, schemes, and dynamic epochs.
+// server-contiguous signal table, built once per scenario and read by every
+// evaluator and scheme that solves it.
 //
 // The compiled values are produced by the exact expressions (same operand
 // order) the evaluators historically used inline, so every consumer remains
@@ -22,13 +22,12 @@
 //
 // Lifetime: a CompiledProblem holds a pointer to its Scenario and must not
 // outlive it. It is immutable through the evaluator-facing API; `compile`
-// rebinds/refreshes it in place (buffer-reusing, for the staging loop of
-// sim::GridState).
+// rebinds it and recomputes every value into the same buffers (the staging
+// loop of sim::GridState recompiles one problem per snapshot).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mec/scenario.h"
@@ -43,10 +42,8 @@ class CompiledProblem {
   /// Compiles `scenario` (equivalent to default-construct + compile).
   explicit CompiledProblem(const mec::Scenario& scenario);
 
-  /// (Re)compiles against `scenario`, reusing internal buffers. Per-user
-  /// constants are recomputed only for users whose parameters changed since
-  /// the previous compile (cheap churn in the dynamic epoch loop); the
-  /// gain-dependent tables are always rebuilt.
+  /// (Re)compiles against `scenario` in place, reusing the internal
+  /// buffers; every value is recomputed, exactly as a fresh compile does.
   void compile(const mec::Scenario& scenario);
 
   [[nodiscard]] bool compiled() const noexcept { return scenario_ != nullptr; }
@@ -161,21 +158,6 @@ class CompiledProblem {
   [[nodiscard]] bool bitwise_equal(const CompiledProblem& other) const;
 
  private:
-  /// Everything a user's compiled constants depend on; constants are
-  /// recomputed on `compile` only when this key changed.
-  struct UserKey {
-    double input_bits = 0.0;
-    double cycles = 0.0;
-    double local_cpu_hz = 0.0;
-    double tx_power_w = 0.0;
-    double kappa = 0.0;
-    double beta_time = 0.0;
-    double beta_energy = 0.0;
-    double lambda = 0.0;
-    [[nodiscard]] bool operator==(const UserKey&) const = default;
-  };
-  [[nodiscard]] static UserKey key_of(const mec::UserEquipment& ue) noexcept;
-
   void compile_tables(const mec::Scenario& scenario);
   void compile_availability(const mec::Scenario& scenario);
   void compile_cloud(const mec::Scenario& scenario);
@@ -199,7 +181,6 @@ class CompiledProblem {
   std::vector<double> tx_power_;
   std::vector<double> server_cpu_;
   std::vector<double> signal_;
-  std::vector<UserKey> user_keys_;
 
   bool all_available_ = true;
   std::size_t num_available_slots_ = 0;

@@ -1,9 +1,11 @@
 #include "jtora/sharded_problem.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/error.h"
+#include "common/matrix.h"
 #include "geo/point.h"
 
 namespace tsajs::jtora {
@@ -65,82 +67,33 @@ std::vector<std::size_t> split_units(std::size_t total,
 
 ShardedProblem::ShardedProblem(const CompiledProblem& problem,
                                const geo::InterferencePartition& partition) {
-  compile(problem, partition);
-}
-
-bool ShardedProblem::layout_reusable(
-    const mec::Scenario& scenario,
-    const geo::InterferencePartition& partition) const {
-  if (shards_.empty() || shards_.size() != partition.num_shards()) {
-    return false;
-  }
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    const Shard& shard = shards_[k];
-    if (shard.servers != partition.cells(k)) return false;
-    if (!shard.workspace) continue;
-    // A retained workspace froze the sliced server set, spectrum, and noise
-    // floor at creation; any drift there invalidates the whole slice.
-    const mec::ScenarioWorkspace& ws = *shard.workspace;
-    if (ws.noise_w() != scenario.noise_w() ||
-        ws.spectrum().bandwidth_hz() != scenario.spectrum().bandwidth_hz() ||
-        ws.spectrum().num_subchannels() !=
-            scenario.spectrum().num_subchannels()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < shard.servers.size(); ++i) {
-      const mec::EdgeServer& held = ws.servers()[i];
-      const mec::EdgeServer& live = scenario.server(shard.servers[i]);
-      if (held.cpu_hz != live.cpu_hz || held.position.x != live.position.x ||
-          held.position.y != live.position.y) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-void ShardedProblem::compile(const CompiledProblem& problem,
-                             const geo::InterferencePartition& partition) {
   TSAJS_REQUIRE(problem.compiled(), "ShardedProblem needs a compiled problem");
   const mec::Scenario& scenario = problem.scenario();
   TSAJS_REQUIRE(partition.num_cells() == scenario.num_servers(),
                 "partition must have one cell per server");
-  parent_ = &problem;
 
   const std::size_t num_users = scenario.num_users();
   const std::size_t num_servers = scenario.num_servers();
   const std::size_t num_subchannels = scenario.num_subchannels();
   const std::size_t num_shards = partition.num_shards();
 
-  // Shard skeletons: the partition's server groups. Kept — workspaces,
-  // compilations and all — when the layout still matches.
-  if (!layout_reusable(scenario, partition)) {
-    shards_.clear();
-    shards_.resize(num_shards);
-    for (std::size_t k = 0; k < num_shards; ++k) {
-      shards_[k].servers = partition.cells(k);
-    }
-  }
+  // Shard skeletons: the partition's server groups.
+  shards_.resize(num_shards);
   server_shard_.resize(num_servers);
   server_local_.resize(num_servers);
   for (std::size_t k = 0; k < num_shards; ++k) {
-    const std::vector<std::size_t>& servers = shards_[k].servers;
+    std::vector<std::size_t>& servers = shards_[k].servers;
+    servers = partition.cells(k);
     for (std::size_t i = 0; i < servers.size(); ++i) {
       server_shard_[servers[i]] = k;
       server_local_[servers[i]] = i;
     }
   }
 
-  // Home cell per user = nearest server, lowest index on ties. Staged into
-  // scratch lists first so each shard's new membership can be diffed
-  // against the retained one.
+  // Home cell per user = nearest server, lowest index on ties.
   home_server_.resize(num_users);
   shard_of_user_.resize(num_users);
-  boundary_users_.clear();
-  staged_users_.resize(num_shards);
-  for (std::vector<std::size_t>& list : staged_users_) list.clear();
   boundary_users_of_.resize(num_shards);
-  for (std::vector<std::size_t>& list : boundary_users_of_) list.clear();
   for (std::size_t u = 0; u < num_users; ++u) {
     const geo::Point pos = scenario.user(u).position;
     std::size_t best = 0;
@@ -156,7 +109,7 @@ void ShardedProblem::compile(const CompiledProblem& problem,
     home_server_[u] = best;
     const std::size_t k = partition.shard_of(best);
     shard_of_user_[u] = k;
-    staged_users_[k].push_back(u);  // ascending: u is ascending
+    shards_[k].users.push_back(u);  // ascending: u is ascending
     if (partition.is_boundary(best)) {
       boundary_users_.push_back(u);
       boundary_users_of_[k].push_back(u);
@@ -176,12 +129,12 @@ void ShardedProblem::compile(const CompiledProblem& problem,
     const mec::CloudTier& cloud = scenario.cloud();
     std::vector<std::uint64_t> shard_sizes(num_shards);
     for (std::size_t k = 0; k < num_shards; ++k) {
-      shard_sizes[k] = staged_users_[k].size();
+      shard_sizes[k] = shards_[k].users.size();
     }
     const std::vector<std::size_t> cap =
         split_units(cloud.max_forwarded, shard_sizes, false);
     for (std::size_t k = 0; k < num_shards; ++k) {
-      const std::size_t shard_users = staged_users_[k].size();
+      const std::size_t shard_users = shards_[k].users.size();
       if (shard_users == 0) continue;
       if (cloud.max_forwarded > 0 && cap[k] == 0) continue;
       mec::CloudTier tier;
@@ -198,40 +151,22 @@ void ShardedProblem::compile(const CompiledProblem& problem,
     }
   }
 
-  // Materialize (or refresh) one sub-scenario + compilation per populated
-  // shard. The workspace retains the staging buffers across epochs and the
-  // shard's CompiledProblem recompiles in place, skipping per-user constant
-  // blocks that did not change — the values are bitwise identical to a
-  // from-scratch slice either way.
-  shards_rebuilt_ = 0;
-  shards_refreshed_ = 0;
+  // One sub-scenario + compilation per populated shard.
   for (std::size_t k = 0; k < num_shards; ++k) {
     Shard& shard = shards_[k];
-    const bool members_changed = shard.users != staged_users_[k];
-    shard.users.swap(staged_users_[k]);
-    if (shard.users.empty()) {
-      shard.scenario = nullptr;
-      shard.problem.reset();
-      continue;
-    }
-    if (!shard.workspace) {
-      std::vector<mec::EdgeServer> servers;
-      servers.reserve(shard.servers.size());
-      for (const std::size_t gs : shard.servers) {
-        servers.push_back(scenario.server(gs));
-      }
-      shard.workspace = std::make_unique<mec::ScenarioWorkspace>(
-          std::move(servers), scenario.spectrum(), scenario.noise_w());
-    }
-    mec::ScenarioWorkspace& ws = *shard.workspace;
-    ws.begin_epoch();
-    for (const std::size_t gu : shard.users) {
-      ws.users().push_back(scenario.user(gu));
+    if (shard.users.empty()) continue;
+    std::vector<mec::UserEquipment> users;
+    users.reserve(shard.users.size());
+    for (const std::size_t gu : shard.users) users.push_back(scenario.user(gu));
+    std::vector<mec::EdgeServer> servers;
+    servers.reserve(shard.servers.size());
+    for (const std::size_t gs : shard.servers) {
+      servers.push_back(scenario.server(gs));
     }
     // Slice the gain tensor row by row: every (user, server) pair is a
     // contiguous run of num_subchannels gains in both tensors.
-    Matrix3<double>& gains = ws.gains();
-    gains.reshape(shard.users.size(), shard.servers.size(), num_subchannels);
+    Matrix3<double> gains(shard.users.size(), shard.servers.size(),
+                          num_subchannels);
     const double* global_gains = scenario.gains().data().data();
     double* slice = gains.flat().data();
     for (const std::size_t gu : shard.users) {
@@ -254,10 +189,9 @@ void ShardedProblem::compile(const CompiledProblem& problem,
         }
       }
     }
-    if (scenario.fully_available() && !backhaul_fault) {
-      ws.set_availability(mec::Availability{});
-    } else {
-      mec::Availability availability(shard.servers.size(), num_subchannels);
+    mec::Availability availability;
+    if (!scenario.fully_available() || backhaul_fault) {
+      availability = mec::Availability(shard.servers.size(), num_subchannels);
       for (std::size_t ls = 0; ls < shard.servers.size(); ++ls) {
         const std::size_t gs = shard.servers[ls];
         if (shard_cloud[k].enabled() && !scenario.backhaul_available(gs)) {
@@ -271,17 +205,12 @@ void ShardedProblem::compile(const CompiledProblem& problem,
           if (!scenario.slot_available(gs, j)) availability.block_slot(ls, j);
         }
       }
-      ws.set_availability(std::move(availability));
     }
-    ws.set_cloud(std::move(shard_cloud[k]));
-    shard.scenario = &ws.commit();
-    if (!shard.problem) shard.problem = std::make_unique<CompiledProblem>();
-    shard.problem->compile(*shard.scenario);
-    if (members_changed) {
-      ++shards_rebuilt_;
-    } else {
-      ++shards_refreshed_;
-    }
+    shard.scenario = std::make_unique<const mec::Scenario>(
+        std::move(users), std::move(servers), scenario.spectrum(),
+        scenario.noise_w(), std::move(gains), std::move(availability),
+        std::move(shard_cloud[k]));
+    shard.problem = std::make_unique<const CompiledProblem>(*shard.scenario);
   }
 }
 

@@ -21,15 +21,9 @@
 // equals the parent's entry for the corresponding (user, server) pair, and
 // a shard with the full server set reproduces the parent problem exactly.
 //
-// Epoch reuse: compile() may be called repeatedly (the dynamic-simulation
-// loop re-slices every epoch). When the server layout is unchanged, each
-// shard keeps its mec::ScenarioWorkspace and CompiledProblem across calls —
-// the sub-scenario is restaged into the retained buffers and the shard
-// compilation refreshes in place, reusing CompiledProblem::compile's
-// unchanged-per-user skip. shards_rebuilt()/shards_refreshed() report how
-// the last compile classified each populated shard (user membership changed
-// vs channel/task-only refresh). Reuse is bitwise-invisible: the slices
-// equal a from-scratch construction bit for bit.
+// A ShardedProblem is built once from (problem, partition) and holds no
+// state beyond that pair's slices: algo::ShardedScheduler builds one per
+// solve and drops it on return.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +34,7 @@
 #include "geo/partition.h"
 #include "jtora/assignment.h"
 #include "jtora/compiled_problem.h"
-#include "mec/scenario_workspace.h"
+#include "mec/scenario.h"
 
 namespace tsajs::jtora {
 
@@ -49,8 +43,8 @@ namespace tsajs::jtora {
 /// fractional parts (lowest shard id on ties). Zero-weight shards get
 /// nothing. With `at_least_one`, every positive-weight shard gets >= 1 unit
 /// — a SolveBudget slice of 0 would mean "unlimited", the opposite of a
-/// small share. Splits the cloud cap across shards (ShardedProblem::compile)
-/// and the iteration budget across shard solves (algo::ShardedScheduler).
+/// small share. Splits the cloud cap across shards (ShardedProblem) and
+/// the iteration budget across shard solves (algo::ShardedScheduler).
 [[nodiscard]] std::vector<std::size_t> split_units(
     std::size_t total, const std::vector<std::uint64_t>& weights,
     bool at_least_one);
@@ -62,33 +56,18 @@ class ShardedProblem {
   struct Shard {
     std::vector<std::size_t> servers;  ///< global server ids, ascending
     std::vector<std::size_t> users;    ///< global user ids, ascending
-    /// Committed sub-scenario view, owned by `workspace`; valid until the
-    /// next compile(). Null when the shard is unpopulated.
-    const mec::Scenario* scenario = nullptr;
-    /// The shard's compilation, refreshed in place across epochs. Null when
-    /// the shard is unpopulated.
-    std::unique_ptr<CompiledProblem> problem;
-    /// Epoch-reusable buffers behind `scenario` (kept even while the shard
-    /// is unpopulated, so a returning user does not pay a reallocation).
-    std::unique_ptr<mec::ScenarioWorkspace> workspace;
+    /// The sub-scenario over the shard's own users and servers: sliced
+    /// gains, availability mask and cloud share.
+    std::unique_ptr<const mec::Scenario> scenario;
+    /// The compilation of `scenario`.
+    std::unique_ptr<const CompiledProblem> problem;
   };
 
-  /// An empty sliceable; call compile() before any query.
-  ShardedProblem() = default;
-
-  /// Slices `problem` along `partition` (compile() in one step).
+  /// Slices `problem` along `partition`, which must have one cell per server
+  /// of the compiled scenario (cell c = server c, the layout
+  /// ScenarioBuilder produces). Nothing refers to `problem` afterwards.
   ShardedProblem(const CompiledProblem& problem,
                  const geo::InterferencePartition& partition);
-
-  /// (Re)slices `problem` along `partition`. The partition must have one
-  /// cell per server of the compiled scenario (cell c = server c, the
-  /// layout ScenarioBuilder produces). `problem` must outlive this object
-  /// (or the next compile). Repeated calls reuse per-shard storage as
-  /// described in the header comment.
-  void compile(const CompiledProblem& problem,
-               const geo::InterferencePartition& partition);
-
-  [[nodiscard]] bool compiled() const noexcept { return parent_ != nullptr; }
 
   [[nodiscard]] std::size_t num_shards() const noexcept {
     return shards_.size();
@@ -131,29 +110,7 @@ class ShardedProblem {
   [[nodiscard]] Assignment shard_hint(std::size_t k,
                                       const Assignment& global) const;
 
-  /// Classification of the populated shards by the last compile(): a shard
-  /// is *rebuilt* when its user membership changed (its sub-scenario is
-  /// restaged wholesale) and *refreshed* when membership held, so the
-  /// in-place recompile skips every unchanged per-user constant block.
-  [[nodiscard]] std::size_t shards_rebuilt() const noexcept {
-    return shards_rebuilt_;
-  }
-  [[nodiscard]] std::size_t shards_refreshed() const noexcept {
-    return shards_refreshed_;
-  }
-
-  [[nodiscard]] const CompiledProblem& parent() const noexcept {
-    return *parent_;
-  }
-
  private:
-  /// True when the retained shards can be reused for (scenario, partition):
-  /// same shard/server layout, same server parameters, spectrum and noise.
-  [[nodiscard]] bool layout_reusable(
-      const mec::Scenario& scenario,
-      const geo::InterferencePartition& partition) const;
-
-  const CompiledProblem* parent_ = nullptr;
   std::vector<Shard> shards_;
   std::vector<std::size_t> home_server_;    // per global user
   std::vector<std::size_t> shard_of_user_;  // per global user
@@ -161,9 +118,6 @@ class ShardedProblem {
   std::vector<std::size_t> server_local_;   // per global server
   std::vector<std::size_t> boundary_users_;
   std::vector<std::vector<std::size_t>> boundary_users_of_;
-  std::vector<std::vector<std::size_t>> staged_users_;  // compile scratch
-  std::size_t shards_rebuilt_ = 0;
-  std::size_t shards_refreshed_ = 0;
 };
 
 }  // namespace tsajs::jtora

@@ -67,9 +67,6 @@ class Availability {
     slot_ok_[require_slot(s, j)] = 1;
   }
   void fail_backhaul(std::size_t s) { backhaul_up_[require_server(s)] = 0; }
-  void restore_backhaul(std::size_t s) {
-    backhaul_up_[require_server(s)] = 1;
-  }
 
   [[nodiscard]] bool server_available(std::size_t s) const {
     if (unconstrained()) return true;

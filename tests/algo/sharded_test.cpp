@@ -212,31 +212,34 @@ TEST(ShardedSchedulerTest, WarmStartIsDeterministicAndThreadInvariant) {
   EXPECT_EQ(warm_c.system_utility, warm_a.system_utility);
 }
 
-// The epoch cache (partition, coloring, per-shard compilations held across
-// schedule() calls) must be bitwise-invisible: a scheduler that solved
-// other scenarios first returns exactly what a fresh instance returns.
-TEST(ShardedSchedulerTest, EpochCacheReuseIsBitwiseInvisible) {
+// The scheduler is stateless between calls: one that solved other
+// problems first (fewer users, and a different server count, hence another
+// partition) returns exactly what a fresh instance returns.
+TEST(ShardedSchedulerTest, EarlierSolvesDoNotChangeTheResult) {
   const mec::Scenario first = make_scenario(24, 40);
+  const mec::Scenario other_grid = make_scenario(26, 60, 19, 3);
   const mec::Scenario second = make_scenario(25, 48);
   const jtora::CompiledProblem problem_a(first);
+  const jtora::CompiledProblem problem_c(other_grid);
   const jtora::CompiledProblem problem_b(second);
   ShardedConfig config;
   config.reach_m = 2000.0;
-  const ShardedScheduler reused(
+  const ShardedScheduler used(
       std::make_unique<TsajsScheduler>(small_tsajs()), config);
   const ShardedScheduler fresh(
       std::make_unique<TsajsScheduler>(small_tsajs()), config);
 
   Rng warmup(3);
-  (void)test::solve(reused, problem_a, warmup);  // populate the cache
+  (void)test::solve(used, problem_a, warmup);
+  (void)test::solve(used, problem_c, warmup);
 
   Rng rng_a(55);
   Rng rng_b(55);
-  const ScheduleResult cached = test::solve(reused, problem_b, rng_a);
+  const ScheduleResult after = test::solve(used, problem_b, rng_a);
   const ScheduleResult cold = test::solve(fresh, problem_b, rng_b);
-  EXPECT_EQ(cached.assignment, cold.assignment);
-  EXPECT_EQ(cached.system_utility, cold.system_utility);
-  EXPECT_EQ(cached.evaluations, cold.evaluations);
+  EXPECT_EQ(after.assignment, cold.assignment);
+  EXPECT_EQ(after.system_utility, cold.system_utility);
+  EXPECT_EQ(after.evaluations, cold.evaluations);
 }
 
 // Single-shard passthrough still applies the budget and the hint: the

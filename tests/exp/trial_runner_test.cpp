@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
+#include "common/rng.h"
 #include "exp/report.h"
+#include "geo/partition.h"
+#include "geo/point.h"
+#include "mec/scenario.h"
 
 namespace tsajs::exp {
 namespace {
@@ -43,10 +49,28 @@ void expect_bitwise_equal(const Accumulator& a, const Accumulator& b) {
 TEST(TrialRunnerTest, DeterministicAcrossThreadCounts) {
   // Per-trial seeds derive from (base_seed, trial) only and the outcomes
   // fold in trial order, so every statistic must be bitwise identical no
-  // matter how trials are scheduled onto threads.
+  // matter how trials are scheduled onto threads. The pool workers share
+  // one instance of each scheduler; "sharded:tsajs" is among them, at a
+  // reach that splits the 3-site grid into shards with boundary cells, so
+  // its solve runs the partition, the shard solves and the fixup
+  // concurrently on that one instance. The sites are 1,000 m apart: a
+  // shorter reach leaves no boundary cell, a longer one a single shard.
   TrialSpec spec = quick_spec();
-  spec.schemes = {"tsajs", "greedy"};
+  spec.schemes = {"tsajs", "greedy", "sharded:tsajs"};
+  spec.options.shard_reach_m = 1000.0;
   spec.trials = 24;
+  {
+    Rng rng(spec.base_seed);
+    const mec::Scenario drop = spec.builder.build(rng);
+    std::vector<geo::Point> sites;
+    for (const mec::EdgeServer& server : drop.servers()) {
+      sites.push_back(server.position);
+    }
+    const geo::InterferencePartition partition(sites,
+                                               spec.options.shard_reach_m);
+    ASSERT_GT(partition.num_shards(), 1u);
+    ASSERT_FALSE(partition.boundary_cells().empty());
+  }
   const auto serial = TrialRunner(1).run(spec);
   const auto parallel = TrialRunner(4).run(spec);
   ASSERT_EQ(serial.size(), parallel.size());

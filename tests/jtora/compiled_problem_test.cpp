@@ -217,7 +217,7 @@ TEST(CompiledProblemTest, FlatTablesMatchTheScenarioOnEverySubchannel) {
 }
 
 // ---------------------------------------------------------------------------
-// Recompilation / caching behaviour.
+// Recompilation in place (the buffers of an earlier compile are reused).
 // ---------------------------------------------------------------------------
 
 TEST(CompiledProblemTest, RecompileIsIdenticalToFreshCompile) {
@@ -227,7 +227,7 @@ TEST(CompiledProblemTest, RecompileIsIdenticalToFreshCompile) {
   const mec::Scenario second = plain_scenario(22, 8, 3, 2);
 
   CompiledProblem reused(first);
-  reused.compile(second);  // constants hit the per-user key cache
+  reused.compile(second);  // same user parameters, new gains
   const CompiledProblem fresh(second);
   EXPECT_TRUE(reused.bitwise_equal(fresh));
 
@@ -238,8 +238,8 @@ TEST(CompiledProblemTest, RecompileIsIdenticalToFreshCompile) {
 }
 
 TEST(CompiledProblemTest, RecompileTracksChangedUserParameters) {
-  // Same dims, different task loads: the per-user key cache must miss and
-  // the constants must come out as if compiled from scratch.
+  // Same dims, different task loads: recompiling in place must give the
+  // constants a fresh compile of the new scenario gives.
   const mec::Scenario base = plain_scenario(41, 8, 3, 2);
   Rng rng(41);  // same drop as `base` (same placement + shadowing)
   const mec::Scenario heavier =

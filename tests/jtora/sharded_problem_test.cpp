@@ -276,82 +276,6 @@ TEST(ShardedProblemTest, ServerIndexMapsRoundTrip) {
   }
 }
 
-// Epoch reuse, channel-only change: re-compiling against a scenario that
-// differs only in availability keeps every shard's membership (all
-// "refreshed", none "rebuilt") and stays bitwise equal to a from-scratch
-// slice.
-TEST(ShardedProblemTest, CompileReuseAvailabilityRefreshIsBitwise) {
-  const mec::Scenario scenario = make_scenario(14, 50);
-  const CompiledProblem problem(scenario);
-  const std::vector<geo::Point> sites = sites_of(scenario);
-  const geo::InterferencePartition partition(
-      sites, geo::InterferencePartition::auto_reach(sites));
-
-  ShardedProblem reused(problem, partition);
-  std::size_t populated = 0;
-  for (std::size_t k = 0; k < reused.num_shards(); ++k) {
-    if (reused.shard(k).problem != nullptr) ++populated;
-  }
-
-  mec::Availability mask(scenario.num_servers(), scenario.num_subchannels());
-  mask.block_slot(0, 1);
-  mask.fail_server(scenario.num_servers() - 1);
-  const mec::Scenario faulted = scenario.with_availability(mask);
-  const CompiledProblem faulted_problem(faulted);
-
-  reused.compile(faulted_problem, partition);
-  EXPECT_EQ(reused.shards_rebuilt(), 0u);
-  EXPECT_EQ(reused.shards_refreshed(), populated);
-
-  const ShardedProblem fresh(faulted_problem, partition);
-  ASSERT_EQ(reused.num_shards(), fresh.num_shards());
-  for (std::size_t k = 0; k < fresh.num_shards(); ++k) {
-    SCOPED_TRACE("shard " + std::to_string(k));
-    const ShardedProblem::Shard& a = reused.shard(k);
-    const ShardedProblem::Shard& b = fresh.shard(k);
-    EXPECT_EQ(a.users, b.users);
-    ASSERT_EQ(a.problem == nullptr, b.problem == nullptr);
-    if (a.problem != nullptr) {
-      EXPECT_TRUE(a.problem->bitwise_equal(*b.problem));
-    }
-  }
-}
-
-// Epoch reuse, membership change: a different user drop over the same
-// server grid marks moved-population shards "rebuilt", and the slices
-// still equal a from-scratch construction bit for bit.
-TEST(ShardedProblemTest, CompileReuseMembershipChangeIsBitwise) {
-  const mec::Scenario first = make_scenario(15, 50);
-  const mec::Scenario second = make_scenario(16, 50);
-  // Precondition: the hex server grid is deterministic, only users moved.
-  ASSERT_EQ(first.num_servers(), second.num_servers());
-  for (std::size_t s = 0; s < first.num_servers(); ++s) {
-    ASSERT_EQ(first.server(s).position.x, second.server(s).position.x);
-    ASSERT_EQ(first.server(s).position.y, second.server(s).position.y);
-  }
-  const CompiledProblem problem_a(first);
-  const CompiledProblem problem_b(second);
-  const std::vector<geo::Point> sites = sites_of(first);
-  const geo::InterferencePartition partition(
-      sites, geo::InterferencePartition::auto_reach(sites));
-
-  ShardedProblem reused(problem_a, partition);
-  reused.compile(problem_b, partition);
-  EXPECT_GE(reused.shards_rebuilt(), 1u);
-
-  const ShardedProblem fresh(problem_b, partition);
-  for (std::size_t k = 0; k < fresh.num_shards(); ++k) {
-    SCOPED_TRACE("shard " + std::to_string(k));
-    const ShardedProblem::Shard& a = reused.shard(k);
-    const ShardedProblem::Shard& b = fresh.shard(k);
-    EXPECT_EQ(a.users, b.users);
-    ASSERT_EQ(a.problem == nullptr, b.problem == nullptr);
-    if (a.problem != nullptr) {
-      EXPECT_TRUE(a.problem->bitwise_equal(*b.problem));
-    }
-  }
-}
-
 // shard_hint slices a feasible global assignment into a shard's local
 // frame: in-shard slots survive (translated), out-of-shard placements
 // start local.

@@ -14,6 +14,8 @@
 #include "algo/registry.h"
 #include "algo/scheduler.h"
 #include "common/rng.h"
+#include "geo/hex_layout.h"
+#include "geo/partition.h"
 #include "mec/availability.h"
 #include "mec/scenario_builder.h"
 #include "sim/dynamic.h"
@@ -95,18 +97,24 @@ TEST(ChaosTest, AllSchemesSurviveRandomizedFaultTimelines) {
 
 // The parallel sharded wrapper under the same chaos harness, with worker
 // threads on and a reach small enough that the 3-server hex grid really
-// splits into per-server shards (hex sites are >= 1000 m apart, so 400 m
-// tiles isolate every site). Exercises the multicore shard solves, the
-// epoch cache across fault-mutated scenarios, and — with the wider reach —
-// the colored boundary fixup, all under TSan in the sanitizer CI job.
+// splits into shards (hex sites are 1000 m apart, so 400 m tiles isolate
+// every site). Exercises the multicore shard solves on fault-mutated
+// scenarios, one scheduler instance across all epochs, and — with the
+// wider reach — the colored boundary fixup, all under TSan in the
+// sanitizer CI job.
 TEST(ChaosTest, ShardedSchedulerSurvivesFaultsWithWorkerThreads) {
   const DynamicConfig config = chaos_config();
   const DynamicSimulator simulator(kPopulation, kServers, kSubchannels,
                                    config);
   std::size_t seed = 3000;
-  // 400 m isolates every site; 1500 m keeps cross-shard adjacency alive so
-  // the fixup sweep and its commit path run too.
-  for (const double reach : {400.0, 1500.0}) {
+  // 400 m isolates every site; 1000 m splits the grid into two shards whose
+  // sites lie within reach of each other, so the fixup sweep and its commit
+  // path run too (any longer reach puts all three sites in one tile).
+  const geo::HexLayout layout(kServers, mec::kInterSiteDistanceM);
+  const geo::InterferencePartition fixup_partition(layout.sites(), 1000.0);
+  ASSERT_GT(fixup_partition.num_shards(), 1u);
+  ASSERT_FALSE(fixup_partition.boundary_cells().empty());
+  for (const double reach : {400.0, 1000.0}) {
     algo::RegistryOptions options;
     options.shard_reach_m = reach;
     options.shard_threads = 2;
