@@ -45,15 +45,16 @@ ScheduleResult GreedyScheduler::fill_and_prune(
               return std::tie(a.user, a.server) < std::tie(b.user, b.server);
             });
 
+  // Scenario::num_available_slots() counts a constrained mask on every
+  // call, so read it once.
+  const std::size_t max_offloaded =
+      std::min(scenario.num_users(), scenario.num_available_slots());
   for (const Candidate& c : candidates) {
-    if (x.num_offloaded() == std::min(scenario.num_users(),
-                                      problem.num_available_slots())) {
-      break;
-    }
+    if (x.num_offloaded() == max_offloaded) break;
     if (x.is_offloaded(c.user)) continue;
     // The lowest free sub-channel that is not fault-masked.
     for (std::size_t j = 0; j < scenario.num_subchannels(); ++j) {
-      if (problem.slot_available(c.server, j) &&
+      if (scenario.slot_available(c.server, j) &&
           !x.occupant(c.server, j).has_value()) {
         x.offload(c.user, c.server, j);
         break;
@@ -85,7 +86,7 @@ ScheduleResult GreedyScheduler::fill_and_prune(
   // Cloud tier pass: greedily toggle each survivor's tier (edge-serve vs
   // forward-to-cloud) while any toggle improves J*(X). Each toggle only
   // perturbs the two compute pools, so a few passes reach a fixed point.
-  if (problem.has_cloud()) {
+  if (scenario.has_cloud()) {
     double best = evaluator.system_utility(x);
     ++evaluations;
     constexpr std::size_t kMaxTierPasses = 4;

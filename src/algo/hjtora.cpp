@@ -39,7 +39,7 @@ ScheduleResult HjtoraScheduler::solve(const SolveRequest& request) const {
         if (x.is_offloaded(u)) continue;
         for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
           for (std::size_t j = 0; j < scenario.num_subchannels(); ++j) {
-            if (!problem.slot_available(s, j)) continue;  // fault-masked
+            if (!scenario.slot_available(s, j)) continue;  // fault-masked
             if (x.occupant(s, j).has_value()) continue;
             x.offload(u, s, j);
             const double candidate = evaluator.system_utility(x);
@@ -79,7 +79,7 @@ ScheduleResult HjtoraScheduler::solve(const SolveRequest& request) const {
       // Move to any free slot (the original slot is free now; skip it).
       for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
         for (std::size_t j = 0; j < scenario.num_subchannels(); ++j) {
-          if (!problem.slot_available(s, j)) continue;  // fault-masked
+          if (!scenario.slot_available(s, j)) continue;  // fault-masked
           if (x.occupant(s, j).has_value()) continue;
           if (s == slot->server && j == slot->subchannel) continue;
           x.offload(u, s, j);
@@ -133,7 +133,7 @@ ScheduleResult HjtoraScheduler::solve(const SolveRequest& request) const {
   // profitable admission (a freed slot, reduced interference) and vice
   // versa, so at convergence neither any admission nor any one-exchange
   // improves the objective.
-  const bool has_cloud = problem.has_cloud();
+  const bool has_cloud = scenario.has_cloud();
   admission_phase();
   for (std::size_t pass = 0; pass < kMaxAdjustmentPasses; ++pass) {
     const bool adjusted = adjustment_pass();

@@ -45,6 +45,7 @@ void validate_result(const Scheduler& scheduler,
                      const ScheduleResult& result) {
   std::vector<std::string> violations;
   const jtora::Assignment& x = result.assignment;
+  const mec::Scenario& scenario = problem.scenario();
 
   if (x.num_users() != problem.num_users() ||
       x.num_servers() != problem.num_servers() ||
@@ -89,7 +90,7 @@ void validate_result(const Scheduler& scheduler,
       violations.push_back(format_slot(u, *slot) +
                            ": slot not held exclusively (12d)");
     }
-    if (!problem.slot_available(slot->server, slot->subchannel)) {
+    if (!scenario.slot_available(slot->server, slot->subchannel)) {
       violations.push_back(format_slot(u, *slot) +
                            ": slot is fault-masked unavailable");
     }
@@ -110,13 +111,17 @@ void validate_result(const Scheduler& scheduler,
   // Cloud tier: the assignment's forwarding state must mirror the problem's
   // tier, every forwarded user must be offloaded via a live backhaul, and
   // the admission cap must hold.
-  if (x.cloud_enabled() != problem.has_cloud()) {
+  if (x.cloud_enabled() && !scenario.has_cloud()) {
     violations.push_back(
-        x.cloud_enabled()
-            ? "assignment carries forwarding state but the problem has no "
-              "cloud tier"
-            : "problem has a cloud tier but the assignment was built without "
-              "one");
+        "assignment carries forwarding state but the problem has no cloud "
+        "tier");
+    // The evaluation below would price its forwarded users with forwarding
+    // delays this problem does not compile; stop here.
+    throw ValidationError(scheduler.name(), std::move(violations));
+  }
+  if (!x.cloud_enabled() && scenario.has_cloud()) {
+    violations.push_back(
+        "problem has a cloud tier but the assignment was built without one");
   } else if (x.cloud_enabled()) {
     std::size_t forwarded = 0;
     for (std::size_t u = 0; u < x.num_users(); ++u) {
@@ -129,7 +134,7 @@ void validate_result(const Scheduler& scheduler,
         violations.push_back(os.str());
         continue;
       }
-      if (!problem.cloud_forwardable(slot->server)) {
+      if (!scenario.backhaul_available(slot->server)) {
         violations.push_back(format_slot(u, *slot) +
                              ": forwarded over a down backhaul");
       }
@@ -140,11 +145,11 @@ void validate_result(const Scheduler& scheduler,
          << forwarded << " forwarded users";
       violations.push_back(os.str());
     }
-    if (problem.cloud_max_forwarded() > 0 &&
-        forwarded > problem.cloud_max_forwarded()) {
+    const std::size_t cap = scenario.cloud().max_forwarded;
+    if (cap > 0 && forwarded > cap) {
       std::ostringstream os;
       os << forwarded << " forwarded users exceed the cloud admission cap "
-         << problem.cloud_max_forwarded();
+         << cap;
       violations.push_back(os.str());
     }
   }

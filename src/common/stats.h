@@ -34,7 +34,6 @@ class P2Quantile {
   [[nodiscard]] double value() const noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] double quantile_level() const noexcept { return q_; }
 
  private:
   void init_markers() noexcept;

@@ -108,15 +108,9 @@ class Assignment {
     return num_offloaded_;
   }
 
-  /// Read-only user -> slot map (index = user, nullopt = local). Flat view
-  /// for the batch kernels' sweep loops; prefer slot_of() elsewhere.
-  [[nodiscard]] const std::vector<std::optional<Slot>>& user_slots()
-      const noexcept {
-    return user_slot_;
-  }
-
   /// Read-only slot -> user map (index = s * num_subchannels + j, nullopt =
-  /// free). Flat view for the batch kernels; prefer occupant() elsewhere.
+  /// free). Flat view for IncrementalEvaluator's co-channel sweeps and
+  /// UtilityEvaluator's occupant gather; prefer occupant() elsewhere.
   [[nodiscard]] const std::vector<std::optional<std::size_t>>& slot_users()
       const noexcept {
     return slot_user_;
@@ -130,8 +124,9 @@ class Assignment {
   }
 
   /// Read-only masked-slot map (index = s * num_subchannels + j, 1 =
-  /// masked); empty when every slot is available. Flat view for the batch
-  /// kernels; prefer slot_available() elsewhere.
+  /// masked); empty when every slot is available. Flat view for
+  /// IncrementalEvaluator's free-slot test; prefer slot_available()
+  /// elsewhere.
   [[nodiscard]] const std::vector<std::uint8_t>& blocked_slots()
       const noexcept {
     return blocked_;

@@ -8,12 +8,19 @@
 //   eta_u  = lambda_u beta_t f_local                (below Eq. 19)
 //   gain_u = lambda_u (beta_t + beta_e)             (Eq. 24 gain term)
 //
+// phi_u and psi_u enter the objective only through the Gamma numerator
+// phi_u + psi_u p_u, so that sum is what gets compiled. With a cloud tier a
+// forwarded user adds the backhaul delay t_fwd(u) = d_u / r_backhaul + tau
+// (mec/cloud.h), one entry per user.
+//
 // Historically each evaluator derived its own copies (UtilityEvaluator kept
 // them private, IncrementalEvaluator re-derived them, RateEvaluator
 // re-indexed scenario().gain() on every call). CompiledProblem is the single
 // compiled representation they all share: flat SoA arrays, a
 // server-contiguous signal table, built once per scenario and read by every
-// evaluator and scheme that solves it.
+// evaluator and scheme that solves it. It holds only the objective's terms;
+// the fault mask, the backhaul state and the cloud tier's capacity and cap
+// are read from scenario(), which already answers them.
 //
 // The compiled values are produced by the exact expressions (same operand
 // order) the evaluators historically used inline, so every consumer remains
@@ -27,7 +34,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "mec/scenario.h"
@@ -65,46 +71,7 @@ class CompiledProblem {
     return bandwidth_hz_;
   }
 
-  // --- resource availability (compiled fault masks) -----------------------
-  /// True when no server or slot is masked (the healthy common case).
-  [[nodiscard]] bool all_available() const noexcept { return all_available_; }
-  [[nodiscard]] bool server_available(std::size_t s) const noexcept {
-    return all_available_ || server_up_[s] != 0;
-  }
-  [[nodiscard]] bool slot_available(std::size_t s, std::size_t j) const
-      noexcept {
-    return all_available_ || slot_ok_[s * num_subchannels_ + j] != 0;
-  }
-  /// Slots that can actually carry an offloaded task.
-  [[nodiscard]] std::size_t num_available_slots() const noexcept {
-    return num_available_slots_;
-  }
-
-  // --- cloud tier (compiled forwarding terms) -----------------------------
-  /// True when the scenario carries an enabled mec::CloudTier.
-  [[nodiscard]] bool has_cloud() const noexcept { return has_cloud_; }
-  /// Cloud pool capacity f_cloud [Hz] (0 without a tier).
-  [[nodiscard]] double cloud_cpu_hz() const noexcept { return cloud_cpu_hz_; }
-  /// Cloud admission cap (0 = unlimited).
-  [[nodiscard]] std::size_t cloud_max_forwarded() const noexcept {
-    return cloud_max_forwarded_;
-  }
-  /// True when server s can forward to the cloud right now (tier enabled
-  /// and backhaul up).
-  [[nodiscard]] bool cloud_forwardable(std::size_t s) const noexcept {
-    return has_cloud_ && backhaul_ok_[s] != 0;
-  }
-  /// Backhaul transfer + propagation delay for forwarding user u's input
-  /// from server s to the cloud: d_u / r_backhaul(s) + tau(s). Compiled
-  /// per (user, server); only valid when has_cloud().
-  [[nodiscard]] double forward_time_s(std::size_t u,
-                                      std::size_t s) const noexcept {
-    return forward_time_[u * num_servers_ + s];
-  }
-
   // --- per-user constants (paper, below Eq. 19 / Eq. 24) ------------------
-  [[nodiscard]] double phi(std::size_t u) const noexcept { return phi_[u]; }
-  [[nodiscard]] double psi(std::size_t u) const noexcept { return psi_[u]; }
   /// lambda_u * (beta_t + beta_e): the per-user gain term of Eq. 24.
   [[nodiscard]] double gain_const(std::size_t u) const noexcept {
     return gain_const_[u];
@@ -129,8 +96,11 @@ class CompiledProblem {
   [[nodiscard]] double local_energy_j(std::size_t u) const noexcept {
     return local_energy_[u];
   }
-  [[nodiscard]] double tx_power_w(std::size_t u) const noexcept {
-    return tx_power_[u];
+  /// Backhaul transfer + propagation delay for forwarding user u's input to
+  /// the cloud: d_u / r_backhaul + tau, the same from every server. Only
+  /// valid when scenario().has_cloud().
+  [[nodiscard]] double forward_time_s(std::size_t u) const noexcept {
+    return forward_time_[u];
   }
 
   // --- per-server constants ----------------------------------------------
@@ -159,8 +129,6 @@ class CompiledProblem {
 
  private:
   void compile_tables(const mec::Scenario& scenario);
-  void compile_availability(const mec::Scenario& scenario);
-  void compile_cloud(const mec::Scenario& scenario);
 
   const mec::Scenario* scenario_ = nullptr;
   std::size_t num_users_ = 0;
@@ -169,8 +137,6 @@ class CompiledProblem {
   double noise_w_ = 0.0;
   double bandwidth_hz_ = 0.0;
 
-  std::vector<double> phi_;
-  std::vector<double> psi_;
   std::vector<double> gain_const_;
   std::vector<double> gamma_coef_;
   std::vector<double> time_cost_scale_;
@@ -178,25 +144,10 @@ class CompiledProblem {
   std::vector<double> sqrt_eta_;
   std::vector<double> local_time_;
   std::vector<double> local_energy_;
-  std::vector<double> tx_power_;
+  /// Per-user forwarding delay; empty without a cloud tier.
+  std::vector<double> forward_time_;
   std::vector<double> server_cpu_;
   std::vector<double> signal_;
-
-  bool all_available_ = true;
-  std::size_t num_available_slots_ = 0;
-  /// Per-server / per-slot availability (1 = usable); empty when
-  /// `all_available_` so the healthy path allocates nothing.
-  std::vector<std::uint8_t> server_up_;
-  std::vector<std::uint8_t> slot_ok_;
-
-  bool has_cloud_ = false;
-  double cloud_cpu_hz_ = 0.0;
-  std::size_t cloud_max_forwarded_ = 0;
-  /// Per (user, server) forwarding delay [u * num_servers + s]; sub-channel
-  /// independent (the backhaul is wired, not radio). Empty without a tier.
-  std::vector<double> forward_time_;
-  /// Per-server backhaul state (1 = up); empty without a tier.
-  std::vector<std::uint8_t> backhaul_ok_;
 };
 
 }  // namespace tsajs::jtora

@@ -69,7 +69,7 @@ CraResult CraSolver::solve(const Assignment& x) const {
     allocate_pool(users, problem_->server_cpu_hz(s));
   }
   if (cloud_pool) {
-    allocate_pool(x.forwarded_users(), problem_->cloud_cpu_hz());
+    allocate_pool(x.forwarded_users(), problem_->scenario().cloud().cpu_hz);
   }
   return result;
 }
@@ -96,7 +96,8 @@ double CraSolver::optimal_objective(const Assignment& x) const {
     }
   }
   if (cloud_pool) {
-    total += server_objective(cloud_sqrt_eta_sum, problem_->cloud_cpu_hz());
+    total += server_objective(cloud_sqrt_eta_sum,
+                              problem_->scenario().cloud().cpu_hz);
   }
   return total;
 }
@@ -207,7 +208,7 @@ CraResult CraSolver::solve_numeric(const Assignment& x,
     optimize_pool(users, problem_->server_cpu_hz(s));
   }
   if (cloud_pool) {
-    optimize_pool(x.forwarded_users(), problem_->cloud_cpu_hz());
+    optimize_pool(x.forwarded_users(), problem_->scenario().cloud().cpu_hz);
   }
   return result;
 }

@@ -40,7 +40,7 @@ IncrementalEvaluator::IncrementalEvaluator(const CompiledProblem& problem,
       num_servers_(problem.num_servers()),
       num_subchannels_(problem.num_subchannels()),
       noise_w_(problem.noise_w()),
-      cloud_cpu_hz_(problem.cloud_cpu_hz()) {
+      cloud_cpu_hz_(problem.scenario().cloud().cpu_hz) {
   rebuild();
 }
 
@@ -113,7 +113,7 @@ void IncrementalEvaluator::refresh_user_cost(std::size_t u) {
   double gain =
       gain_of(u, slot.server,
               channel_power_[slot.subchannel * num_servers_ + slot.server]);
-  if (x_.is_forwarded(u)) gain -= forward_cost(u, slot.server);
+  if (x_.is_forwarded(u)) gain -= forward_cost(u);
   gain_minus_gamma_ += gain - user_gain_[u];
   user_gain_[u] = gain;
 }
@@ -142,9 +142,7 @@ void IncrementalEvaluator::refresh_slack(std::size_t j) {
         slot_users[s * num_subchannels_ + j];
     if (!occupant.has_value()) continue;
     double ceiling = user_ceiling_[*occupant];
-    if (cloud && x_.is_forwarded(*occupant)) {
-      ceiling -= forward_cost(*occupant, s);
-    }
+    if (cloud && x_.is_forwarded(*occupant)) ceiling -= forward_cost(*occupant);
     slack += ceiling - user_gain_[*occupant];
   }
   channel_slack_[j] = slack;
@@ -457,9 +455,7 @@ double IncrementalEvaluator::preview_changes(const SlotChange* changes,
           gain_of(*occupant, s, channel_power_[j * num_servers_ + s] + d);
       // A standing forwarded occupant keeps its forward penalty (their
       // cached user_gain_ includes it; gain_of does not).
-      if (x_.is_forwarded(*occupant)) {
-        occ_gain -= forward_cost(*occupant, s);
-      }
+      if (x_.is_forwarded(*occupant)) occ_gain -= forward_cost(*occupant);
       gain_delta += occ_gain - user_gain_[*occupant];
     }
   }
@@ -581,7 +577,7 @@ void IncrementalEvaluator::preview_offload_subchannel(
         slot_users[r * num_subchannels_ + j];
     if (!occ.has_value()) continue;
     double occ_gain = gain_of(*occ, r, power_row[r] + urow[r]);
-    if (x_.is_forwarded(*occ)) occ_gain -= forward_cost(*occ, r);
+    if (x_.is_forwarded(*occ)) occ_gain -= forward_cost(*occ);
     occ_delta.push_back(occ_gain - user_gain_[*occ]);
   }
   for (std::size_t k = 0; k < kept; ++k) {
@@ -696,7 +692,7 @@ double IncrementalEvaluator::preview_set_forwarded(std::size_t u,
   // tracks apply exactly.
   double gain =
       gain_of(u, s, channel_power_[slot->subchannel * num_servers_ + s]);
-  if (forwarded) gain -= forward_cost(u, s);
+  if (forwarded) gain -= forward_cost(u);
   const double gain_delta = gain - user_gain_[u];
   return utility_ + gain_delta - lambda_delta;
 }

@@ -344,10 +344,10 @@ class IncrementalEvaluator {
   /// Same for the cloud pool (forwarded users, Eq. 23 virtual server).
   void cloud_add(double sqrt_eta);
   void cloud_remove(double sqrt_eta);
-  /// Weighted forward-delay penalty of user `u` uplinking via server `s`:
-  /// time_cost_scale(u) * forward_time_s(u, s). Only valid with a cloud.
-  [[nodiscard]] double forward_cost(std::size_t u, std::size_t s) const {
-    return problem_->time_cost_scale(u) * problem_->forward_time_s(u, s);
+  /// Weighted forward-delay penalty of forwarding user `u`:
+  /// time_cost_scale(u) * forward_time_s(u). Only valid with a cloud.
+  [[nodiscard]] double forward_cost(std::size_t u) const {
+    return problem_->time_cost_scale(u) * problem_->forward_time_s(u);
   }
   /// Commit accounting: triggers the periodic anti-drift rebuild.
   void note_commit();

@@ -118,8 +118,9 @@ ShardedProblem::ShardedProblem(const CompiledProblem& problem,
 
   // Cloud tier apportionment: the cloud is one shared global resource, so
   // each populated shard receives a deterministic slice — compute capacity
-  // proportional to its user count, and the admission cap split by largest
-  // remainder over the shard user counts (split_units). A shard whose cap
+  // proportional to its user count, the backhaul rate and latency as they
+  // are, and the admission cap split by largest remainder over the shard
+  // user counts (split_units). A shard whose cap
   // share rounds to zero has the tier disabled outright: a CloudTier cap of
   // 0 means "unlimited", the opposite of a zero share — so the per-shard
   // caps always sum to at most the global cap and the merged assignment can
@@ -137,17 +138,10 @@ ShardedProblem::ShardedProblem(const CompiledProblem& problem,
       const std::size_t shard_users = shards_[k].users.size();
       if (shard_users == 0) continue;
       if (cloud.max_forwarded > 0 && cap[k] == 0) continue;
-      mec::CloudTier tier;
-      tier.cpu_hz = cloud.cpu_hz * static_cast<double>(shard_users) /
-                    static_cast<double>(num_users);
-      tier.max_forwarded = cap[k];
-      tier.backhaul_bps.reserve(shards_[k].servers.size());
-      tier.backhaul_latency_s.reserve(shards_[k].servers.size());
-      for (const std::size_t gs : shards_[k].servers) {
-        tier.backhaul_bps.push_back(cloud.backhaul_bps[gs]);
-        tier.backhaul_latency_s.push_back(cloud.backhaul_latency_s[gs]);
-      }
-      shard_cloud[k] = std::move(tier);
+      shard_cloud[k] = mec::CloudTier{
+          cloud.cpu_hz * static_cast<double>(shard_users) /
+              static_cast<double>(num_users),
+          cloud.backhaul_bps, cloud.backhaul_latency_s, cap[k]};
     }
   }
 
@@ -209,7 +203,7 @@ ShardedProblem::ShardedProblem(const CompiledProblem& problem,
     shard.scenario = std::make_unique<const mec::Scenario>(
         std::move(users), std::move(servers), scenario.spectrum(),
         scenario.noise_w(), std::move(gains), std::move(availability),
-        std::move(shard_cloud[k]));
+        shard_cloud[k]);
     shard.problem = std::make_unique<const CompiledProblem>(*shard.scenario);
   }
 }

@@ -87,8 +87,7 @@ double UtilityEvaluator::system_utility(const Assignment& x) const {
     // plus the cloud-forwarding delay term of the extension.
     gamma += problem_->gamma_coef(u) / log_term;
     if (x.is_forwarded(u)) {
-      gamma += problem_->time_cost_scale(u) *
-               problem_->forward_time_s(u, slot.server);
+      gamma += problem_->time_cost_scale(u) * problem_->forward_time_s(u);
     }
   }
   const double lambda_cost = cra_.optimal_objective(x);
@@ -132,10 +131,7 @@ Evaluation UtilityEvaluator::evaluate(const Assignment& x) const {
     const double cpu = eval.allocation.cpu_hz[u];
     TSAJS_CHECK(cpu > 0.0, "CRA must allocate positive CPU to offloaders");
     outcome.exec_s = ue.task.cycles / cpu;
-    if (outcome.forwarded) {
-      const Slot slot = *x.slot_of(u);
-      outcome.forward_s = problem_->forward_time_s(u, slot.server);
-    }
+    if (outcome.forwarded) outcome.forward_s = problem_->forward_time_s(u);
     outcome.total_delay_s = outcome.link.upload_s + outcome.exec_s;
     if (outcome.forwarded) outcome.total_delay_s += outcome.forward_s;
     outcome.energy_j = outcome.link.tx_energy_j;

@@ -9,19 +9,20 @@
 // compute moves from the edge server's CRA pool to the cloud's, and its
 // delay gains a backhaul term
 //
-//   t_fwd(u, s) = d_u / r_backhaul(s) + tau(s)
+//   t_fwd(u) = d_u / r_backhaul + tau
 //
-// (transfer of the input over server s's backhaul plus propagation latency).
+// (transfer of the input over the backhaul plus propagation latency). Every
+// edge server's backhaul has the same rate and latency, so the term depends
+// on the user alone; whether a given server's backhaul is *up* is
+// per-server state in mec::Availability.
 //
-// A default-constructed CloudTier is *disabled* (cpu_hz == 0): scenarios
-// without a cloud carry no per-server storage and every cloud branch in the
-// pipeline is skipped, keeping the two-tier paths bit-identical to the
-// pre-cloud tree.
+// A default-constructed CloudTier is *disabled* (cpu_hz == 0) and carries
+// no backhaul terms: every cloud branch in the pipeline is skipped, keeping
+// the two-tier paths bit-identical to the pre-cloud tree.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
-#include <vector>
 
 #include "common/error.h"
 
@@ -31,52 +32,33 @@ struct CloudTier {
   /// Cloud compute capacity f_cloud [Hz] shared by all forwarded tasks
   /// (one CRA pool, like a virtual edge server). 0 disables the tier.
   double cpu_hz = 0.0;
-  /// Per-edge-server backhaul rate [bit/s] to the cloud; size num_servers
-  /// when the tier is enabled.
-  std::vector<double> backhaul_bps;
-  /// Per-edge-server backhaul propagation latency [s]; size num_servers.
-  std::vector<double> backhaul_latency_s;
+  /// Backhaul rate r_backhaul [bit/s] from every edge server to the cloud.
+  double backhaul_bps = 0.0;
+  /// Backhaul propagation latency tau [s].
+  double backhaul_latency_s = 0.0;
   /// Hard cap on concurrently forwarded tasks (cloud admission control);
   /// 0 = unlimited (the shared CRA pool is the only brake).
   std::size_t max_forwarded = 0;
 
   [[nodiscard]] bool enabled() const noexcept { return cpu_hz > 0.0; }
 
-  /// A tier with identical backhaul characteristics on every edge server.
-  [[nodiscard]] static CloudTier uniform(double cpu_hz, double backhaul_bps,
-                                         double backhaul_latency_s,
-                                         std::size_t num_servers,
-                                         std::size_t max_forwarded = 0) {
-    CloudTier cloud;
-    cloud.cpu_hz = cpu_hz;
-    cloud.backhaul_bps.assign(num_servers, backhaul_bps);
-    cloud.backhaul_latency_s.assign(num_servers, backhaul_latency_s);
-    cloud.max_forwarded = max_forwarded;
-    return cloud;
-  }
-
-  /// Validates against a deployment of `num_servers` edge servers. Disabled
-  /// tiers must carry no storage (so operator== keeps treating "no cloud"
-  /// as one canonical value).
-  void validate(std::size_t num_servers) const {
+  /// A disabled tier must carry no backhaul terms (so operator== keeps
+  /// treating "no cloud" as one canonical value); an enabled one needs a
+  /// finite capacity, a positive finite rate and a non-negative finite
+  /// latency.
+  void validate() const {
+    TSAJS_REQUIRE(std::isfinite(cpu_hz) && cpu_hz >= 0.0,
+                  "cloud capacity must be finite and >= 0 (0 disables)");
     if (!enabled()) {
-      TSAJS_REQUIRE(backhaul_bps.empty() && backhaul_latency_s.empty(),
+      TSAJS_REQUIRE(backhaul_bps == 0.0 && backhaul_latency_s == 0.0,
                     "a disabled cloud tier must not carry backhaul terms");
       return;
     }
-    TSAJS_REQUIRE(std::isfinite(cpu_hz) && cpu_hz > 0.0,
-                  "cloud capacity must be positive and finite");
-    TSAJS_REQUIRE(backhaul_bps.size() == num_servers &&
-                      backhaul_latency_s.size() == num_servers,
-                  "backhaul terms must cover every edge server");
-    for (const double bps : backhaul_bps) {
-      TSAJS_REQUIRE(std::isfinite(bps) && bps > 0.0,
-                    "backhaul rate must be positive and finite");
-    }
-    for (const double tau : backhaul_latency_s) {
-      TSAJS_REQUIRE(std::isfinite(tau) && tau >= 0.0,
-                    "backhaul latency must be non-negative and finite");
-    }
+    TSAJS_REQUIRE(std::isfinite(backhaul_bps) && backhaul_bps > 0.0,
+                  "backhaul rate must be positive and finite");
+    TSAJS_REQUIRE(
+        std::isfinite(backhaul_latency_s) && backhaul_latency_s >= 0.0,
+        "backhaul latency must be non-negative and finite");
   }
 
   friend bool operator==(const CloudTier&, const CloudTier&) = default;

@@ -33,7 +33,7 @@ Scenario::Scenario(std::vector<UserEquipment> users,
       noise_w_(noise_w),
       gains_(std::move(gains)),
       availability_(std::move(availability)),
-      cloud_(std::move(cloud)),
+      cloud_(cloud),
       fully_available_(availability_.all_available()) {
   TSAJS_REQUIRE(!users_.empty(), "a scenario needs at least one user");
   TSAJS_REQUIRE(!servers_.empty(), "a scenario needs at least one server");
@@ -45,7 +45,7 @@ Scenario::Scenario(std::vector<UserEquipment> users,
   TSAJS_REQUIRE(
       availability_.matches_grid(servers_.size(), spectrum_.num_subchannels()),
       "availability mask shape must be servers x subchannels");
-  cloud_.validate(servers_.size());
+  cloud_.validate();
   for (const auto& user : users_) user.validate();
   for (const auto& server : servers_) server.validate();
   // Each gain is positive and finite, and one (user, server) link has the
@@ -103,7 +103,7 @@ Scenario Scenario::with_availability(Availability availability) const {
 
 Scenario Scenario::with_cloud(CloudTier cloud) const {
   return Scenario(users_, servers_, spectrum_, noise_w_, gains_,
-                  availability_, std::move(cloud));
+                  availability_, cloud);
 }
 
 }  // namespace tsajs::mec

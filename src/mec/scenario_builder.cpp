@@ -47,14 +47,14 @@ ScenarioBuilder& ScenarioBuilder::cloud(double cpu_hz, double backhaul_bps,
                                         double backhaul_latency_s,
                                         std::size_t max_forwarded) {
   if (cpu_hz == 0.0) {
-    cloud_.reset();
+    cloud_ = CloudTier{};
     return *this;
   }
   TSAJS_REQUIRE(cpu_hz > 0.0, "cloud capacity must be positive");
   TSAJS_REQUIRE(backhaul_bps > 0.0, "backhaul rate must be positive");
   TSAJS_REQUIRE(backhaul_latency_s >= 0.0,
                 "backhaul latency must be non-negative");
-  cloud_ = CloudSpec{cpu_hz, backhaul_bps, backhaul_latency_s, max_forwarded};
+  cloud_ = CloudTier{cpu_hz, backhaul_bps, backhaul_latency_s, max_forwarded};
   return *this;
 }
 
@@ -119,16 +119,10 @@ Scenario ScenarioBuilder::build(Rng& rng) const {
   Matrix3<double> gains =
       channel.generate(user_positions, bs_positions, num_subchannels_, rng);
 
-  CloudTier cloud;
-  if (cloud_.has_value()) {
-    cloud = CloudTier::uniform(cloud_->cpu_hz, cloud_->backhaul_bps,
-                               cloud_->backhaul_latency_s, num_servers_,
-                               cloud_->max_forwarded);
-  }
   return Scenario(std::move(users), std::move(servers),
                   radio::Spectrum(kBandwidthHz, num_subchannels_),
                   units::dbm_to_watts(kNoiseDbm), std::move(gains),
-                  Availability{}, std::move(cloud));
+                  Availability{}, cloud_);
 }
 
 }  // namespace tsajs::mec

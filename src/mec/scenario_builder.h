@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <optional>
 
 #include "common/rng.h"
 #include "mec/scenario.h"
@@ -39,9 +38,9 @@ class ScenarioBuilder {
   // --- compute ------------------------------------------------------------
   ScenarioBuilder& server_cpu_hz(double f);
 
-  /// Extension: a cloud tier behind the edge servers with uniform backhaul
-  /// characteristics (see mec/cloud.h). cpu_hz = 0 keeps the tier disabled
-  /// (the paper's two-tier model, the default).
+  /// Extension: a cloud tier behind the edge servers, one backhaul rate and
+  /// latency for every server (see mec/cloud.h). cpu_hz = 0 keeps the tier
+  /// disabled (the paper's two-tier model, the default).
   ScenarioBuilder& cloud(double cpu_hz, double backhaul_bps,
                          double backhaul_latency_s,
                          std::size_t max_forwarded = 0);
@@ -84,13 +83,7 @@ class ScenarioBuilder {
   double beta_time_ = 0.5;
   std::function<void(std::size_t, UserEquipment&)> customize_;
 
-  struct CloudSpec {
-    double cpu_hz;
-    double backhaul_bps;
-    double backhaul_latency_s;
-    std::size_t max_forwarded;
-  };
-  std::optional<CloudSpec> cloud_;
+  CloudTier cloud_;  ///< disabled unless cloud() set a capacity
 };
 
 }  // namespace tsajs::mec

@@ -73,7 +73,7 @@ class ScenarioWorkspace {
   /// mask it persists across epochs until replaced (the deployment's cloud
   /// does not come and go per epoch); pass a default-constructed CloudTier
   /// to disable the tier again.
-  void set_cloud(CloudTier cloud) { cloud_ = std::move(cloud); }
+  void set_cloud(const CloudTier& cloud) { cloud_ = cloud; }
   [[nodiscard]] const CloudTier& cloud() const noexcept { return cloud_; }
 
   /// Builds and validates the Scenario over the staged users/gains. The

@@ -57,8 +57,8 @@ enum class WarmStart {
   /// Every epoch solves from scratch (the scheduler's own initialisation).
   kCold,
   /// The previous epoch's assignment, repaired for the new active set, is
-  /// passed as a hint; WarmStartable schedulers resume from it, others
-  /// silently fall back to a cold solve.
+  /// passed as a hint; schedulers with the Scheduler::kWarmStart capability
+  /// resume from it, others silently fall back to a cold solve.
   kWarm,
 };
 

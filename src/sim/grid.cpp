@@ -37,9 +37,8 @@ GridState::GridState(const Grid& grid, const GridConfig& config,
   if (config.has_cloud()) {
     // The tier is static for the run; faults vary only the availability
     // mask, never the tier itself.
-    workspace_.set_cloud(mec::CloudTier::uniform(
-        config.cloud_cpu_hz, kCloudBackhaulBps, kCloudBackhaulLatencyS,
-        grid.num_servers(), config.cloud_max_forwarded));
+    workspace_.set_cloud({config.cloud_cpu_hz, kCloudBackhaulBps,
+                          kCloudBackhaulLatencyS, config.cloud_max_forwarded});
   }
   if (config.fault.enabled()) {
     injector_.emplace(grid.num_servers(), grid.num_subchannels(),

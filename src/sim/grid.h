@@ -46,8 +46,8 @@ inline constexpr double kCloudBackhaulLatencyS = 0.02;
 
 struct GridConfig {
   /// Cloud tier behind the edge (disabled by default). When `cloud_cpu_hz`
-  /// is positive every snapshot carries a uniform mec::CloudTier of that
-  /// capacity behind kCloudBackhaulBps / kCloudBackhaulLatencyS links, and
+  /// is positive every snapshot carries a mec::CloudTier of that capacity
+  /// behind a kCloudBackhaulBps / kCloudBackhaulLatencyS backhaul, and
   /// schedulers may forward admitted tasks to the cloud; when zero no cloud
   /// branch runs.
   double cloud_cpu_hz = 0.0;

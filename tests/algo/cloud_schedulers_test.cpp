@@ -74,8 +74,8 @@ TEST(CloudSchedulersTest, ForwardingRaisesUtilityUnderEdgeOverload) {
                                  .num_subchannels(4)
                                  .server_cpu_hz(2e9)
                                  .build(rng);
-  const mec::Scenario cloudy = base.with_cloud(
-      mec::CloudTier::uniform(100e9, 200e6, 0.005, base.num_servers()));
+  const mec::Scenario cloudy =
+      base.with_cloud(mec::CloudTier{100e9, 200e6, 0.005});
   for (const char* name : {"greedy", "hjtora", "tsajs"}) {
     const auto scheduler = make_scheduler(name);
     Rng rng_off(31);

@@ -4,7 +4,9 @@
 // audit must catch schedulers that violate the contract.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/scheduler.h"
@@ -13,6 +15,7 @@
 #include "common/rng.h"
 #include "jtora/assignment.h"
 #include "jtora/compiled_problem.h"
+#include "jtora/utility.h"
 #include "mec/availability.h"
 #include "mec/scenario_builder.h"
 #include "support/solve.h"
@@ -25,6 +28,17 @@ mec::Scenario make_base(Rng& rng, std::size_t users = 6) {
       .num_users(users)
       .num_servers(3)
       .num_subchannels(2)
+      .build(rng);
+}
+
+/// make_base's drop for the same generator state, behind a cloud tier.
+mec::Scenario make_cloudy(Rng& rng, std::size_t max_forwarded = 0) {
+  return mec::ScenarioBuilder()
+      .num_users(6)
+      .num_servers(3)
+      .num_subchannels(2)
+      .cloud(/*cpu_hz=*/40e9, /*backhaul_bps=*/100e6,
+             /*backhaul_latency_s=*/0.02, max_forwarded)
       .build(rng);
 }
 
@@ -132,25 +146,46 @@ class LyingScheduler final : public Scheduler {
   }
 };
 
-// ...and a scheduler that ignores the fault mask by building its decision
-// against the unmasked twin of the scenario.
-class MaskBlindScheduler final : public Scheduler {
+// ...and a scheduler that builds its decision against a healthier twin of
+// the scenario it was given: one without the fault mask, the dead backhaul,
+// the admission cap or the missing cloud tier. It reports the utility its
+// decision has on the twin. None of those constraints enters the objective,
+// so the broken constraint is the audit's only complaint.
+class TwinScheduler final : public Scheduler {
  public:
-  explicit MaskBlindScheduler(const mec::Scenario& unmasked)
-      : unmasked_(unmasked) {}
-  [[nodiscard]] std::string name() const override { return "mask-blind"; }
+  TwinScheduler(const mec::Scenario& twin,
+                std::function<void(jtora::Assignment&)> decide)
+      : twin_(twin), decide_(std::move(decide)) {}
+  [[nodiscard]] std::string name() const override { return "twin-blind"; }
   [[nodiscard]] ScheduleResult solve(
       const SolveRequest& /*request*/) const override {
-    jtora::Assignment x(unmasked_);
-    x.offload(0, 0, 0);  // (0,0) is masked in the problem it was given
-    ScheduleResult result{x};
-    result.system_utility = 0.0;
-    return result;
+    jtora::Assignment x(twin_);
+    decide_(x);
+    const jtora::CompiledProblem problem(twin_);
+    const double utility = jtora::UtilityEvaluator(problem).system_utility(x);
+    return ScheduleResult{std::move(x), utility};
   }
 
  private:
-  const mec::Scenario& unmasked_;
+  const mec::Scenario& twin_;
+  std::function<void(jtora::Assignment&)> decide_;
 };
+
+/// Runs `scheduler` on `scenario` through the audit and expects exactly one
+/// violation, naming `check`.
+void expect_sole_violation(const Scheduler& scheduler,
+                           const mec::Scenario& scenario,
+                           const std::string& check) {
+  Rng solve_rng(1);
+  try {
+    (void)test::validated(scheduler, scenario, solve_rng);
+    ADD_FAILURE() << "expected ValidationError naming \"" << check << '"';
+  } catch (const ValidationError& error) {
+    ASSERT_EQ(error.violations().size(), 1u) << error.what();
+    EXPECT_NE(error.violations()[0].find(check), std::string::npos)
+        << error.violations()[0];
+  }
+}
 
 TEST(ValidationTest, AuditCatchesMisreportedUtility) {
   Rng rng(3);
@@ -173,7 +208,9 @@ TEST(ValidationTest, AuditCatchesAssignmentToMaskedSlot) {
   mask.fail_server(0);
   const mec::Scenario masked = base.with_availability(mask);
 
-  const MaskBlindScheduler scheduler(base);
+  // (0,0) is masked in the problem the scheduler is given.
+  const TwinScheduler scheduler(
+      base, [](jtora::Assignment& x) { x.offload(0, 0, 0); });
   Rng solve_rng(1);
   try {
     (void)test::validated(scheduler, masked, solve_rng);
@@ -182,6 +219,59 @@ TEST(ValidationTest, AuditCatchesAssignmentToMaskedSlot) {
     ASSERT_FALSE(error.violations().empty());
     EXPECT_NE(error.violations()[0].find("fault-masked"), std::string::npos);
   }
+}
+
+TEST(ValidationTest, AuditCatchesForwardingOverDownBackhaul) {
+  Rng rng(3);
+  const mec::Scenario cloudy = make_cloudy(rng);
+  mec::Availability mask(3, 2);
+  mask.fail_backhaul(0);
+  const mec::Scenario faulted = cloudy.with_availability(mask);
+  const TwinScheduler scheduler(cloudy, [](jtora::Assignment& x) {
+    x.offload(0, 0, 0);
+    x.set_forwarded(0, true);  // server 0's backhaul is down in `faulted`
+  });
+  expect_sole_violation(scheduler, faulted, "down backhaul");
+}
+
+TEST(ValidationTest, AuditCatchesForwardingPastTheAdmissionCap) {
+  Rng rng_a(3);
+  Rng rng_b(3);
+  const mec::Scenario uncapped = make_cloudy(rng_a);
+  const mec::Scenario capped = make_cloudy(rng_b, /*max_forwarded=*/1);
+  const TwinScheduler scheduler(uncapped, [](jtora::Assignment& x) {
+    x.offload(0, 0, 0);
+    x.offload(1, 1, 0);
+    x.set_forwarded(0, true);
+    x.set_forwarded(1, true);  // the second forward is over the cap of 1
+  });
+  expect_sole_violation(scheduler, capped, "admission cap");
+}
+
+TEST(ValidationTest, AuditCatchesForwardingStateWithoutCloudTier) {
+  Rng rng_a(3);
+  Rng rng_b(3);
+  const mec::Scenario cloudy = make_cloudy(rng_a);
+  const mec::Scenario plain = make_base(rng_b);
+  // Nobody is forwarded, but the decision carries the forwarding state of a
+  // tier the problem does not have.
+  const TwinScheduler scheduler(
+      cloudy, [](jtora::Assignment& x) { x.offload(0, 0, 0); });
+  expect_sole_violation(scheduler, plain, "no cloud tier");
+}
+
+// A forwarded user on a problem without a cloud tier has no compiled
+// forwarding delay: the audit must report the tier before it evaluates.
+TEST(ValidationTest, AuditStopsAtForwardedUsersWithoutCloudTier) {
+  Rng rng_a(3);
+  Rng rng_b(3);
+  const mec::Scenario cloudy = make_cloudy(rng_a);
+  const mec::Scenario plain = make_base(rng_b);
+  const TwinScheduler scheduler(cloudy, [](jtora::Assignment& x) {
+    x.offload(0, 0, 0);
+    x.set_forwarded(0, true);
+  });
+  expect_sole_violation(scheduler, plain, "no cloud tier");
 }
 
 TEST(ValidationTest, AuditRejectsMismatchedShape) {

@@ -243,8 +243,8 @@ TEST(ShardedSchedulerTest, EarlierSolvesDoNotChangeTheResult) {
 }
 
 // Single-shard passthrough still applies the budget and the hint: the
-// wrapper must match the inner scheme's own BudgetAware / WarmStartable
-// entry points bit for bit.
+// wrapper must match the inner scheme's own budgeted and warm-started
+// solves bit for bit.
 TEST(ShardedSchedulerTest, SingleShardPassthroughAppliesBudgetAndHint) {
   const mec::Scenario scenario = make_scenario(26);
   const jtora::CompiledProblem problem(scenario);

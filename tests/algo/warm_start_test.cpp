@@ -101,7 +101,7 @@ TEST(WarmStartTest, ScheduleFromIsDeterministic) {
 TEST(WarmStartTest, WarmResultNeverBelowRepairedHint) {
   // TSAJS returns its best-visited state, LocalSearch only climbs, and
   // Greedy's fill/prune steps each require strict improvement — so every
-  // WarmStartable scheduler dominates the (repaired) hint it was given.
+  // kWarmStart scheduler dominates the (repaired) hint it was given.
   const mec::Scenario scenario = make_scenario(14, 3, 2, 31);
   Rng hint_rng(9);
   const jtora::Assignment hint =

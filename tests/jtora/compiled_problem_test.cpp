@@ -207,7 +207,7 @@ TEST(CompiledProblemTest, FlatTablesMatchTheScenarioOnEverySubchannel) {
       for (std::size_t s = 0; s < servers; ++s) {
         for (std::size_t j = 0; j < subchannels; ++j) {
           EXPECT_EQ(bits(problem.signal(u, s)),
-                    bits(problem.tx_power_w(u) * scenario.gain(u, s, j)))
+                    bits(scenario.user(u).tx_power_w * scenario.gain(u, s, j)))
               << "trial " << trial << " link " << u << "," << s << " j " << j;
         }
         EXPECT_EQ(problem.signal_row(u)[s], problem.signal(u, s));

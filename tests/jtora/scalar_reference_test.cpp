@@ -48,12 +48,10 @@ double scalar_system_utility(const CompiledProblem& problem,
   double gamma = 0.0;
   for (std::size_t u = 0; u < problem.num_users(); ++u) {
     if (!x.is_offloaded(u)) continue;
-    const Slot slot = *x.slot_of(u);
     gain += problem.gain_const(u);
     gamma += problem.gamma_coef(u) / std::log2(1.0 + rates.sinr(x, u));
     if (x.is_forwarded(u)) {
-      gamma += problem.time_cost_scale(u) *
-               problem.forward_time_s(u, slot.server);
+      gamma += problem.time_cost_scale(u) * problem.forward_time_s(u);
     }
   }
   return gain - gamma - cra.optimal_objective(x);

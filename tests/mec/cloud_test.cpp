@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "mec/scenario_builder.h"
@@ -27,34 +29,44 @@ Scenario make_cloud_scenario(std::uint64_t seed = 7, std::size_t users = 6,
 TEST(CloudTierTest, DefaultConstructedIsDisabled) {
   const CloudTier tier;
   EXPECT_FALSE(tier.enabled());
-  EXPECT_NO_THROW(tier.validate(9));
-}
-
-TEST(CloudTierTest, UniformBuildsPerServerTerms) {
-  const CloudTier tier = CloudTier::uniform(10e9, 200e6, 0.02, 4, 3);
-  EXPECT_TRUE(tier.enabled());
-  ASSERT_EQ(tier.backhaul_bps.size(), 4u);
-  ASSERT_EQ(tier.backhaul_latency_s.size(), 4u);
-  EXPECT_DOUBLE_EQ(tier.backhaul_bps[3], 200e6);
-  EXPECT_DOUBLE_EQ(tier.backhaul_latency_s[0], 0.02);
-  EXPECT_EQ(tier.max_forwarded, 3u);
-  EXPECT_NO_THROW(tier.validate(4));
+  EXPECT_NO_THROW(tier.validate());
 }
 
 TEST(CloudTierTest, ValidateRejectsBadConfigurations) {
-  // Enabled tier with the wrong server count.
-  EXPECT_THROW(CloudTier::uniform(10e9, 100e6, 0.0, 3).validate(4),
-               InvalidArgumentError);
-  // Non-positive backhaul rate.
-  EXPECT_THROW(CloudTier::uniform(10e9, 0.0, 0.0, 3).validate(3),
-               InvalidArgumentError);
-  // Negative latency.
-  EXPECT_THROW(CloudTier::uniform(10e9, 100e6, -0.1, 3).validate(3),
-               InvalidArgumentError);
-  // Disabled tier carrying storage (non-canonical "no cloud").
+  const CloudTier good{10e9, 200e6, 0.02, 3};
+  EXPECT_TRUE(good.enabled());
+  EXPECT_NO_THROW(good.validate());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, 0.0, -1.0}) {
+    // Capacity: 0 disables the tier, which must then carry no backhaul
+    // terms; NaN, infinite and negative capacities are never valid.
+    CloudTier cpu = good;
+    cpu.cpu_hz = bad;
+    EXPECT_THROW(cpu.validate(), InvalidArgumentError) << "cpu_hz " << bad;
+    // Rate: positive and finite.
+    CloudTier rate = good;
+    rate.backhaul_bps = bad;
+    EXPECT_THROW(rate.validate(), InvalidArgumentError) << "bps " << bad;
+    // Latency: non-negative and finite, so 0 is the one legal value here.
+    CloudTier latency = good;
+    latency.backhaul_latency_s = bad;
+    if (bad == 0.0) {
+      EXPECT_NO_THROW(latency.validate());
+    } else {
+      EXPECT_THROW(latency.validate(), InvalidArgumentError)
+          << "latency " << bad;
+    }
+  }
+
+  // A disabled tier is the one canonical "no cloud": no backhaul terms.
   CloudTier stale;
-  stale.backhaul_bps.assign(3, 100e6);
-  EXPECT_THROW(stale.validate(3), InvalidArgumentError);
+  stale.backhaul_bps = 100e6;
+  EXPECT_THROW(stale.validate(), InvalidArgumentError);
+  stale = CloudTier{};
+  stale.backhaul_latency_s = 0.02;
+  EXPECT_THROW(stale.validate(), InvalidArgumentError);
 }
 
 TEST(CloudScenarioTest, BuilderKnobEnablesTheTier) {
@@ -77,8 +89,7 @@ TEST(CloudScenarioTest, DefaultScenarioHasNoCloud) {
 TEST(CloudScenarioTest, WithCloudProducesEnabledCopy) {
   Rng rng(5);
   const Scenario base = ScenarioBuilder().num_users(4).build(rng);
-  const Scenario with = base.with_cloud(
-      CloudTier::uniform(20e9, 100e6, 0.005, base.num_servers()));
+  const Scenario with = base.with_cloud(CloudTier{20e9, 100e6, 0.005});
   EXPECT_FALSE(base.has_cloud());
   EXPECT_TRUE(with.has_cloud());
   EXPECT_EQ(with.num_users(), base.num_users());

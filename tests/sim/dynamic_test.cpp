@@ -428,7 +428,7 @@ TEST(DynamicSimulatorTest, ShardedWarmStartMatchesColdUtilityUnderChurn) {
 }
 
 TEST(DynamicSimulatorTest, WarmStartWorksForColdOnlySchedulers) {
-  // A scheduler without the WarmStartable capability silently falls back
+  // A scheduler without the kWarmStart capability silently falls back
   // to cold solves — the warm run then equals the cold run exactly.
   DynamicConfig config;
   config.epochs = 6;
