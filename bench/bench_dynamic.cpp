@@ -97,9 +97,6 @@ int run(int argc, char** argv) {
   cli.add_flag("epochs", "scheduling epochs per run", "30");
   cli.add_flag("scheme", "scheduler under test", "tsajs");
   cli.add_flag("chain-length", "TSAJS Markov-chain length L", "30");
-  cli.add_flag("warm-reheat",
-               "reheat temperature for warm starts (0 = TsajsConfig default)",
-               "0");
   cli.add_flag("activity", "per-epoch task arrival probability", "0.6");
   cli.add_flag("servers", "edge servers (hex cells)", "9");
   cli.add_flag("subchannels", "sub-channels per server", "3");
@@ -116,9 +113,6 @@ int run(int argc, char** argv) {
 
   algo::RegistryOptions options;
   options.chain_length = static_cast<std::size_t>(cli.get_uint("chain-length"));
-  const double reheat = cli.get_double("warm-reheat");
-  TSAJS_REQUIRE(reheat >= 0.0, "--warm-reheat must be >= 0");
-  if (reheat > 0.0) options.warm_reheat = reheat;
   const auto scheduler = algo::make_scheduler(cli.get_string("scheme"), options);
 
   sim::DynamicConfig config;

@@ -236,7 +236,6 @@ void BM_IncrementalPreviewReject(benchmark::State& state) {
       algo::random_feasible_assignment(scenario, rng, 0.5);
   const jtora::CompiledProblem problem(scenario);
   jtora::IncrementalEvaluator inc(problem, x);
-  inc.set_undo_logging(false);
   algo::Neighborhood::Move move;
   for (auto _ : state) {
     move = neighborhood.propose(inc, rng);
@@ -244,27 +243,6 @@ void BM_IncrementalPreviewReject(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IncrementalPreviewReject)->Arg(30)->Arg(90);
-
-// The same rejected proposal on the legacy protocol: apply the move, read
-// the utility, roll it back. This is what the annealer paid per rejection
-// before the preview API existed.
-void BM_IncrementalApplyRollback(benchmark::State& state) {
-  const mec::Scenario scenario =
-      default_scenario(static_cast<std::size_t>(state.range(0)));
-  const algo::Neighborhood neighborhood(scenario);
-  Rng rng(8);
-  const jtora::Assignment x =
-      algo::random_feasible_assignment(scenario, rng, 0.5);
-  const jtora::CompiledProblem problem(scenario);
-  jtora::IncrementalEvaluator inc(problem, x);
-  for (auto _ : state) {
-    const std::size_t mark = inc.checkpoint();
-    neighborhood.step(inc, rng);
-    benchmark::DoNotOptimize(inc.utility());
-    inc.rollback(mark);
-  }
-}
-BENCHMARK(BM_IncrementalApplyRollback)->Arg(30)->Arg(90);
 
 void BM_AssignmentCopy(benchmark::State& state) {
   const mec::Scenario scenario = default_scenario(90);

@@ -18,9 +18,6 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
     config.chain_length = options.chain_length;
     config.use_incremental_evaluator = options.incremental_evaluator;
     config.budget = options.budget;
-    if (options.warm_reheat.has_value()) {
-      config.warm_reheat = *options.warm_reheat;
-    }
     if (name == "tsajs-geo") config.cooling = CoolingMode::kGeometric;
     return std::make_unique<TsajsScheduler>(config);
   }

@@ -4,7 +4,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,10 +21,6 @@ struct RegistryOptions {
   /// literal per-iteration full recompute of Eqs. 22/24. Results are
   /// identical; only the runtime profile differs (relevant to Fig. 8).
   bool incremental_evaluator = true;
-  /// Reheat temperature for TSAJS warm starts (a SolveRequest hint); unset
-  /// keeps TsajsConfig's default. Only consulted when the caller drives the
-  /// scheduler through the warm-start path.
-  std::optional<double> warm_reheat;
   /// Anytime solve budget for the TSAJS variants (tsajs, tsajs-geo); the
   /// default (unlimited) keeps them bit-identical to the unbudgeted
   /// solvers. "sharded:<inner>" wrappers own the whole budget —

@@ -158,17 +158,17 @@ ShardSweep sweep_shard(const jtora::IncrementalEvaluator& master,
 /// Commit phase: replay every sweep's moves on the master evaluator, shard
 /// order within the class. Halo disjointness makes the replayed utilities
 /// match what each private sweep computed up to far-field interference the
-/// halo cut off — the checkpoint guard rolls the whole class back in the
-/// (rare) case those neglected couplings net out to a loss. Returns the
-/// number of users moved, 0 when reverted.
+/// halo cut off. In the (rare) case those neglected couplings net out to a
+/// loss, the whole class is undone by replaying its moves backwards, each
+/// one inverted: the mover goes local, then back to the slot it came from.
+/// Sweeps never move a forwarded user, so no cloud bit needs restoring.
+/// Returns the number of users moved, 0 when undone.
 std::size_t commit_class(jtora::IncrementalEvaluator& master,
                          const std::vector<ShardSweep>& sweeps) {
   std::size_t moved = 0;
   for (const ShardSweep& sweep : sweeps) moved += sweep.moves.size();
   if (moved == 0) return 0;
   const double before = master.utility();
-  master.set_undo_logging(true);
-  const std::size_t mark = master.checkpoint();
   for (const ShardSweep& sweep : sweeps) {
     for (const UserMove& move : sweep.moves) {
       master.apply_make_local(move.user);
@@ -177,12 +177,18 @@ std::size_t commit_class(jtora::IncrementalEvaluator& master,
       }
     }
   }
-  if (master.utility() < before) {
-    master.rollback(mark);
-    moved = 0;
+  if (master.utility() >= before) return moved;
+  for (auto sweep = sweeps.rbegin(); sweep != sweeps.rend(); ++sweep) {
+    for (auto move = sweep->moves.rbegin(); move != sweep->moves.rend();
+         ++move) {
+      master.apply_make_local(move->user);
+      if (move->from.has_value()) {
+        master.apply_offload(move->user, move->from->server,
+                             move->from->subchannel);
+      }
+    }
   }
-  master.set_undo_logging(false);  // drops the history too
-  return moved;
+  return 0;
 }
 
 }  // namespace
@@ -304,7 +310,6 @@ ScheduleResult ShardedScheduler::sharded_solve(
   struct Outcome {
     std::optional<ScheduleResult> result;
     bool truncated = false;
-    bool hedged = false;
   };
   std::vector<Outcome> outcomes(num_shards);
   const auto solve_shard = [&](std::size_t k) {
@@ -366,7 +371,6 @@ ScheduleResult ShardedScheduler::sharded_solve(
             out.result->system_utility = fallback.system_utility;
           }
           out.truncated = false;
-          out.hedged = true;
         }
       }
     } else {
@@ -483,7 +487,6 @@ ScheduleResult ShardedScheduler::sharded_solve(
 
   const FixupPlan plan = build_fixup_plan(partition);
   jtora::IncrementalEvaluator master(problem, merged);
-  master.set_undo_logging(false);
   std::vector<ShardSweep> sweeps;
   for (std::size_t pass = 0; pass < kFixupPasses; ++pass) {
     if (deadline > 0.0 && timer.elapsed_seconds() >= deadline) break;

@@ -34,9 +34,11 @@
 //     master evaluator (candidates restricted to the shard's halo) and
 //     commits in shard order — Jacobi within a class, Gauss-Seidel across
 //     classes — which makes the sweep thread-count independent by
-//     construction. At most two passes run, stopping early when a pass
-//     changes nothing. Each pass re-checks the deadline before it starts,
-//     before every color class, and every 32 users inside a sweep.
+//     construction. A class whose replayed moves lower the committed
+//     utility is undone by replaying them backwards, each inverted. At
+//     most two passes run, stopping early when a pass changes nothing.
+//     Each pass re-checks the deadline before it starts, before every
+//     color class, and every 32 users inside a sweep.
 //
 // Warm start: the scheduler is warm-startable — a global hint is repaired
 // once, sliced per shard (jtora::ShardedProblem::shard_hint), and rides

@@ -22,13 +22,16 @@ constexpr double kThresholdFactor = 1.75;  ///< maxCount = 1.75 L
 /// u in [0, 1). Previews may decide them without pricing every user they
 /// touch (DESIGN.md §8).
 constexpr double kRejectExponent = 750.0;
+/// Initial temperature of warm solves (a SolveRequest carrying a hint).
+/// Well below N by design: the warm chain is effectively a stochastic
+/// descent with occasional tiny uphill escapes (bench/bench_dynamic.cpp).
+constexpr double kWarmReheat = 1e-6;
+static_assert(kWarmReheat > kMinTemperature);
 
 }  // namespace
 
 void TsajsConfig::validate() const {
   TSAJS_REQUIRE(chain_length >= 1, "chain length must be at least 1");
-  TSAJS_REQUIRE(warm_reheat > kMinTemperature,
-                "warm reheat temperature must exceed the minimum temperature");
   budget.validate();
 }
 
@@ -139,9 +142,9 @@ ScheduleResult TsajsScheduler::solve(const SolveRequest& request) const {
   if (request.hint != nullptr) {
     // The hint replaces the random start; repair makes it feasible for this
     // scenario whatever it was shaped for. Annealing restarts from the low
-    // warm_reheat temperature instead of re-melting at T = N.
+    // warm temperature instead of re-melting at T = N.
     return budgeted_solve(problem, repair_hint(problem.scenario(), *request.hint),
-                          config_.warm_reheat, budget, rng);
+                          kWarmReheat, budget, rng);
   }
   // Algorithm 1 line 5: random feasible initial solution, which the paper
   // only requires to be feasible. The start is all-local (offload
@@ -181,10 +184,9 @@ ScheduleResult TsajsScheduler::anneal_solve(
   if (config_.use_incremental_evaluator) {
     // Preview/commit protocol: propose() only *describes* the move and
     // previews its utility from the shared problem's caches; nothing is
-    // mutated until the annealer accepts, so rejected proposals cost no
-    // apply+rollback round trip and no undo bookkeeping.
+    // mutated until the annealer accepts, so a rejected proposal leaves
+    // nothing to undo.
     jtora::IncrementalEvaluator state(problem, initial);
-    state.set_undo_logging(false);
     Neighborhood::Move move;
     return anneal(
         config_, budget, rng, initial_temperature, state.utility(),

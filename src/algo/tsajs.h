@@ -25,15 +25,6 @@ enum class CoolingMode { kThresholdTriggered, kGeometric };
 struct TsajsConfig {
   /// Markov-chain length per temperature (paper's L; Figs. 4/7/8 vary it).
   std::size_t chain_length = 30;
-  /// Initial temperature of *warm* solves (a SolveRequest carrying a
-  /// hint). A warm start is already near-optimal, so instead of
-  /// reheating to T = N and re-melting the solution, the annealer restarts
-  /// the cooling schedule far down the curve and spends its whole budget
-  /// polishing. Well below N by design; at the default the warm chain is
-  /// effectively a stochastic descent with occasional tiny uphill escapes,
-  /// which empirically keeps utility inside the cold run's confidence
-  /// interval at a fraction of the iterations (bench/bench_dynamic.cpp).
-  double warm_reheat = 1e-6;
   CoolingMode cooling = CoolingMode::kThresholdTriggered;
   /// Evaluate proposals with the O(co-channel) incremental evaluator
   /// instead of a full recompute: every proposal is *previewed* read-only
@@ -62,7 +53,9 @@ class TsajsScheduler final : public Scheduler {
   /// Cold (no hint): Algorithm 1 — random feasible start (line 5), T <- N
   /// (line 3). Warm (request.hint set): the hint is repaired against the
   /// problem's scenario (repair_hint) and annealing starts from it at
-  /// `config().warm_reheat` instead of T = N. A request budget overrides
+  /// the warm temperature 1e-6 instead of T = N: a warm start is already
+  /// near-optimal, so the chain restarts far down the cooling curve and
+  /// spends its whole budget polishing. A request budget overrides
   /// `config().budget` for this call; the anytime caps are checked at each
   /// plateau boundary, and a request budget equal to the configured one is
   /// bit-identical to an unbudgeted request.

@@ -77,17 +77,6 @@ void Assignment::swap(std::size_t u1, std::size_t u2) {
   if (slot1.has_value()) offload(u2, slot1->server, slot1->subchannel);
 }
 
-void Assignment::clear() {
-  for (auto& slot : user_slot_) {
-    if (slot.has_value()) free_bits_[slot->server] |= bit(slot->subchannel);
-    slot.reset();
-  }
-  for (auto& user : slot_user_) user.reset();
-  for (auto& fwd : forwarded_) fwd = 0;
-  num_offloaded_ = 0;
-  num_forwarded_ = 0;
-}
-
 bool Assignment::can_forward(std::size_t u) const {
   require_user(u);
   if (forwarded_.empty() || !user_slot_[u].has_value()) return false;

@@ -12,7 +12,7 @@
 // random_free_slot) never report them, so every scheduler built on these
 // queries is fault-mask-safe without changes. Those queries read one
 // 64-bit word per server, bit j set while slot (s, j) is free and
-// available, which offload/make_local/clear keep current; hence the
+// available, which offload and make_local keep current; hence the
 // spectrum's limit of 64 sub-channels (radio::Spectrum::kMaxSubchannels).
 //
 // When the scenario carries a mec::CloudTier, each offloaded user
@@ -93,9 +93,6 @@ class Assignment {
   /// Exchanges the slots of two users (either may be local, in which case
   /// the other becomes local).
   void swap(std::size_t u1, std::size_t u2);
-
-  /// Resets every user to local execution.
-  void clear();
 
   /// Users offloaded to server `s` (the paper's U_s), ascending user index.
   [[nodiscard]] std::vector<std::size_t> users_on_server(std::size_t s) const;

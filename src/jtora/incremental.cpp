@@ -31,6 +31,9 @@ constexpr double kBoundMargin = 1e-9;
 constexpr double kLog2UpperFactor = std::numbers::log2e * (1.0 + 0x1p-40);
 double log2_upper(double x) { return (x - 1.0) * kLog2UpperFactor; }
 
+/// Committed operations between two anti-drift rebuilds.
+constexpr std::size_t kRebuildInterval = 4096;
+
 }  // namespace
 
 IncrementalEvaluator::IncrementalEvaluator(const CompiledProblem& problem,
@@ -160,8 +163,8 @@ void IncrementalEvaluator::server_remove(std::size_t s, double sqrt_eta) {
   const double before = server_sqrt_eta_[s];
   TSAJS_CHECK(server_count_[s] > 0, "server_remove on an empty server");
   --server_count_[s];
-  // Snap to exact zero when the last user leaves: the subtraction chain
-  // would otherwise leave ~1-ulp residue that compounds over long runs.
+  // Snap to exact zero when the last user leaves, the value a rebuild
+  // computes: the subtraction chain would otherwise leave ~1-ulp residue.
   const double after = server_count_[s] == 0 ? 0.0 : before - sqrt_eta;
   server_sqrt_eta_[s] = after;
   lambda_cost_ += (after * after - before * before) / problem_->server_cpu_hz(s);
@@ -185,8 +188,7 @@ void IncrementalEvaluator::cloud_remove(double sqrt_eta) {
 }
 
 void IncrementalEvaluator::note_commit() {
-  if (rebuild_interval_ == 0) return;
-  if (++commits_since_rebuild_ >= rebuild_interval_) {
+  if (++commits_since_rebuild_ >= kRebuildInterval) {
     rebuild();
     commits_since_rebuild_ = 0;
   }
@@ -196,7 +198,6 @@ void IncrementalEvaluator::do_make_local(std::size_t u) {
   const auto slot = x_.slot_of(u);
   if (!slot.has_value()) return;
   const bool was_forwarded = x_.is_forwarded(u);
-  if (logging_) undo_log_.push_back({u, slot, was_forwarded});
   drop_user_cost(u);
   if (was_forwarded) {
     // The user's compute lived in the cloud pool, not the server's.
@@ -223,7 +224,6 @@ void IncrementalEvaluator::do_offload(std::size_t u, std::size_t s,
   if (old_slot.has_value()) {
     do_make_local(u);
   }
-  if (logging_) undo_log_.push_back({u, std::nullopt});
   x_.offload(u, s, j);
   server_add(s, problem_->sqrt_eta(u));
   add_channel_power(u, j, +1.0);
@@ -269,7 +269,6 @@ void IncrementalEvaluator::do_set_forwarded(std::size_t u, bool forwarded) {
   if (x_.is_forwarded(u) == forwarded) return;
   const auto slot = x_.slot_of(u);
   TSAJS_REQUIRE(slot.has_value(), "set_forwarded needs an offloaded user");
-  if (logging_) undo_log_.push_back({u, slot, !forwarded});
   const double sqrt_eta = problem_->sqrt_eta(u);
   if (forwarded) {
     server_remove(slot->server, sqrt_eta);
@@ -706,35 +705,6 @@ double IncrementalEvaluator::preview_replace(std::size_t u, std::size_t s,
   const SlotChange changes[2] = {{*occupant, Slot{s, j}, std::nullopt},
                                  {u, x_.slot_of(u), Slot{s, j}}};
   return preview_changes(changes, 2, rejection_floor);
-}
-
-void IncrementalEvaluator::rollback(std::size_t mark) {
-  TSAJS_REQUIRE(mark <= undo_log_.size(), "rollback mark is in the future");
-  const bool was_logging = logging_;
-  logging_ = false;
-  while (undo_log_.size() > mark) {
-    const UndoEntry entry = undo_log_.back();
-    undo_log_.pop_back();
-    if (entry.prior.has_value()) {
-      // The user held a slot before this change: put it back. do_offload is
-      // a no-op when the user already sits there (forward/recall entries),
-      // and always leaves the user recalled otherwise — fix the cloud bit
-      // up separately either way.
-      do_offload(entry.user, entry.prior->server, entry.prior->subchannel);
-      if (x_.is_forwarded(entry.user) != entry.prior_forwarded) {
-        do_set_forwarded(entry.user, entry.prior_forwarded);
-      }
-    } else {
-      // The user was local before this change.
-      do_make_local(entry.user);
-    }
-  }
-  logging_ = was_logging;
-}
-
-void IncrementalEvaluator::set_undo_logging(bool enabled) {
-  logging_ = enabled;
-  if (!enabled) undo_log_.clear();
 }
 
 void IncrementalEvaluator::self_check(double tolerance) const {

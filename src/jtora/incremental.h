@@ -8,17 +8,15 @@
 //     other servers (their interference changed), and
 //   * the sqrt(eta) sums of the old and new server (Lambda, Eq. 23).
 //
-// `IncrementalEvaluator` maintains exactly that state behind two protocols:
-//
-//   * apply/rollback — mutate, read utility(), undo on rejection. Kept for
-//     callers that need nested checkpoints (and for the property tests).
-//   * preview/commit — `preview_offload` / `preview_make_local` /
-//     `preview_swap` / `preview_replace` compute the candidate utility of a
-//     move *without mutating anything*, so a rejected proposal costs a
-//     single read-only pass over the affected co-channel users instead of a
-//     full mutate-then-rollback round trip (two co-channel refresh sweeps
-//     plus undo bookkeeping). The TSAJS annealer previews every proposal
-//     and applies only the accepted ones.
+// `IncrementalEvaluator` maintains exactly that state, and changes it one
+// way: preview, then apply. `preview_offload` / `preview_make_local` /
+// `preview_swap` / `preview_replace` compute the candidate utility of a
+// move *without mutating anything*, so a rejected proposal costs a single
+// read-only pass over the affected co-channel users; `apply_*` realizes an
+// accepted one. The TSAJS annealer previews every proposal and applies only
+// the accepted ones. A caller that must undo applied moves applies their
+// inverses (the sharded fixup replays a losing class backwards), and one
+// that wants a scratch state copies the evaluator.
 //
 // All hot-path reads go through the shared CompiledProblem's flattened
 // contiguous caches: its signal table holds p_u * h_us in (user, server)
@@ -50,13 +48,15 @@
 // the scored-slot count are those of the exact scan.
 //
 // Floating-point drift: the running sums `gain_minus_gamma_` / `lambda_cost_`
-// accumulate rounding error over long move chains. Every `rebuild_interval()`
-// committed operations (default 4096, 0 disables) the evaluator transparently
-// recomputes itself from scratch, and a server's sqrt(eta) sum snaps to exact
-// 0 when its last user leaves, so drift stays bounded on arbitrarily long
-// runs. A property test pins the incremental output to the plain evaluator
-// across long random operation sequences, and the TSAJS scheduler uses this
-// class when `TsajsConfig::use_incremental_evaluator` is set (the default).
+// accumulate rounding error over long move chains. Every 4096 committed
+// operations the evaluator transparently recomputes itself from scratch,
+// which bounds the drift on arbitrarily long runs. A server's (and the
+// cloud's) sqrt(eta) sum snaps to exact 0 when its last user leaves, so an
+// empty pool holds the same exact 0 a rebuild computes; the goldens and
+// exact baselines pin that. A property test pins the incremental output to
+// the plain evaluator across long random operation sequences, and the TSAJS
+// scheduler uses this class when `TsajsConfig::use_incremental_evaluator`
+// is set (the default).
 #pragma once
 
 #include <algorithm>
@@ -75,8 +75,8 @@
 
 namespace tsajs::jtora {
 
-/// Tracks an assignment and its utility, supporting trial single-operation
-/// changes with commit/rollback semantics and read-only previews.
+/// Tracks an assignment and its utility: read-only previews of single
+/// moves, and applies of the accepted ones.
 class IncrementalEvaluator {
  public:
   /// Binds to a shared compiled problem (non-owning; `problem` must outlive
@@ -183,34 +183,6 @@ class IncrementalEvaluator {
                                       std::span<const std::size_t> candidates,
                                       std::optional<Slot> seed) const;
 
-  // --- proposal protocol --------------------------------------------------
-  // The annealer wraps each proposal in checkpoint()/rollback(): apply the
-  // neighborhood operations, read utility(), and roll back when rejecting.
-
-  /// Marks the current state; returns a token for rollback().
-  [[nodiscard]] std::size_t checkpoint() const noexcept {
-    return undo_log_.size();
-  }
-
-  /// Restores the state (assignment and utility) at `mark`, undoing every
-  /// operation applied since, in reverse order.
-  void rollback(std::size_t mark);
-
-  /// Enables/disables the undo log. Callers on the preview/commit protocol
-  /// never roll back, so they disable logging to keep commits allocation-
-  /// free; disabling clears any recorded history.
-  void set_undo_logging(bool enabled);
-
-  /// Sets the automatic full-rebuild cadence: a rebuild() is triggered after
-  /// every `interval` committed operations (0 disables). Bounds FP drift of
-  /// the running sums on long chains.
-  void set_rebuild_interval(std::size_t interval) noexcept {
-    rebuild_interval_ = interval;
-  }
-  [[nodiscard]] std::size_t rebuild_interval() const noexcept {
-    return rebuild_interval_;
-  }
-
   /// Recomputes everything from scratch (O(U_off * S)); used after bulk
   /// edits, on the periodic anti-drift cadence, and by the self-check.
   void rebuild();
@@ -279,7 +251,7 @@ class IncrementalEvaluator {
   };
 
   // Raw mutation cores (no commit accounting); apply_* wrap these with the
-  // rebuild cadence, rollback() replays them.
+  // rebuild cadence.
   void do_offload(std::size_t u, std::size_t s, std::size_t j);
   void do_make_local(std::size_t u);
   void do_set_forwarded(std::size_t u, bool forwarded);
@@ -396,18 +368,7 @@ class IncrementalEvaluator {
   double lambda_cost_ = 0.0;       // Eq. 23 total
   double utility_ = 0.0;
 
-  std::size_t rebuild_interval_ = 4096;
   std::size_t commits_since_rebuild_ = 0;
-
-  // Undo log: the slot (and cloud-forwarding state) each touched user held
-  // *before* its state change.
-  struct UndoEntry {
-    std::size_t user;
-    std::optional<Slot> prior;
-    bool prior_forwarded = false;
-  };
-  std::vector<UndoEntry> undo_log_;
-  bool logging_ = true;
 };
 
 }  // namespace tsajs::jtora

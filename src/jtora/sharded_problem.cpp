@@ -91,8 +91,6 @@ ShardedProblem::ShardedProblem(const CompiledProblem& problem,
   }
 
   // Home cell per user = nearest server, lowest index on ties.
-  home_server_.resize(num_users);
-  shard_of_user_.resize(num_users);
   boundary_users_of_.resize(num_shards);
   for (std::size_t u = 0; u < num_users; ++u) {
     const geo::Point pos = scenario.user(u).position;
@@ -106,14 +104,9 @@ ShardedProblem::ShardedProblem(const CompiledProblem& problem,
         best_sq = d_sq;
       }
     }
-    home_server_[u] = best;
     const std::size_t k = partition.shard_of(best);
-    shard_of_user_[u] = k;
     shards_[k].users.push_back(u);  // ascending: u is ascending
-    if (partition.is_boundary(best)) {
-      boundary_users_.push_back(u);
-      boundary_users_of_[k].push_back(u);
-    }
+    if (partition.is_boundary(best)) boundary_users_of_[k].push_back(u);
   }
 
   // Cloud tier apportionment: the cloud is one shared global resource, so
@@ -211,26 +204,6 @@ ShardedProblem::ShardedProblem(const CompiledProblem& problem,
 const ShardedProblem::Shard& ShardedProblem::shard(std::size_t k) const {
   TSAJS_REQUIRE(k < shards_.size(), "shard index out of range");
   return shards_[k];
-}
-
-std::size_t ShardedProblem::home_server(std::size_t u) const {
-  TSAJS_REQUIRE(u < home_server_.size(), "user index out of range");
-  return home_server_[u];
-}
-
-std::size_t ShardedProblem::shard_of_user(std::size_t u) const {
-  TSAJS_REQUIRE(u < shard_of_user_.size(), "user index out of range");
-  return shard_of_user_[u];
-}
-
-std::size_t ShardedProblem::shard_of_server(std::size_t s) const {
-  TSAJS_REQUIRE(s < server_shard_.size(), "server index out of range");
-  return server_shard_[s];
-}
-
-std::size_t ShardedProblem::local_server_index(std::size_t s) const {
-  TSAJS_REQUIRE(s < server_local_.size(), "server index out of range");
-  return server_local_[s];
 }
 
 const std::vector<std::size_t>& ShardedProblem::boundary_users_of(

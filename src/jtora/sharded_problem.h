@@ -10,10 +10,11 @@
 //     servers (gains sliced from the parent tensor, availability masks
 //     carried over) plus a CompiledProblem of its own, so any registered
 //     scheduler can solve it unchanged;
-//   * users whose home cell is a partition *boundary* cell are collected
-//     into `boundary_users()` — their in-shard solve ignored cross-shard
-//     co-channel interference, so an inter-shard fixup must re-score them
-//     against the global problem (algo::ShardedScheduler's fixup round).
+//   * users whose home cell is a partition *boundary* cell are listed per
+//     shard in `boundary_users_of(k)` — their in-shard solve ignored
+//     cross-shard co-channel interference, so an inter-shard fixup must
+//     re-score them against the global problem (algo::ShardedScheduler's
+//     fixup round).
 //
 // Shards own disjoint server sets, so shard-local assignments merge into
 // one feasible global assignment without conflicts (`merge_into`).
@@ -74,23 +75,8 @@ class ShardedProblem {
   }
   [[nodiscard]] const Shard& shard(std::size_t k) const;
 
-  /// Nearest server (home cell) of user `u`; lowest index wins ties.
-  [[nodiscard]] std::size_t home_server(std::size_t u) const;
-  [[nodiscard]] std::size_t shard_of_user(std::size_t u) const;
-
-  /// Shard owning global server `s`, and s's index within that shard's
-  /// ascending server list.
-  [[nodiscard]] std::size_t shard_of_server(std::size_t s) const;
-  [[nodiscard]] std::size_t local_server_index(std::size_t s) const;
-
-  /// Users homed in a boundary cell, ascending global user index.
-  [[nodiscard]] const std::vector<std::size_t>& boundary_users()
-      const noexcept {
-    return boundary_users_;
-  }
-
-  /// Shard `k`'s slice of boundary_users(), ascending. The per-shard view
-  /// lets the colored boundary fixup sweep non-conflicting shards
+  /// Shard `k`'s users homed in a boundary cell, ascending. The per-shard
+  /// view lets the colored boundary fixup sweep non-conflicting shards
   /// concurrently (algo::ShardedScheduler).
   [[nodiscard]] const std::vector<std::size_t>& boundary_users_of(
       std::size_t k) const;
@@ -112,11 +98,9 @@ class ShardedProblem {
 
  private:
   std::vector<Shard> shards_;
-  std::vector<std::size_t> home_server_;    // per global user
-  std::vector<std::size_t> shard_of_user_;  // per global user
-  std::vector<std::size_t> server_shard_;   // per global server
-  std::vector<std::size_t> server_local_;   // per global server
-  std::vector<std::size_t> boundary_users_;
+  // Per global server: its shard, and its index in that shard's servers.
+  std::vector<std::size_t> server_shard_;
+  std::vector<std::size_t> server_local_;
   std::vector<std::vector<std::size_t>> boundary_users_of_;
 };
 

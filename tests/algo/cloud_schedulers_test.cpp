@@ -18,6 +18,7 @@
 #include "mec/availability.h"
 #include "mec/cloud.h"
 #include "mec/scenario_builder.h"
+#include "support/nearest_server.h"
 #include "support/solve.h"
 
 namespace tsajs::algo {
@@ -150,7 +151,7 @@ TEST(CloudShardHintTest, SlicingKeepsInShardForwardingOnly) {
   // sub-channel (some won't fit; fine), forwarded where admitted.
   jtora::Assignment global(scenario);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
-    const std::size_t s = sharded.home_server(u);
+    const std::size_t s = test::nearest_server(scenario, u);
     if (global.num_free_subchannels(s) == 0) continue;
     std::size_t j = 0;
     while (global.occupant(s, j).has_value()) ++j;
@@ -195,24 +196,20 @@ TEST(CloudShardHintTest, ChurnedUserEntersItsNewShardLocal) {
 
   // Pick a user and a server in a *different* shard than its home shard —
   // that is exactly the state a stale hint has after cross-shard churn.
-  std::size_t user = scenario.num_users();
+  const std::size_t user = 0;
+  const std::size_t home_shard =
+      partition.shard_of(test::nearest_server(scenario, user));
   std::size_t foreign_server = 0;
-  for (std::size_t u = 0; u < scenario.num_users() && user == scenario.num_users(); ++u) {
-    for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
-      if (sharded.shard_of_server(s) != sharded.shard_of_user(u)) {
-        user = u;
-        foreign_server = s;
-        break;
-      }
-    }
+  while (foreign_server < scenario.num_servers() &&
+         partition.shard_of(foreign_server) == home_shard) {
+    ++foreign_server;
   }
-  ASSERT_LT(user, scenario.num_users());
+  ASSERT_LT(foreign_server, scenario.num_servers());
 
   jtora::Assignment global(scenario);
   global.offload(user, foreign_server, 0);
   global.set_forwarded(user, true);
 
-  const std::size_t home_shard = sharded.shard_of_user(user);
   const jtora::Assignment local =
       sharded.shard_hint(home_shard, global);
   local.check_consistency();

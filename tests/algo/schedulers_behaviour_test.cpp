@@ -130,9 +130,6 @@ TEST(TsajsTest, ConfigValidation) {
   TsajsConfig config;
   config.chain_length = 0;
   EXPECT_THROW(TsajsScheduler{config}, InvalidArgumentError);
-  config = TsajsConfig{};
-  config.warm_reheat = 1e-9;  // must exceed T_min = 1e-9
-  EXPECT_THROW(TsajsScheduler{config}, InvalidArgumentError);
 }
 
 TEST(TsajsTest, GeometricCoolingAblationRuns) {

@@ -118,9 +118,10 @@ TEST(ShardedSchedulerTest, TinyWallClockBudgetStillFeasible) {
   result.assignment.check_consistency();
 }
 
-// The tentpole acceptance golden: the parallel shard path — solves, budget
-// split, reclaim, colored fixup — must be bit-identical to the sequential
-// one at every thread count, for a stochastic inner scheme.
+// The parallel shard path — shard solves and the colored fixup — must be
+// bit-identical to the sequential one at every thread count, for a
+// stochastic inner scheme. The solve is unbudgeted, so neither the budget
+// split nor the reclaim pass runs here (ReclaimPassIsPinnedAt1_2_8Threads).
 TEST(ShardedSchedulerTest, ParallelSolveBitIdenticalAt1_2_8Threads) {
   const mec::Scenario scenario = make_scenario(21, 60);
   const jtora::CompiledProblem problem(scenario);
@@ -146,8 +147,9 @@ TEST(ShardedSchedulerTest, ParallelSolveBitIdenticalAt1_2_8Threads) {
 }
 
 // Iteration budgets split across mixed-size shards must stay a pure
-// function of (problem, seed): the cap forces truncation (so the reclaim
-// pass runs) and the outcome is identical at 1 and 4 threads, bit for bit.
+// function of (problem, seed): the outcome is identical at 1 and 4 threads,
+// bit for bit. The cap truncates every shard, so no shard leaves iterations
+// over and the reclaim pass has nothing to hand out.
 TEST(ShardedSchedulerTest, IterationBudgetSplitIsDeterministicAcrossThreads) {
   // 60 users over 9 servers, reach 2000 -> several shards of uneven size.
   const mec::Scenario scenario = make_scenario(22, 60);
@@ -172,11 +174,60 @@ TEST(ShardedSchedulerTest, IterationBudgetSplitIsDeterministicAcrossThreads) {
   EXPECT_EQ(a.evaluations, b.evaluations);
   // The cap bit: effort is far below the ~20k evaluations of an unbudgeted
   // solve on this instance. The total may legitimately exceed the nominal
-  // 200 — each shard overshoots by up to one plateau in both the first
-  // pass and the reclaim pass, and the boundary-fixup previews count as
-  // evaluations too — so only a loose ceiling is asserted.
+  // 200 — each shard overshoots its slice by up to one plateau, and the
+  // boundary-fixup previews count as evaluations too — so only a loose
+  // ceiling is asserted.
   EXPECT_GT(a.evaluations, 0u);
   EXPECT_LE(a.evaluations, 20 * config.budget.max_iterations);
+}
+
+// The reclaim pass: under an iteration budget, the iterations that shards
+// finishing under their slice leave unused go to the truncated shards,
+// which re-solve warm from their own result. On this drop some shards
+// finish and others are truncated, so the pass runs: without it the solve
+// spends 33,199 evaluations instead of 34,710. The pins hold at every
+// thread count, so the pass's parallel_for runs under each.
+TEST(ShardedSchedulerTest, ReclaimPassIsPinnedAt1_2_8Threads) {
+  const mec::Scenario scenario = make_scenario(1, 65, 19);
+  const jtora::CompiledProblem problem(scenario);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("threads: " + std::to_string(threads));
+    ShardedConfig config;
+    config.reach_m = 2000.0;
+    config.threads = threads;
+    config.budget.max_iterations = 400000;
+    const ShardedScheduler scheduler(
+        std::make_unique<TsajsScheduler>(small_tsajs()), config);
+    Rng rng(29);
+    const ScheduleResult result = test::validated(scheduler, problem, rng);
+    EXPECT_EQ(result.system_utility, 0x1.a13105455cb72p+3);
+    EXPECT_EQ(result.evaluations, 34710u);
+    EXPECT_EQ(test::slot_crc(result.assignment), 0xc4c7e07du);
+  }
+}
+
+// The fixup's guard: a colour class whose moves, replayed on the global
+// problem, lose utility to the far-field couplings its halos cut off is
+// undone by replaying its moves backwards. On this drop the guard undoes a
+// class; without it the solve returns 0x1.804df36acbce2p+3.
+TEST(ShardedSchedulerTest, FixupUndoesALosingClassAt1_2_8Threads) {
+  const mec::Scenario scenario = make_scenario(4, 80, 19);
+  const jtora::CompiledProblem problem(scenario);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("threads: " + std::to_string(threads));
+    ShardedConfig config;
+    config.reach_m = 1000.0;
+    config.threads = threads;
+    const ShardedScheduler scheduler(std::make_unique<GreedyScheduler>(),
+                                     config);
+    Rng rng(29);
+    const ScheduleResult result = test::validated(scheduler, problem, rng);
+    EXPECT_EQ(result.system_utility, 0x1.80ba01516518fp+3);
+    EXPECT_EQ(result.evaluations, 1358u);
+    EXPECT_EQ(test::slot_crc(result.assignment), 0x7ede9e9du);
+  }
 }
 
 // Warm start: a global hint routes through per-shard slices to the inner

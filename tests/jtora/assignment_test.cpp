@@ -118,17 +118,6 @@ TEST(AssignmentTest, SwapSelfIsNoop) {
   x.check_consistency();
 }
 
-TEST(AssignmentTest, ClearResetsEverything) {
-  const mec::Scenario scenario = make_scenario();
-  Assignment x(scenario);
-  x.offload(0, 0, 0);
-  x.offload(1, 1, 1);
-  x.clear();
-  EXPECT_EQ(x.num_offloaded(), 0u);
-  EXPECT_FALSE(x.occupant(0, 0).has_value());
-  x.check_consistency();
-}
-
 TEST(AssignmentTest, UsersOnServerSorted) {
   const mec::Scenario scenario = make_scenario();
   Assignment x(scenario);
@@ -331,7 +320,7 @@ TEST(AssignmentProperty, FreeSlotQueriesMatchTheSlotScan) {
       } else if (op < 99) {
         if (x.can_forward(u)) x.set_forwarded(u, true);
       } else {
-        x.clear();
+        x = Assignment(scenario);
         ++clears;
       }
       x.check_consistency();

@@ -145,7 +145,6 @@ TEST(FixupArgmaxProperty, MatchesTheExactScanOnRandomScenarios) {
     Rng rng(static_cast<std::uint64_t>(trial) * 7919 + 3);
     IncrementalEvaluator inc(
         problem, algo::random_feasible_assignment(scenario, rng, 0.5));
-    inc.set_undo_logging(false);
     for (int step = 0; step < 300; ++step) {
       // Walk on with the annealer's own moves (forward and recall
       // included), so the occupants are sometimes forwarded.
@@ -186,7 +185,6 @@ TEST(FixupArgmaxProperty, MatchesTheExactScanFromEachUsersBestSlot) {
     Rng rng(static_cast<std::uint64_t>(trial) + 500);
     IncrementalEvaluator inc(
         problem, algo::random_feasible_assignment(scenario, rng, 0.6));
-    inc.set_undo_logging(false);
     std::vector<std::size_t> all(scenario.num_servers());
     for (std::size_t s = 0; s < all.size(); ++s) all[s] = s;
     // Two greedy best-response rounds over every user.

@@ -70,7 +70,6 @@ TEST(RejectionFloorProperty, FlooredPreviewIsExactOrProvablyBelowTheFloor) {
     const double offload_prob = 0.2 + 0.2 * static_cast<double>(trial % 4);
     IncrementalEvaluator inc(
         problem, algo::random_feasible_assignment(scenario, rng, offload_prob));
-    inc.set_undo_logging(false);
     for (int step = 0; step < 400; ++step) {
       const algo::Neighborhood::Move move = neighborhood.propose(inc, rng);
       if (is_slot_move(move.kind)) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "jtora/compiled_problem.h"
 #include "mec/availability.h"
 #include "mec/scenario_builder.h"
+#include "support/nearest_server.h"
 
 namespace tsajs::jtora {
 namespace {
@@ -52,8 +54,8 @@ TEST(ShardedProblemTest, PartitionsEveryUserExactlyOnce) {
     for (std::size_t i = 0; i < shard.users.size(); ++i) {
       const std::size_t u = shard.users[i];
       ++seen[u];
-      EXPECT_EQ(sharded.shard_of_user(u), k);
-      EXPECT_EQ(partition.shard_of(sharded.home_server(u)), k);
+      // The user's shard holds its nearest server, its home cell.
+      EXPECT_EQ(partition.shard_of(test::nearest_server(scenario, u)), k);
       if (i > 0) {
         EXPECT_LT(shard.users[i - 1], u);  // ascending
       }
@@ -70,20 +72,37 @@ TEST(ShardedProblemTest, PartitionsEveryUserExactlyOnce) {
   for (const std::size_t n : seen) EXPECT_EQ(n, 1u);
 }
 
+// Each user's shard holds a server no farther from the user than any other
+// server: the user is homed at its nearest cell. Checked against raw
+// distances, so it also pins the test-side nearest_server oracle.
 TEST(ShardedProblemTest, HomeServerIsNearest) {
   const mec::Scenario scenario = make_scenario(2, 25);
   const CompiledProblem problem(scenario);
   const geo::InterferencePartition partition(sites_of(scenario), 2000.0);
   const ShardedProblem sharded(problem, partition);
-  for (std::size_t u = 0; u < scenario.num_users(); ++u) {
-    const geo::Point pos = scenario.user(u).position;
-    const double home_sq = geo::distance_squared(
-        pos, scenario.server(sharded.home_server(u)).position);
-    for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
-      EXPECT_LE(home_sq,
-                geo::distance_squared(pos, scenario.server(s).position));
+  std::size_t checked = 0;
+  for (std::size_t k = 0; k < sharded.num_shards(); ++k) {
+    const ShardedProblem::Shard& shard = sharded.shard(k);
+    for (const std::size_t u : shard.users) {
+      const geo::Point pos = scenario.user(u).position;
+      const std::size_t oracle = test::nearest_server(scenario, u);
+      double home_sq = geo::distance_squared(
+          pos, scenario.server(shard.servers[0]).position);
+      for (const std::size_t s : shard.servers) {
+        home_sq = std::min(
+            home_sq, geo::distance_squared(pos, scenario.server(s).position));
+      }
+      for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
+        const double d_sq =
+            geo::distance_squared(pos, scenario.server(s).position);
+        EXPECT_LE(home_sq, d_sq);
+        EXPECT_LE(geo::distance_squared(pos, scenario.server(oracle).position),
+                  d_sq);
+      }
+      ++checked;
     }
   }
+  EXPECT_EQ(checked, scenario.num_users());
 }
 
 TEST(ShardedProblemTest, SignalTableSlicesBitwise) {
@@ -113,7 +132,7 @@ TEST(ShardedProblemTest, SingleShardReproducesParentBitwise) {
   const ShardedProblem::Shard& shard = sharded.shard(0);
   ASSERT_NE(shard.problem, nullptr);
   EXPECT_TRUE(shard.problem->bitwise_equal(problem));
-  EXPECT_TRUE(sharded.boundary_users().empty());
+  EXPECT_TRUE(sharded.boundary_users_of(0).empty());
 }
 
 TEST(ShardedProblemTest, CarriesAvailabilityMasks) {
@@ -182,9 +201,11 @@ TEST(ShardedProblemTest, CrossShardInterferenceAccounting) {
   Assignment merged(scenario);
   std::vector<Assignment> locals;
   std::vector<std::size_t> local_shard;
+  std::vector<std::size_t> shard_of_user(scenario.num_users());
   for (std::size_t k = 0; k < sharded.num_shards(); ++k) {
     const ShardedProblem::Shard& shard = sharded.shard(k);
     if (shard.scenario == nullptr) continue;
+    for (const std::size_t u : shard.users) shard_of_user[u] = k;
     Rng rng(70 + k);
     locals.push_back(
         algo::random_feasible_assignment(*shard.scenario, rng, 0.9));
@@ -194,7 +215,7 @@ TEST(ShardedProblemTest, CrossShardInterferenceAccounting) {
 
   std::size_t checked = 0;
   for (const std::size_t u : merged.offloaded_users()) {
-    const std::size_t k = sharded.shard_of_user(u);
+    const std::size_t k = shard_of_user[u];
     const auto slot = merged.slot_of(u);
     ASSERT_TRUE(slot.has_value());
     // Global interference: every other occupant of u's sub-channel, walked
@@ -215,7 +236,7 @@ TEST(ShardedProblemTest, CrossShardInterferenceAccounting) {
       if (vslot->subchannel != slot->subchannel) continue;
       if (vslot->server == slot->server) continue;
       const double signal = problem.signal(v, slot->server);
-      if (sharded.shard_of_user(v) == k) {
+      if (shard_of_user[v] == k) {
         in_shard += signal;
       } else {
         foreign += signal;
@@ -248,14 +269,23 @@ TEST(ShardedProblemTest, BoundaryUsersOfPartitionsBoundaryUsers) {
   std::vector<std::size_t> collected;
   for (std::size_t k = 0; k < sharded.num_shards(); ++k) {
     const std::vector<std::size_t>& list = sharded.boundary_users_of(k);
+    const std::vector<std::size_t>& users = sharded.shard(k).users;
     EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
     for (const std::size_t u : list) {
-      EXPECT_EQ(sharded.shard_of_user(u), k);
+      EXPECT_TRUE(std::binary_search(users.begin(), users.end(), u));
       collected.push_back(u);
     }
   }
   std::sort(collected.begin(), collected.end());
-  EXPECT_EQ(collected, sharded.boundary_users());
+  // Together the lists hold exactly the users homed in a boundary cell.
+  std::vector<std::size_t> homed_on_boundary;
+  for (std::size_t u = 0; u < scenario.num_users(); ++u) {
+    if (partition.is_boundary(test::nearest_server(scenario, u))) {
+      homed_on_boundary.push_back(u);
+    }
+  }
+  EXPECT_FALSE(homed_on_boundary.empty());
+  EXPECT_EQ(collected, homed_on_boundary);
   EXPECT_THROW((void)sharded.boundary_users_of(sharded.num_shards()),
                InvalidArgumentError);
 }
@@ -267,13 +297,27 @@ TEST(ShardedProblemTest, ServerIndexMapsRoundTrip) {
   const geo::InterferencePartition partition(
       sites, geo::InterferencePartition::auto_reach(sites));
   const ShardedProblem sharded(problem, partition);
-  for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
-    const std::size_t k = sharded.shard_of_server(s);
-    const std::size_t ls = sharded.local_server_index(s);
-    EXPECT_EQ(k, partition.shard_of(s));
-    ASSERT_LT(ls, sharded.shard(k).servers.size());
-    EXPECT_EQ(sharded.shard(k).servers[ls], s);
+  // A slot on each server of each populated shard merges onto its global
+  // server and slices back to the same local one: merge_into reads the
+  // shard's server list, shard_hint the global -> (shard, index) maps.
+  std::size_t round_trips = 0;
+  for (std::size_t k = 0; k < sharded.num_shards(); ++k) {
+    const ShardedProblem::Shard& shard = sharded.shard(k);
+    if (shard.scenario == nullptr) continue;
+    for (std::size_t ls = 0; ls < shard.servers.size(); ++ls) {
+      const std::size_t s = shard.servers[ls];
+      EXPECT_EQ(partition.shard_of(s), k);
+      Assignment local(*shard.scenario);
+      local.offload(0, ls, 0);
+      Assignment global(scenario);
+      sharded.merge_into(k, local, global);
+      EXPECT_EQ(global.slot_of(shard.users[0]), (Slot{s, 0}));
+      EXPECT_EQ(sharded.shard_hint(k, global).slot_of(0), (Slot{ls, 0}));
+      ++round_trips;
+    }
   }
+  // More round trips than shards: local indices past 0 are covered too.
+  EXPECT_GT(round_trips, sharded.num_shards());
 }
 
 // shard_hint slices a feasible global assignment into a shard's local
@@ -300,7 +344,7 @@ TEST(ShardedProblemTest, ShardHintSlicesGlobalAssignment) {
       const auto local_slot = local.slot_of(lu);
       const bool in_shard =
           global_slot.has_value() &&
-          sharded.shard_of_server(global_slot->server) == k;
+          partition.shard_of(global_slot->server) == k;
       if (in_shard) {
         ASSERT_TRUE(local_slot.has_value());
         EXPECT_EQ(shard.servers[local_slot->server], global_slot->server);
